@@ -3,7 +3,7 @@
 B(k) orbits start at a brake point on the partial-collision line
 theta = -pi/2, cross it k more times, and then hit a line orthogonally;
 reflecting the quarter twice closes the orbit.  The script scans the
-brake radius, bisects each sign change of the terminal v, prints the
+brake radius, refines each sign change of the terminal v, prints the
 found members, and writes the (theta, r) projection of B(0) for
 plotting.
 """

@@ -1,6 +1,6 @@
 """Collect one member of each periodic family for the isosceles problem.
 
-Runs the bisection-shooting search for B, Z1, ZB, Z5 and the
+Runs the shooting search for B, Z1, ZB, Z5 and the
 less-symmetric B family at pyramidal n = 2, mu = 1, prints each member's
 seed, crossing pattern and period, and optionally writes every (theta, r)
 projection into one long CSV keyed by family for plotting overlays.

@@ -7,8 +7,8 @@ potentials (problems), the two regularizing charts and their vector fields
 (dynamics), an adaptive integrator with event location (odeint), invariant
 manifold branch tracing on the collision manifold (manifolds), the
 comparison-ODE existence conditions and elliptic integrals (conditions),
-and bisection-shooting searches for the symmetric periodic families
-(orbits).  The cli module wires them into subcommands.
+and shooting searches for the symmetric periodic families, refined by
+Brent's method (orbits).  The cli module wires them into subcommands.
 """
 
 __version__ = "0.1.0"

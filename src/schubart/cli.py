@@ -61,12 +61,14 @@ class RunConfig:
 
 
 def _resolved_workers(cfg: RunConfig) -> int:
-    if cfg.workers is not None:
-        return max(1, int(cfg.workers))
-    env = os.environ.get("SCHUBART_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    raw = cfg.workers
+    if raw is None:
+        raw = os.environ.get("SCHUBART_WORKERS") or os.cpu_count() or 1
+    try:
+        return max(1, int(raw))
+    except (TypeError, ValueError):
+        raise DomainError("workers (--workers, config or SCHUBART_WORKERS) "
+                          "must be an integer, got %r" % (raw,)) from None
 
 
 def build_config(args) -> RunConfig:

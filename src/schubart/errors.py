@@ -59,5 +59,5 @@ class OrbitNotFoundError(SchubartError):
 
 
 class AmbiguousBracketError(SchubartError):
-    """The crossing signature changed inside a bisection bracket even after
-    one grid refinement."""
+    """The crossing signature changed inside a root bracket even after one
+    local re-scan of that bracket."""

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import dynamics as dyn
 from .dynamics import NEWCOORDS, State
@@ -43,9 +44,6 @@ LOCUS_Z = "Z"
 FAMILY_NAMES = ("B", "LessSymB", "ZB", "Z1", "Z5", "PP", "Z2")
 
 RESIDUAL_TOL = 1e-8
-# bisection drives the residual well below the acceptance bound so the
-# full-period closure error stays within 1e-6 for long periods too
-_RESIDUAL_TARGET = 1e-12
 R_ESCAPE = 1e3
 _HALF_PI = math.pi / 2.0
 
@@ -204,6 +202,34 @@ def prescribed_signature(spec: FamilySpec) -> tuple:
 # -- single shots --------------------------------------------------------------
 
 
+def _line_of(angle: float) -> int:
+    """Index m of the nearest line theta = m pi/2."""
+    return int(round(angle / _HALF_PI))
+
+
+def _fly(problem, seed: State, ms, controls: Controls, stop=None):
+    """Integrate one shot, watching every line within three of the lines ms
+    and of theta = 0, the v and w zeros, escape, and an optional stop.
+    Returns the trajectory, its (s, m) line crossings and its fate,
+    "collision-asymptotic" | "escape" | None."""
+    ms = tuple(ms) + (0,)
+    events = [EventSpec.angle(m * _HALF_PI)
+              for m in range(min(ms) - 3, max(ms) + 4)]
+    events += [EventSpec.v_zero(), EventSpec.w_zero(),
+               EventSpec.r_exceeds(R_ESCAPE)]
+    if stop is not None:
+        events.append(stop)
+    traj = integrate(field_for(problem, NEWCOORDS), seed, events, controls)
+    cross = [(h.s, _line_of(h.state.angle))
+             for h in traj.events if h.kind == "angle-crossing"]
+    fate = None
+    if traj.termination == "step-failure":
+        fate = "collision-asymptotic"
+    elif traj.events and traj.events[-1].kind == "r-exceeds":
+        fate = "escape"
+    return traj, cross, fate
+
+
 @dataclass
 class _ShotRecord:
     param: float
@@ -212,36 +238,19 @@ class _ShotRecord:
     lines: tuple
     residual: float
     terminal_s: float
-    terminal_state: State
-    trajectory: Trajectory
 
 
-def _shot(problem, recipe: _Recipe, param: float, rtol=1e-10,
-          atol=1e-12, max_s=200.0) -> _ShotRecord:
+def _shot(problem, recipe: _Recipe, param: float) -> _ShotRecord:
     seed = seed_state(problem, recipe.locus, param)
     full = recipe.lines + ((recipe.terminal_m,)
                            if recipe.terminal == "line" else ())
     cap = len(full) if recipe.terminal == "line" else len(full) + 1
-    window = range(min(full + (0,)) - 3, max(full + (0,)) + 4)
-    events = [EventSpec.angle(m * _HALF_PI) for m in window]
-    events += [EventSpec.v_zero(), EventSpec.w_zero(),
-               EventSpec.r_exceeds(R_ESCAPE)]
-    ctl = Controls(rtol=rtol, atol=atol, max_s=max_s,
-                   max_angle_crossings=cap)
-    traj = integrate(field_for(problem, NEWCOORDS), seed, events, ctl)
-
-    cross = [(h.s, int(round(h.state.angle / _HALF_PI)))
-             for h in traj.events if h.kind == "angle-crossing"]
+    traj, cross, fate = _fly(problem, seed, full, Controls(
+        max_s=200.0, max_angle_crossings=cap))
     ms = tuple(m for _, m in cross)
-    rec = _ShotRecord(param=param, classification="no-terminal", lines=ms,
-                      residual=None, terminal_s=traj.end_s,
-                      terminal_state=traj.end_state, trajectory=traj)
-
-    if traj.termination == "step-failure":
-        rec.classification = "collision-asymptotic"
-        return rec
-    if traj.events and traj.events[-1].kind == "r-exceeds":
-        rec.classification = "escape"
+    rec = _ShotRecord(param=param, classification=fate or "no-terminal",
+                      lines=ms, residual=None, terminal_s=traj.end_s)
+    if fate:
         return rec
 
     if recipe.terminal == "line":
@@ -267,16 +276,13 @@ def _shot(problem, recipe: _Recipe, param: float, rtol=1e-10,
     if not vhits:
         return rec
     hit = vhits[0]
-    gap = abs(hit.state.angle / _HALF_PI
-              - round(hit.state.angle / _HALF_PI)) * _HALF_PI
-    if gap < 1e-6:
+    if abs(hit.state.angle - _line_of(hit.state.angle) * _HALF_PI) < 1e-6:
         # a brake on a line belongs to the Z1/ZB searches, not here
         rec.classification = "brake-on-line"
         return rec
     rec.classification = "matched"
     rec.residual = hit.state.w
     rec.terminal_s = hit.s
-    rec.terminal_state = hit.state
     return rec
 
 
@@ -294,26 +300,17 @@ def shoot(problem: ProblemSpec, seed: State, stop: EventSpec = None,
     or "escape" / "collision-asymptotic" when the run left the bounded
     region or stalled against the total collision.
     """
-    events = [EventSpec.angle(m * _HALF_PI) for m in range(-12, 13)]
-    events += [EventSpec.v_zero(), EventSpec.w_zero(),
-               EventSpec.r_exceeds(R_ESCAPE)]
-    if stop is not None:
-        events.append(stop)
-    ctl = Controls(max_s=200.0, max_angle_crossings=max_crossings)
-    traj = integrate(field_for(problem, NEWCOORDS), seed, events, ctl)
+    # lines -12..12
+    traj, _, fate = _fly(problem, seed, (-9, 9), Controls(
+        max_s=200.0, max_angle_crossings=max_crossings), stop)
     entries = []
     for h in traj.events:
         if h.kind == "angle-crossing":
-            m = int(round(h.state.angle / _HALF_PI))
+            m = _line_of(h.state.angle)
             entries.append((line_kind(m), m))
         elif h.kind == "v-zero":
             entries.append(("v-zero", None))
-    sig = CrossingSignature(tuple(entries))
-    if traj.termination == "step-failure":
-        return sig, "collision-asymptotic"
-    if traj.events and traj.events[-1].kind == "r-exceeds":
-        return sig, "escape"
-    return sig, traj.end_state
+    return CrossingSignature(tuple(entries)), fate or traj.end_state
 
 
 # -- search --------------------------------------------------------------------
@@ -338,44 +335,42 @@ def _grid(recipe, lo, hi, n):
     return pts
 
 
-def _bisect(problem, recipe, lo, hi, f_lo):
-    """Plain bisection on the terminal residual; raises AmbiguousBracketError
-    if a midpoint stops matching the prescribed signature."""
-    a, b, fa = lo, hi, f_lo
-    best = None
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        rec = _shot(problem, recipe, mid)
+def _brackets(rows) -> list:
+    """Neighbouring matched scan rows whose residuals differ in sign."""
+    return [(a, b) for a, b in zip(rows, rows[1:])
+            if a[1] == b[1] == "matched" and a[3] * b[3] < 0.0]
+
+
+def _refine(problem, recipe, a, b) -> _ShotRecord:
+    """Brent's method on the terminal residual between the scan rows a and
+    b; raises AmbiguousBracketError if a shot inside stops matching."""
+    known = {a[0]: a[3], b[0]: b[3]}
+    best = []
+
+    def residual(param):
+        if param in known:
+            return known[param]
+        rec = _shot(problem, recipe, param)
         if rec.classification != "matched":
             raise AmbiguousBracketError(
                 "signature %r at parameter %.17g inside the bracket"
-                % (rec.classification, mid))
-        if best is None or abs(rec.residual) < abs(best.residual):
-            best = rec
-        if abs(rec.residual) <= _RESIDUAL_TARGET:
-            return rec
-        if (rec.residual > 0.0) == (fa > 0.0):
-            a, fa = mid, rec.residual
-        else:
-            b = mid
-        if b - a <= 1e-15 * max(1.0, abs(a)):
-            break
-    if best is not None and abs(best.residual) <= RESIDUAL_TOL:
-        return best
-    raise AmbiguousBracketError(
-        "bracket [%r, %r] exhausted with residual %r"
-        % (a, b, None if best is None else best.residual))
+                % (rec.classification, param))
+        if not best or abs(rec.residual) < abs(best[0].residual):
+            best[:] = [rec]
+        return rec.residual
+
+    brentq(residual, a[0], b[0], xtol=1e-15, disp=False)
+    if not best or abs(best[0].residual) > RESIDUAL_TOL:
+        raise AmbiguousBracketError(
+            "bracket [%r, %r] exhausted" % (a[0], b[0]))
+    return best[0]
 
 
 def _reconstruct_and_wrap(problem, spec, recipe, rec) -> PeriodicOrbit:
     tau = rec.terminal_s
     seed = seed_state(problem, recipe.locus, rec.param)
-    window = range(min(recipe.lines + (0,)) - 3,
-                   max(recipe.lines + (0,)) + 4)
-    events = [EventSpec.angle(m * _HALF_PI) for m in window]
-    events += [EventSpec.v_zero(), EventSpec.w_zero()]
     ctl = Controls(max_s=tau, sample_ds=tau / 512.0)
-    fund = integrate(field_for(problem, NEWCOORDS), seed, events, ctl)
+    fund = _fly(problem, seed, recipe.lines, ctl)[0]
     period = 4.0 * tau if recipe.segment == "quarter" else 2.0 * tau
     orbit = PeriodicOrbit(family=spec, seed=seed, seed_parameter=rec.param,
                           quarter_or_half=recipe.segment, fundamental=fund,
@@ -387,7 +382,7 @@ def _reconstruct_and_wrap(problem, spec, recipe, rec) -> PeriodicOrbit:
         # means the segment is half of a B-family orbit
         vals = [abs(h.state.v) for h in fund.events
                 if h.kind == "angle-crossing"
-                and int(round(h.state.angle / _HALF_PI)) % 2 == 0]
+                and _line_of(h.state.angle) % 2 == 0]
         closest = min(vals) if vals else math.inf
         orbit.notes["euler_crossing_min_abs_v"] = closest
         orbit.notes["coincides_with_B"] = bool(closest < 1e-6)
@@ -395,22 +390,26 @@ def _reconstruct_and_wrap(problem, spec, recipe, rec) -> PeriodicOrbit:
 
 
 def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
-               workers: int = 1, exhaustive: bool = False,
-               _retried: bool = False):
+               workers: int = 1, exhaustive: bool = False):
     """Scan the seed parameter, bracket the sign change of the terminal
-    residual under the family's prescribed signature, and bisect.
+    residual under the family's prescribed signature, and refine each
+    bracket by Brent's method.
 
     Returns the first orbit found, or every bracket's orbit as a list when
-    exhaustive is set.  Raises OrbitNotFoundError (carrying the scan table)
-    when no bracket matches, AmbiguousBracketError when the signature is
-    unstable inside a bracket even after one grid refinement.
+    exhaustive is set.  Raises DomainError for an empty search window or
+    a non-positive S-locus size, OrbitNotFoundError (carrying the scan
+    table) when no bracket matches, AmbiguousBracketError when the
+    signature is unstable inside a bracket even after one local re-scan.
     """
     recipe = _recipe_for(family)
     cfg = dict(_default_search(problem, recipe))
     if search:
         cfg.update(search)
-    params = _grid(recipe, cfg["param_lo"], cfg["param_hi"],
-                   int(cfg["grid_points"]))
+    lo, hi = cfg["param_lo"], cfg["param_hi"]
+    if not lo < hi or (recipe.locus == LOCUS_S and not lo > 0.0):
+        raise DomainError("search window [%r, %r] needs param_lo < param_hi"
+                          " (and param_lo > 0 on %s)" % (lo, hi, LOCUS_S))
+    params = _grid(recipe, lo, hi, int(cfg["grid_points"]))
 
     tasks = [(problem, recipe, float(p)) for p in params]
     if workers and workers > 1:
@@ -419,27 +418,25 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     else:
         rows = [_scan_worker(t) for t in tasks]
 
-    brackets = []
-    for (p0, c0, _, f0), (p1, c1, _, f1) in zip(rows, rows[1:]):
-        if c0 == c1 == "matched" and f0 * f1 < 0.0:
-            brackets.append((p0, p1, f0))
+    brackets = _brackets(rows)
     if not brackets:
         raise OrbitNotFoundError(
             "no %s bracket for %s in [%g, %g] over %d seeds"
-            % (family, problem.kind, cfg["param_lo"], cfg["param_hi"],
-               len(params)), scan=rows)
+            % (family, problem.kind, lo, hi, len(params)), scan=rows)
 
     found = []
-    for lo, hi, f_lo in brackets:
+    for a, b in brackets:
         try:
-            rec = _bisect(problem, recipe, lo, hi, f_lo)
+            rec = _refine(problem, recipe, a, b)
         except AmbiguousBracketError:
-            if _retried:
+            # scan the bracket once more with the locus midpoint added and
+            # refine its first clean sub-bracket
+            mids = [_scan_worker((problem, recipe, float(p)))
+                    for p in _grid(recipe, a[0], b[0], 3)[1:-1]]
+            sub = _brackets([a] + mids + [b])
+            if not sub:
                 raise
-            refined = dict(cfg)
-            refined["grid_points"] = 2 * int(cfg["grid_points"])
-            return find_orbit(problem, family, refined, workers=workers,
-                              exhaustive=exhaustive, _retried=True)
+            rec = _refine(problem, recipe, *sub[0])
         found.append(_reconstruct_and_wrap(problem, family, recipe, rec))
         if not exhaustive:
             return found[0]
@@ -451,7 +448,7 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
 
 def _extend_mirror(samples):
     s_end, st_end = samples[-1]
-    tb = round(st_end.angle / _HALF_PI) * _HALF_PI
+    tb = _line_of(st_end.angle) * _HALF_PI
     out = list(samples)
     for s, st in reversed(samples[:-1]):
         out.append((2.0 * s_end - s, dyn.sigma_line(tb, st)[0]))

@@ -9,6 +9,7 @@ import pytest
 
 import schubart.cli as cli
 from schubart import __version__
+from schubart.errors import DomainError
 
 
 def run(argv):
@@ -101,6 +102,11 @@ def test_workers_resolution(monkeypatch):
     assert cli._resolved_workers(cli.RunConfig(workers=2)) == 2
     monkeypatch.delenv("SCHUBART_WORKERS")
     assert cli._resolved_workers(cli.RunConfig()) >= 1
+    monkeypatch.setenv("SCHUBART_WORKERS", "two")
+    with pytest.raises(DomainError):
+        cli._resolved_workers(cli.RunConfig())
+    code, _ = run(["orbit", "--family", "B", "--k", "0"])
+    assert code == 64
 
 
 # -- determinism --------------------------------------------------------------
@@ -178,6 +184,16 @@ def test_orbit_report_and_trajectory(tmp_path):
     t = [r[1] for r in rows]
     assert t[0] == 0.0 and t[-1] > 0.0
     assert all(b >= a for a, b in zip(t, t[1:])), "physical time monotone"
+
+
+def test_exit_64_on_bad_search_window(capsys):
+    # an empty window, and a window reaching r <= 0 on the S locus
+    for window in (["--param-lo", "0.7", "--param-hi", "0.4"],
+                   ["--param-lo", "0"]):
+        code, _ = run(["orbit", "--family", "B", "--k", "0",
+                       "--workers", "1"] + window)
+        assert code == 64
+        assert capsys.readouterr().err.startswith("error: search window")
 
 
 def test_orbit_not_found_exits_3_with_scan():

@@ -290,6 +290,54 @@ def test_exhaustive_returns_list(pyr2):
     assert abs(got[0].seed_parameter - ROOTS[("pyr", "B", 0)]) < 1e-8
 
 
+def _misclassify(monkeypatch, faulty):
+    """Route ob._shot through a wrapper that reports a pattern mismatch
+    wherever faulty(param) holds; returns the list of shot parameters."""
+    shot, params = ob._shot, []
+
+    def wrapper(problem, recipe, param):
+        params.append(param)
+        rec = shot(problem, recipe, param)
+        if faulty(param):
+            return replace(rec, classification="pattern-mismatch",
+                           residual=None)
+        return rec
+
+    monkeypatch.setattr(ob, "_shot", wrapper)
+    return params
+
+
+def test_ambiguous_bracket_is_rescanned_locally(pyr2, monkeypatch):
+    spec = ob.FamilySpec("B", 0)
+    search = {"param_lo": 0.4, "param_hi": 0.7, "grid_points": 9}
+    grid = [float(p) for p in ob._grid(ob._recipe_for(spec), 0.4, 0.7, 9)]
+    root = ROOTS[("pyr", "B", 0)]
+    lo = max(p for p in grid if p < root)
+    hi = min(p for p in grid if p > root)
+
+    # the first shot inside the bracket goes wrong, and only that one
+    bad = []
+
+    def first_inside(param):
+        if not bad and lo < param < hi:
+            bad.append(param)
+        return param in bad
+
+    params = _misclassify(monkeypatch, first_inside)
+    orb = ob.find_orbit(pyr2, spec, search)
+    assert len(bad) == 1
+    assert abs(orb.seed_parameter - root) < 1e-8
+    after_scan = params[len(grid):]
+    assert all(lo <= p <= hi for p in after_scan)
+    assert any(abs(p - math.sqrt(lo * hi)) < 1e-12 for p in after_scan)
+
+    # every shot inside the bracket goes wrong: no clean sub-bracket
+    monkeypatch.undo()
+    _misclassify(monkeypatch, lambda param: lo < param < hi)
+    with pytest.raises(AmbiguousBracketError):
+        ob.find_orbit(pyr2, spec, search)
+
+
 def test_parallel_scan_matches_serial(pyr2):
     spec = ob.FamilySpec("B", 0)
     search = {"param_lo": 0.4, "param_hi": 0.7, "grid_points": 6}
