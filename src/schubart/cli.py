@@ -304,6 +304,9 @@ def _table_sweep(cfg, args):
     if args.sweep == "mu":
         if cfg.problem != "pyramidal":
             raise DomainError("only the pyramidal family has a mass ratio")
+        if args.steps < 1:
+            raise DomainError("--steps must be at least 1, got %d"
+                              % (args.steps,))
         values = np.linspace(args.lo, args.hi, args.steps)
         mk = lambda v: problems.pyramidal(cfg.n, float(v))
         key = "mu"

@@ -36,7 +36,6 @@ from .problems import (
     ProblemSpec,
     _quantities,
     critical_points,
-    potential,
     shape_f,
     shape_fprime,
 )
@@ -75,18 +74,23 @@ class ChartData:
     c: float
 
 
+def _chart(kind: str, si, co):
+    """(cos phi, sin phi, c, c'/(sin theta cos theta)) from the sine and
+    cosine of the chart angle theta."""
+    if kind == HALF_CIRCLE:
+        q = 1.0 + si * si
+        return (1.0 - si * si) / q, 2.0 * si / q, 0.25 * q * q, q
+    if kind == QUARTER_CIRCLE:
+        c = 1.0 + co * co
+        a = np.sqrt(c)
+        return 0.5 * (a - si), 0.5 * (a + si), c, -2.0
+    raise DomainError("unknown chart kind %r" % (kind,))
+
+
 def chart_eval(kind: str, theta) -> ChartData:
     """(cos phi, sin phi) and the metric factor c at chart angle theta."""
-    s = np.sin(theta)
-    if kind == HALF_CIRCLE:
-        den = 1.0 + s * s
-        return ChartData(c1=(1.0 - s * s) / den, c2=2.0 * s / den,
-                         c=0.25 * den * den)
-    if kind == QUARTER_CIRCLE:
-        a = np.sqrt(1.0 + np.cos(theta) ** 2)
-        return ChartData(c1=0.5 * (a - s), c2=0.5 * (a + s),
-                         c=1.0 + np.cos(theta) ** 2)
-    raise DomainError("unknown chart kind %r" % (kind,))
+    c1, c2, c, _ = _chart(kind, np.sin(theta), np.cos(theta))
+    return ChartData(c1=c1, c2=c2, c=c)
 
 
 def _chart_derivs(kind: str, theta):
@@ -104,21 +108,23 @@ def _chart_derivs(kind: str, theta):
 def c_quotient(kind: str, theta):
     """c'(theta) / (sin theta cos theta), continued analytically at the
     lines where the denominator vanishes."""
+    q = _chart(kind, np.sin(theta), np.cos(theta))[3]
+    return np.full(np.shape(theta), q) if np.ndim(theta) else q
+
+
+def _phi(kind: str, si, c1, c2):
+    """Shape angle phi from sin theta and the chart point (cos phi, sin phi);
+    the half circle has the cheaper closed form 2 arctan(sin theta)."""
     if kind == HALF_CIRCLE:
-        return 1.0 + np.sin(theta) ** 2
-    if kind == QUARTER_CIRCLE:
-        if np.ndim(theta):
-            return np.full(np.shape(theta), -2.0)
-        return -2.0
-    raise DomainError("unknown chart kind %r" % (kind,))
+        return 2.0 * np.arctan(si)
+    return np.arctan2(c2, c1)
 
 
 def phi_of_theta(p: ProblemSpec, theta):
     """Shape angle phi for chart angle theta (any cover)."""
-    if p.chart == HALF_CIRCLE:
-        return 2.0 * np.arctan(np.sin(theta))
-    cd = chart_eval(QUARTER_CIRCLE, theta)
-    return np.arctan2(cd.c2, cd.c1)
+    si = np.sin(theta)
+    c1, c2, _, _ = _chart(p.chart, si, np.cos(theta))
+    return _phi(p.chart, si, c1, c2)
 
 
 def theta_of_phi(p: ProblemSpec, phi):
@@ -128,15 +134,23 @@ def theta_of_phi(p: ProblemSpec, phi):
     return np.arcsin(np.sin(phi) - np.cos(phi))
 
 
+def _terms(p: ProblemSpec, theta):
+    """sin theta, cos theta, c, c', curly W and curly W' at chart angle
+    theta: every chart term of the newcoords field and its energy.
+    Broadcasts over arrays."""
+    si, co = np.sin(theta), np.cos(theta)
+    c1, c2, c, cq = _chart(p.chart, si, co)
+    _, _, w, wp = _quantities(p, _phi(p.chart, si, c1, c2))
+    if p.chart == HALF_CIRCLE:
+        wc, wcp = (1.0 + si * si) * w, 2.0 * co * (si * w + wp)
+    else:
+        wc, wcp = 2.0 * w, 2.0 * co * wp / np.sqrt(c)
+    return si, co, c, cq * si * co, wc, wcp
+
+
 def curly_w(p: ProblemSpec, theta):
     """(curly W(theta), d/dtheta curly W(theta)) for the problem's chart."""
-    phi = phi_of_theta(p, theta)
-    _, _, w, wp = _quantities(p, phi)
-    s, co = np.sin(theta), np.cos(theta)
-    if p.chart == HALF_CIRCLE:
-        return (1.0 + s * s) * w, 2.0 * co * (s * w + wp)
-    a = np.sqrt(1.0 + co * co)
-    return 2.0 * w, 2.0 * co * wp / a
+    return _terms(p, theta)[4:]
 
 
 def v_of_theta(p: ProblemSpec, theta):
@@ -166,11 +180,21 @@ def theta_star(p: ProblemSpec) -> float:
     return cache["theta_star"]
 
 
-def devaney_rhs(p: ProblemSpec, s: State) -> np.ndarray:
-    """Right-hand side of the blown-up system in the devaney chart."""
-    if s.chart != DEVANEY:
-        raise DomainError("devaney_rhs needs a devaney-chart state")
-    r, v, phi, w, h = s.r, s.v, s.angle, s.w, s.h
+def _unpack(chart: str, y):
+    """(r, v, angle, w, h) of a State in the given chart, or of a flat
+    [r, v, angle, w] vector (or a (4, N) block of them) at h = -1."""
+    if isinstance(y, State):
+        if y.chart != chart:
+            raise DomainError("a %s-chart state given where the %s chart is"
+                              " needed" % (y.chart, chart))
+        return y.r, y.v, y.angle, y.w, y.h
+    return y[0], y[1], y[2], y[3], -1.0
+
+
+def devaney_rhs(p: ProblemSpec, y) -> np.ndarray:
+    """Right-hand side of the blown-up system in the devaney chart, at a
+    flat [r, v, phi, w] vector (h = -1) or a devaney State."""
+    r, v, phi, w, h = _unpack(DEVANEY, y)
     _, _, wq, wqp = _quantities(p, phi)
     f = shape_f(p, phi)
     fp = shape_fprime(p, phi)
@@ -186,54 +210,51 @@ def devaney_rhs(p: ProblemSpec, s: State) -> np.ndarray:
     return np.array([dr, dv, dphi, dw])
 
 
-def newcoords_rhs(p: ProblemSpec, s: State) -> np.ndarray:
+def newcoords_rhs(p: ProblemSpec, y) -> np.ndarray:
     """Right-hand side in the regularized chart (partial collisions are
     regular points; the field is polynomial in the state given the chart
-    functions)."""
-    if s.chart != NEWCOORDS:
-        raise DomainError("newcoords_rhs needs a newcoords-chart state")
-    r, v, theta, w, h = s.r, s.v, s.angle, s.w, s.h
-    co = math.cos(theta)
-    si = math.sin(theta)
+    functions).
+
+    y is a flat [r, v, theta, w] vector at h = -1, a (4, N) block of such
+    columns (the result is then (4, N) too), or a newcoords State.
+    """
+    r, v, theta, w, h = _unpack(NEWCOORDS, y)
+    si, co, c, cp, wc, wcp = _terms(p, theta)
     csq = co * co
-    sc = si * co
-    c = chart_eval(p.chart, theta).c
-    cprime = c_quotient(p.chart, theta) * sc
-    wc, wcp = curly_w(p, theta)
-    dr = r * v * csq
-    dv = 0.5 * v * v * csq + w * w * c - wc
-    dtheta = w * c
-    dw = wcp - 0.5 * v * w * csq + sc * (v * v - 2.0 * h * r) - 0.5 * w * w * cprime
-    return np.array([dr, dv, dtheta, dw])
+    return np.array([
+        r * v * csq,
+        0.5 * v * v * csq + w * w * c - wc,
+        w * c,
+        wcp - 0.5 * v * w * csq + si * co * (v * v - 2.0 * h * r)
+        - 0.5 * w * w * cp,
+    ])
 
 
-def devaney_field(p: ProblemSpec):
-    """Field callable over the flat vector [r, v, phi, w] at h = -1."""
+def energy_gradient(p: ProblemSpec, y):
+    """(E, dE/dy): the newcoords energy residual and its gradient over
+    [r, v, theta, w], in closed form from the field's chart terms.
 
-    def rhs(s_, y):
-        return devaney_rhs(p, State(DEVANEY, y[0], y[1], y[2], y[3]))
-
-    rhs.chart = DEVANEY
-    return rhs
-
-
-def newcoords_field(p: ProblemSpec):
-    """Field callable over the flat vector [r, v, theta, w] at h = -1."""
-
-    def rhs(s_, y):
-        return newcoords_rhs(p, State(NEWCOORDS, y[0], y[1], y[2], y[3]))
-
-    rhs.chart = NEWCOORDS
-    return rhs
+    E = v^2 cos^2/2 + w^2 c/2 - curly W - h r cos^2, so dE/dv = v cos^2,
+    dE/dw = w c and dE/dtheta = -sin cos (v^2 - 2 h r) + w^2 c'/2 - curly W'.
+    y is taken as by newcoords_rhs.
+    """
+    r, v, theta, w, h = _unpack(NEWCOORDS, y)
+    si, co, c, cp, wc, wcp = _terms(p, theta)
+    csq = co * co
+    res = 0.5 * v * v * csq + 0.5 * w * w * c - wc - h * r * csq
+    grad = np.array([
+        -h * csq,
+        v * csq,
+        -si * co * (v * v - 2.0 * h * r) + 0.5 * w * w * cp - wcp,
+        w * c,
+    ])
+    return res, grad
 
 
 def energy_residual(p: ProblemSpec, s: State) -> float:
     """Signed defect of the energy relation in the state's chart."""
     if s.chart == NEWCOORDS:
-        csq = math.cos(s.angle) ** 2
-        c = chart_eval(p.chart, s.angle).c
-        wc, _ = curly_w(p, s.angle)
-        return 0.5 * s.v * s.v * csq + 0.5 * s.w * s.w * c - wc - s.h * s.r * csq
+        return energy_gradient(p, s)[0]
     if s.chart == DEVANEY:
         _, _, wq, _ = _quantities(p, s.angle)
         f = shape_f(p, s.angle)
@@ -248,9 +269,8 @@ def energy_residual(p: ProblemSpec, s: State) -> float:
 def solve_w(p: ProblemSpec, r: float, v: float, theta: float, sign: int = 1):
     """w >= 0 (or <= 0) satisfying the energy relation at h = -1 in the
     newcoords chart, or None when no real solution exists."""
-    csq = math.cos(theta) ** 2
-    c = chart_eval(p.chart, theta).c
-    wc, _ = curly_w(p, theta)
+    _, co, c, _, wc, _ = _terms(p, theta)
+    csq = co * co
     arg = 2.0 * (wc - r * csq - 0.5 * v * v * csq) / c
     if arg < 0.0:
         if arg > -1e-12:

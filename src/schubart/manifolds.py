@@ -28,7 +28,7 @@ import numpy as np
 from . import dynamics as dyn
 from .dynamics import NEWCOORDS, DEVANEY, State
 from .errors import DomainError, LinearizationError, OrientationError
-from .odeint import (Controls, EventSpec, Trajectory, integrate,
+from .odeint import (Controls, EventSpec, Trajectory, field_for, integrate,
                      integrate_collision_manifold)
 from .problems import QUARTER_CIRCLE, ProblemSpec, critical_points, potential
 
@@ -61,15 +61,9 @@ class BranchTrace:
     termination: str  # hole B_a+ | hole B_b+ | equilibrium | cap
 
 
-def _rhs_for(problem: ProblemSpec, chart: str):
-    if chart == NEWCOORDS:
-        return lambda st: dyn.newcoords_rhs(problem, st)
-    return lambda st: dyn.devaney_rhs(problem, st)
-
-
 def _jacobian(problem: ProblemSpec, st: State) -> np.ndarray:
     """Central finite-difference Jacobian, relative step 1e-6 per component."""
-    rhs = _rhs_for(problem, st.chart)
+    rhs = field_for(problem, st.chart)
     x = st.as_array()
     jac = np.empty((4, 4))
     for j in range(4):
@@ -77,7 +71,7 @@ def _jacobian(problem: ProblemSpec, st: State) -> np.ndarray:
         xp, xm = x.copy(), x.copy()
         xp[j] += step
         xm[j] -= step
-        jac[:, j] = (rhs(st.with_array(xp)) - rhs(st.with_array(xm))) / (2.0 * step)
+        jac[:, j] = (rhs(0.0, xp) - rhs(0.0, xm)) / (2.0 * step)
     if not np.all(np.isfinite(jac)):
         raise LinearizationError("non-finite Jacobian at %r" % (st,))
     return jac
@@ -159,8 +153,8 @@ def _manifold_tangent_vector(problem: ProblemSpec, eq: Equilibrium,
         return sign_v * math.sqrt(max(2.0 * cw - w * w * ch.c, 0.0) / big_c)
 
     def reduced(theta, w):
-        st = State(NEWCOORDS, 0.0, v_on_manifold(theta, w), theta, w)
-        dy = dyn.newcoords_rhs(problem, st)
+        dy = dyn.newcoords_rhs(
+            problem, np.array([0.0, v_on_manifold(theta, w), theta, w]))
         return np.array([dy[2], dy[3]])
 
     th0, w0 = eq.state.angle, eq.state.w
@@ -258,26 +252,14 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
         # growing mode with the same rate as the branch itself, so the raw
         # backward trace never converges in epsilon.  Damp the deviation
         # toward the energy shell; the extra term vanishes on the manifold
-        # and leaves the traced branch unchanged.
+        # and leaves the traced branch unchanged.  It acts within r = 0
+        # (no dE/dr part), so the run stays on the manifold like the seed.
         damp = 20.0
 
-        def _residual(y):
-            return dyn.energy_residual(
-                problem, State(NEWCOORDS, 0.0, y[1], y[2], y[3]))
-
         def rhs(s_, y):
-            dy = dyn.newcoords_rhs(
-                problem, State(NEWCOORDS, 0.0, y[1], y[2], y[3]))
-            dy[0] = 0.0
-            dy = -dy
-            res = _residual(y)
-            grad = np.zeros(4)
-            h = 1e-7
-            for j in (1, 2, 3):
-                yp, ym = y.copy(), y.copy()
-                yp[j] += h
-                ym[j] -= h
-                grad[j] = (_residual(yp) - _residual(ym)) / (2.0 * h)
+            dy = -dyn.newcoords_rhs(problem, y)
+            res, grad = dyn.energy_gradient(problem, y)
+            grad[0] = 0.0
             n2 = float(grad @ grad)
             if n2 > 0.0:
                 dy -= damp * res * grad / n2

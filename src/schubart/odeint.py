@@ -7,12 +7,12 @@ step's quartic interpolant until the bracket is narrower than 1e-13 in
 rescaled time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .dynamics import DEVANEY, NEWCOORDS, State, devaney_field, newcoords_field
+from .dynamics import DEVANEY, NEWCOORDS, State, devaney_rhs, newcoords_rhs
 from .errors import DomainError, EvaluationError
 
 # Dormand-Prince 5(4) tableau
@@ -48,6 +48,9 @@ _P = np.array(
         [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
+
+# accepted-or-rejected step budget of one integrate call
+_MAX_STEPS = 200000
 
 EVENT_KINDS = ("angle-crossing", "v-zero", "w-zero", "r-exceeds", "r-below")
 
@@ -139,9 +142,7 @@ class Controls:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_s: float = 1e3
-    max_steps: int = 200000
     sample_ds: float = None  # uniform dense sampling when set
-    first_step: float = None
     max_angle_crossings: int = None  # truncate at the Nth angle-crossing hit
 
 
@@ -238,10 +239,7 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
     hits = []
     next_sample = ctl.sample_ds if ctl.sample_ds else None
 
-    h = ctl.first_step or _initial_step(
-        rhs, s, y, f0, ctl.rtol, ctl.atol, ctl.max_s
-    )
-    h = min(h, ctl.max_s)
+    h = _initial_step(rhs, s, y, f0, ctl.rtol, ctl.atol, ctl.max_s)
     err_prev = 1e-4
     termination = "time-limit"
     n_cross = 0
@@ -249,7 +247,7 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
 
     steps = 0
     while s < ctl.max_s:
-        if steps >= ctl.max_steps:
+        if steps >= _MAX_STEPS:
             termination = "time-limit"
             break
         steps += 1
@@ -347,30 +345,24 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
 
 
 def field_for(problem, chart: str):
-    """The flat-vector field callable for a problem in the given chart."""
+    """The field callable (s, y) over the flat vector [r, v, angle, w] at
+    h = -1 for a problem in the given chart."""
     if chart == NEWCOORDS:
-        return newcoords_field(problem)
+        return lambda s, y: newcoords_rhs(problem, y)
     if chart == DEVANEY:
-        return devaney_field(problem)
+        return lambda s, y: devaney_rhs(problem, y)
     raise DomainError("unknown chart %r" % (chart,))
 
 
 def integrate_collision_manifold(problem, seed: State, events=(),
                                  controls=None) -> Trajectory:
-    """Integrate on the collision manifold: r is pinned to 0 in the field.
+    """Integrate on the collision manifold r = 0.
 
-    The size equation dr/ds = r v cos^2 vanishes identically at r = 0, so
-    pinning keeps the run on the invariant set exactly.
+    The size equation (dr/ds = r v cos^2 in newcoords) is r times a finite
+    factor in both charts, so it is exactly 0 at r = 0 and the run stays on
+    the invariant set exactly.
     """
     if seed.r != 0.0:
         raise DomainError("collision-manifold seed must have r = 0")
-    base = field_for(problem, seed.chart)
-
-    def rhs(s_, y):
-        y = y.copy()
-        y[0] = 0.0
-        dy = base(s_, y)
-        dy[0] = 0.0
-        return dy
-
-    return integrate(rhs, seed, events=events, controls=controls)
+    return integrate(field_for(problem, seed.chart), seed, events=events,
+                     controls=controls)

@@ -396,20 +396,24 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     bracket by Brent's method.
 
     Returns the first orbit found, or every bracket's orbit as a list when
-    exhaustive is set.  Raises DomainError for an empty search window or
-    a non-positive S-locus size, OrbitNotFoundError (carrying the scan
-    table) when no bracket matches, AmbiguousBracketError when the
-    signature is unstable inside a bracket even after one local re-scan.
+    exhaustive is set.  Raises DomainError for an empty search window, a
+    non-positive S-locus size or fewer than two grid points,
+    OrbitNotFoundError (carrying the scan table) when no bracket matches,
+    AmbiguousBracketError when the signature is unstable inside a bracket
+    even after one local re-scan.
     """
     recipe = _recipe_for(family)
     cfg = dict(_default_search(problem, recipe))
     if search:
         cfg.update(search)
-    lo, hi = cfg["param_lo"], cfg["param_hi"]
+    lo, hi, n = cfg["param_lo"], cfg["param_hi"], int(cfg["grid_points"])
     if not lo < hi or (recipe.locus == LOCUS_S and not lo > 0.0):
         raise DomainError("search window [%r, %r] needs param_lo < param_hi"
                           " (and param_lo > 0 on %s)" % (lo, hi, LOCUS_S))
-    params = _grid(recipe, lo, hi, int(cfg["grid_points"]))
+    if n < 2:
+        raise DomainError("search window needs at least 2 grid points to"
+                          " bracket a root, got %d" % (n,))
+    params = _grid(recipe, lo, hi, n)
 
     tasks = [(problem, recipe, float(p)) for p in params]
     if workers and workers > 1:

@@ -187,9 +187,11 @@ def test_orbit_report_and_trajectory(tmp_path):
 
 
 def test_exit_64_on_bad_search_window(capsys):
-    # an empty window, and a window reaching r <= 0 on the S locus
+    # an empty window, a window reaching r <= 0 on the S locus, and grids
+    # too coarse to bracket a root
     for window in (["--param-lo", "0.7", "--param-hi", "0.4"],
-                   ["--param-lo", "0"]):
+                   ["--param-lo", "0"], ["--grid-points", "-3"],
+                   ["--grid-points", "0"], ["--grid-points", "1"]):
         code, _ = run(["orbit", "--family", "B", "--k", "0",
                        "--workers", "1"] + window)
         assert code == 64
@@ -240,3 +242,13 @@ def test_table_sweep_rejects_mu_for_spatial():
     code, _ = run(["table", "landmarks-sweep", "--sweep", "mu",
                    "--problem", "spatial", "--n", "3"])
     assert code == 64
+
+
+def test_table_sweep_rejects_fewer_than_one_step(capsys):
+    # a negative count used to die in np.linspace, zero printed no rows
+    for steps in ("-1", "0"):
+        code, text = run(["table", "landmarks-sweep", "--sweep", "mu",
+                          "--steps", steps])
+        assert code == 64
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: --steps")

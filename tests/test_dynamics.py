@@ -274,3 +274,41 @@ def test_devaney_field_zero_at_equilibria(pyr2):
             st = State(DEVANEY, 0.0, sign * v, phi, 0.0)
             dy = dyn.devaney_rhs(pyr2, st)
             assert np.max(np.abs(dy)) < 1e-9
+
+
+def _off_shell_states(rng, count):
+    """Random newcoords states with no energy relation imposed."""
+    return [State(NEWCOORDS, rng.uniform(0.0, 0.3), rng.uniform(-2.0, 2.0),
+                  rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0))
+            for _ in range(count)]
+
+
+def test_energy_gradient_matches_finite_differences(all_problems):
+    rng = np.random.default_rng(4)
+    h = 1e-6
+    for p in all_problems:
+        states = (_on_shell_states(p, rng, count=20)
+                  + _off_shell_states(rng, count=20))
+        for st in states:
+            res, grad = dyn.energy_gradient(p, st)
+            assert res == dyn.energy_residual(p, st)
+            y = st.as_array()
+            fd = np.empty(4)
+            for j in range(4):
+                step = np.zeros(4)
+                step[j] = h
+                fd[j] = (dyn.energy_residual(p, st.with_array(y + step))
+                         - dyn.energy_residual(p, st.with_array(y - step))
+                         ) / (2.0 * h)
+            assert np.linalg.norm(grad - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+def test_newcoords_field_broadcasts_over_columns(all_problems):
+    rng = np.random.default_rng(5)
+    for p in all_problems:
+        block = np.array([st.as_array()
+                          for st in _off_shell_states(rng, count=64)]).T
+        got = dyn.newcoords_rhs(p, block)
+        want = np.array([dyn.newcoords_rhs(p, col) for col in block.T]).T
+        assert got.shape == block.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
