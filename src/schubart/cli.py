@@ -32,6 +32,7 @@ from . import manifolds
 from . import orbits
 from . import problems
 from .errors import DomainError, OrbitNotFoundError, SchubartError
+from .odeint import Controls
 
 _SIG = ".17g"
 
@@ -61,6 +62,8 @@ class RunConfig:
 
 
 def _resolved_workers(cfg: RunConfig) -> int:
+    """The validated worker count.  The scan runs as one lockstep block, so
+    nothing reads it; it is kept so existing configs and scripts run."""
     raw = cfg.workers
     if raw is None:
         raw = os.environ.get("SCHUBART_WORKERS") or os.cpu_count() or 1
@@ -241,9 +244,11 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     spec = _family_spec(args)
     problem = _problem(cfg)
+    _resolved_workers(cfg)
+    controls = Controls(rtol=cfg.rtol, atol=cfg.atol, max_s=cfg.max_s)
     try:
         orbit = orbits.find_orbit(problem, spec, _search_overrides(cfg),
-                                  workers=_resolved_workers(cfg))
+                                  controls=controls)
     except OrbitNotFoundError as err:
         results = {
             "family": str(spec),
@@ -255,7 +260,7 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
         }
         _write(_json_text(_envelope("orbit", cfg, results, t0)), cfg.out)
         return 3
-    checks = orbits.verify_periodicity(problem, orbit)
+    checks = orbits.verify_periodicity(problem, orbit, controls)
     seed = orbit.seed
     results = {
         "family": str(spec),
@@ -311,6 +316,9 @@ def _table_sweep(cfg, args):
         mk = lambda v: problems.pyramidal(cfg.n, float(v))
         key = "mu"
     else:
+        if int(args.lo) > int(args.hi):
+            raise DomainError("--lo must not exceed --hi on the n sweep, got "
+                              "%d > %d" % (int(args.lo), int(args.hi)))
         values = range(int(args.lo), int(args.hi) + 1)
         mk = lambda v: _problem(dataclasses.replace(cfg, n=int(v)))
         key = "n"
@@ -392,7 +400,9 @@ def make_parser() -> _Parser:
     p.add_argument("--param-lo", dest="param_lo", type=float)
     p.add_argument("--param-hi", dest="param_hi", type=float)
     p.add_argument("--workers", type=int,
-                   help="scan parallelism (default: SCHUBART_WORKERS or cores)")
+                   help="accepted and checked for compatibility; the scan "
+                   "runs as one lockstep block (default: SCHUBART_WORKERS "
+                   "or cores)")
     p.set_defaults(func=cmd_orbit)
 
     p = subs.add_parser("table", help="reference tables")
@@ -401,7 +411,8 @@ def make_parser() -> _Parser:
     p.add_argument("--sweep", choices=["mu", "n"], default="mu")
     p.add_argument("--lo", type=float, default=0.5)
     p.add_argument("--hi", type=float, default=3.5)
-    p.add_argument("--steps", type=int, default=7)
+    p.add_argument("--steps", type=int, default=7,
+                   help="number of mu values (mu sweep only)")
     p.set_defaults(func=cmd_table)
     return parser
 

@@ -5,10 +5,16 @@ is reproducible bit-for-bit: events are bracketed by sign changes of the
 event function across each accepted step and refined by bisection on the
 step's quartic interpolant until the bracket is narrower than 1e-13 in
 rescaled time.
+
+`integrate` runs one seed and records its samples; `integrate_block` runs
+a family of seeds in lockstep as the columns of a (4, N) block, each lane
+with its own step size, controller memory, events and termination, and
+records only where each lane ended.  Both call the same step, controller
+and event-location helpers.
 """
 
 from dataclasses import dataclass
-import math
+import itertools
 
 import numpy as np
 
@@ -52,7 +58,14 @@ _P = np.array(
 # accepted-or-rejected step budget of one integrate call
 _MAX_STEPS = 200000
 
-EVENT_KINDS = ("angle-crossing", "v-zero", "w-zero", "r-exceeds", "r-below")
+# below this many live lanes the block field is evaluated column by column:
+# a numpy call on a (4, 1) block costs several flat-vector calls
+_COLUMNWISE_BELOW = 8
+
+# the component of [r, v, angle, w] each event kind watches
+_COMPONENT = {"angle-crossing": 2, "v-zero": 1, "w-zero": 3, "r-exceeds": 0,
+              "r-below": 0}
+EVENT_KINDS = tuple(_COMPONENT)
 
 
 @dataclass(frozen=True)
@@ -91,16 +104,16 @@ class EventSpec:
     def r_below(threshold, action="stop"):
         return EventSpec("r-below", action, threshold=threshold, direction=-1)
 
-    def value(self, y) -> float:
+    def _watched(self):
+        """(component of [r, v, angle, w], level): the event function is
+        y[component] - level."""
+        if self.kind not in _COMPONENT:
+            raise DomainError("unknown event kind %r" % (self.kind,))
         if self.kind == "angle-crossing":
-            return y[2] - self.theta
-        if self.kind == "v-zero":
-            return y[1]
-        if self.kind == "w-zero":
-            return y[3]
+            return _COMPONENT[self.kind], self.theta
         if self.kind in ("r-exceeds", "r-below"):
-            return y[0] - self.threshold
-        raise DomainError("unknown event kind %r" % (self.kind,))
+            return _COMPONENT[self.kind], self.threshold
+        return _COMPONENT[self.kind], 0.0
 
 
 @dataclass
@@ -155,67 +168,153 @@ def _as_controls(controls) -> Controls:
 
 
 def _rms_norm(x, scale):
-    return math.sqrt(float(np.mean((x / scale) ** 2)))
+    """Root-mean-square of x / scale over axis 0: a number for a flat
+    vector, one per lane for a (4, N) block."""
+    return np.sqrt(((x / scale) ** 2).sum(axis=0) / len(x))
 
 
 def _initial_step(f, s0, y0, f0, rtol, atol, max_s):
+    """Starting step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
+    per lane for a (4, N) block."""
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0, scale)
     d1 = _rms_norm(f0, scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = np.asarray(f(s0 + h0, y1), dtype=float)
-    if not np.all(np.isfinite(f1)):
-        return min(h0, max_s)
-    d2 = _rms_norm(f1 - f0, scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, max_s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        f1 = f(s0 + h0, y0 + h0 * f0)
+        d = np.maximum(d1, _rms_norm(f1 - f0, scale) / h0)
+        h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / d) ** 0.2)
+    h = np.minimum(np.minimum(100.0 * h0, h1), max_s)
+    return np.where(np.isfinite(f1).all(axis=0), h, np.minimum(h0, max_s))
 
 
-class _DenseStep:
-    """Quartic interpolant over one accepted step [s0, s0+h]."""
-
-    def __init__(self, s0, h, y0, k):
-        self.s0 = s0
-        self.h = h
-        self.y0 = y0
-        self.q = k.T @ _P  # (dim, 4)
-
-    def __call__(self, s):
-        x = (s - self.s0) / self.h
-        powers = np.array([x, x * x, x**3, x**4])
-        return self.y0 + self.h * (self.q @ powers)
+def _combine(weights, k):
+    """sum_i weights[i] k[i] over the leading stage axis of k."""
+    return (weights @ k.reshape(len(weights), -1)).reshape(k.shape[1:])
 
 
-def _locate_events(events, dense, s0, s1, g0, g1):
-    """Bisect each sign change to |bracket| <= 1e-13; return sorted hits."""
-    hits = []
-    for idx, spec in enumerate(events):
-        a_val, b_val = g0[idx], g1[idx]
-        crossed = (a_val < 0.0 < b_val) or (a_val > 0.0 > b_val) or (
-            a_val != 0.0 and b_val == 0.0
-        )
-        if not crossed:
-            continue
-        if spec.direction and (b_val - a_val) * spec.direction <= 0.0:
-            continue
-        a, b, ga = s0, s1, a_val
+def _stages(f, s, y, h, f0):
+    """The seven stage slopes of a step of size h from (s, y), and whether
+    every stage was finite (per lane for a block).  Stops at the first
+    non-finite stage of a flat state, or once every lane of a block has
+    one."""
+    k = np.empty((7,) + y.shape)
+    flat = k.reshape(7, -1)
+    k[0] = f0
+    ok = True
+    for i in range(1, 7):
+        k[i] = f(s + _C[i] * h, y + h * (_A[i] @ flat[:i]).reshape(y.shape))
+        finite = np.isfinite(k[i]).all(axis=0)
+        if finite.ndim:
+            ok = ok & finite
+            if not ok.any():
+                break
+        else:
+            ok = finite
+            if not ok:
+                break
+    return k, ok
+
+
+def _error(h, k, y, y_new, ctl):
+    """Scaled RMS of the embedded error estimate; inf where not finite."""
+    scale = ctl.atol + ctl.rtol * np.maximum(np.abs(y), np.abs(y_new))
+    return np.fmin(_rms_norm(h * _combine(_E, k), scale), np.inf)
+
+
+def _shrink(err):
+    """Step factor after a rejected step (err > 1)."""
+    return np.maximum(0.2, 0.9 * np.maximum(err, 1.0) ** -0.2)
+
+
+def _grow(err, err_prev):
+    """Step factor after an accepted step: the PI controller, clipped to
+    [0.2, 10] (the floor on err only keeps the power finite at err = 0,
+    which gets the full 10)."""
+    factor = 0.9 * np.maximum(err, 1e-300) ** -0.14 * err_prev**0.08
+    return np.minimum(10.0, np.maximum(0.2, factor))
+
+
+def _underflow(h, s):
+    """Whether a retried step has shrunk below the resolution of s."""
+    return h < 1e-14 * np.maximum(1.0, np.abs(s))
+
+
+def _dense_coeffs(k):
+    """Coefficients q[p] of x^(p+1) in the quartic interpolant of a step,
+    per lane for a block."""
+    return (_P.T @ k.reshape(7, -1)).reshape((4,) + k.shape[1:])
+
+
+def _interpolate(y0, h, q, x):
+    """The quartic interpolant of a step of size h from y0 at the step
+    fraction x."""
+    return y0 + h * (q[0] * x + q[1] * (x * x) + q[2] * x**3 + q[3] * x**4)
+
+
+class _Watch:
+    """The event functions of a list of EventSpec, evaluated together."""
+
+    def __init__(self, events):
+        self.specs = list(events)
+        watched = [sp._watched() for sp in self.specs]
+        self.component = np.array([c for c, _ in watched], dtype=int)
+        self.level = np.array([lv for _, lv in watched], dtype=float)
+        self.direction = np.array([sp.direction for sp in self.specs])
+
+    def values(self, y):
+        """Event values at a flat state (E,), or (N, E) for a block."""
+        return y[self.component].T - self.level
+
+    def crossed(self, g0, g1):
+        """The event functions that change sign across a step, in their
+        direction (a landing on zero counts), or None when none does."""
+        if not (g0 * g1 <= 0.0).any():  # no sign change anywhere
+            return None
+        change = (((g0 < 0.0) & (g1 > 0.0)) | ((g0 > 0.0) & (g1 < 0.0))
+                  | ((g0 != 0.0) & (g1 == 0.0)))
+        change &= (self.direction == 0) | ((g1 - g0) * self.direction > 0.0)
+        return change if change.any() else None
+
+    def locate(self, crossed, s0, h, y0, q, g0):
+        """Bisect every (lane, event) sign change marked in crossed (N, E)
+        on its lane's interpolant to |bracket| <= 1e-13, all pairs at once.
+        Lanes are the last axis of s0, h (N,), y0 (4, N) and q (4, 4, N).
+        Returns (lane, s, event index) triples ordered by lane, s, index."""
+        lane, idx = np.nonzero(crossed)
+        comp, level = self.component[idx], self.level[idx]
+        s0, h, y0, q = s0[lane], h[lane], y0[comp, lane], q[:, comp, lane]
+        a, b, ga = s0, s0 + h, g0[lane, idx]
         for _ in range(64):
-            if b - a <= 1e-13:
+            wide = b - a > 1e-13
+            if not wide.any():
                 break
             m = 0.5 * (a + b)
-            gm = spec.value(dense(m))
-            if ga * gm <= 0.0:
-                b = m
-            else:
-                a, ga = m, gm
+            gm = _interpolate(y0, h, q, (m - s0) / h) - level
+            left = wide & (ga * gm <= 0.0)
+            right = wide & ~left
+            b = np.where(left, m, b)
+            a, ga = np.where(right, m, a), np.where(right, gm, ga)
         s_ev = 0.5 * (a + b)
-        hits.append((s_ev, idx, spec))
-    hits.sort(key=lambda t: (t[0], t[1]))
-    return hits
+        return [(int(lane[i]), float(s_ev[i]), int(idx[i]))
+                for i in np.lexsort((idx, s_ev, lane))]
+
+
+def _record(specs, located, state_at, hits, n_cross, cap):
+    """Append one lane's located (s, event index) hits of a step in order
+    up to a stop event or the cap-th angle crossing.  Returns the stop s
+    (None to go on), the termination it means, and the crossing count."""
+    for s_ev, idx in located:
+        spec = specs[idx]
+        hits.append(EventHit(s_ev, spec, state_at(s_ev)))
+        if spec.action == "stop":
+            return s_ev, "event-stop", n_cross
+        if cap is not None and spec.kind == "angle-crossing":
+            n_cross += 1
+            if n_cross >= cap:
+                return s_ev, "crossing-cap", n_cross
+    return None, None, n_cross
 
 
 def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
@@ -228,7 +327,7 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
     max_angle_crossings angle events have fired, "event-stop" otherwise.
     """
     ctl = _as_controls(controls)
-    events = list(events)
+    watch = _Watch(events)
     y = seed.as_array()
     s = 0.0
     f0 = np.asarray(rhs(s, y), dtype=float)
@@ -239,11 +338,11 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
     hits = []
     next_sample = ctl.sample_ds if ctl.sample_ds else None
 
-    h = _initial_step(rhs, s, y, f0, ctl.rtol, ctl.atol, ctl.max_s)
+    h = float(_initial_step(rhs, s, y, f0, ctl.rtol, ctl.atol, ctl.max_s))
     err_prev = 1e-4
     termination = "time-limit"
     n_cross = 0
-    g_prev = np.array([sp.value(y) for sp in events]) if events else None
+    g_prev = watch.values(y)
 
     steps = 0
     while s < ctl.max_s:
@@ -254,67 +353,52 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
         if s + h > ctl.max_s:
             h = ctl.max_s - s
 
-        k = np.empty((7, y.size))
-        k[0] = f0
-        failed_eval = False
-        for i in range(1, 7):
-            yi = y + h * (_A[i] @ k[:i])
-            k[i] = rhs(s + _C[i] * h, yi)
-            if not np.all(np.isfinite(k[i])):
-                failed_eval = True
-                break
-        if failed_eval:
+        k, ok = _stages(rhs, s, y, h, f0)
+        if not ok:
             # retry with a smaller step; persistent failure means the run
             # hit a non-regularized singularity
             h *= 0.25
-            if h < 1e-14 * max(1.0, abs(s)):
+            if _underflow(h, s):
                 termination = "step-failure"
                 break
             continue
 
-        y_new = y + h * (_B @ k)
+        y_new = y + h * _combine(_B, k)
         if not np.all(np.isfinite(y_new)):
             raise EvaluationError("non-finite state at s=%.17g" % (s,))
-        err_vec = h * (_E @ k)
-        scale = ctl.atol + ctl.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms_norm(err_vec, scale)
-        if not math.isfinite(err):
-            err = float("inf")
-
+        err = _error(h, k, y, y_new, ctl)
         if err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.2) if math.isfinite(err) else 0.2
-            if h < 1e-14 * max(1.0, abs(s)):
+            h *= _shrink(err)
+            if _underflow(h, s):
                 termination = "step-failure"
                 break
             continue
 
         # accepted
-        dense = _DenseStep(s, h, y, k)
         s_new = s + h
-        stop_at = None
-        stop_kind = "event-stop"
-        if events:
-            g_new = np.array([sp.value(y_new) for sp in events])
-            located = _locate_events(events, dense, s, s_new, g_prev, g_new)
-            for s_ev, idx, spec in located:
-                st_ev = seed.with_array(dense(s_ev))
-                hits.append(EventHit(s_ev, spec, st_ev))
-                if spec.action == "stop":
-                    stop_at = s_ev
-                    break
-                if (ctl.max_angle_crossings is not None
-                        and spec.kind == "angle-crossing"):
-                    n_cross += 1
-                    if n_cross >= ctl.max_angle_crossings:
-                        stop_at = s_ev
-                        stop_kind = "crossing-cap"
-                        break
+        q = stop_at = None
+        if watch.specs:
+            g_new = watch.values(y_new)
+            crossed = watch.crossed(g_prev, g_new)
+            if crossed is not None:
+                q = _dense_coeffs(k)
+                located = watch.locate(crossed[None], np.array([s]),
+                                       np.array([h]), y[:, None],
+                                       q[..., None], g_prev[None])
+                stop_at, stop_kind, n_cross = _record(
+                    watch.specs, [(t, i) for _, t, i in located],
+                    lambda t: seed.with_array(
+                        _interpolate(y, h, q, (t - s) / h)),
+                    hits, n_cross, ctl.max_angle_crossings)
             g_prev = g_new
+        if next_sample is not None and q is None:
+            q = _dense_coeffs(k)
 
         if stop_at is not None:
             if next_sample is not None:
                 while next_sample < stop_at:
-                    samples.append((next_sample, seed.with_array(dense(next_sample))))
+                    samples.append((next_sample, seed.with_array(
+                        _interpolate(y, h, q, (next_sample - s) / h))))
                     next_sample += ctl.sample_ds
             samples.append((stop_at, hits[-1].state))
             termination = stop_kind
@@ -322,18 +406,15 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
 
         if next_sample is not None:
             while next_sample <= s_new:
-                samples.append((next_sample, seed.with_array(dense(next_sample))))
+                samples.append((next_sample, seed.with_array(
+                    _interpolate(y, h, q, (next_sample - s) / h))))
                 next_sample += ctl.sample_ds
         else:
             samples.append((s_new, seed.with_array(y_new)))
 
+        h *= _grow(err, err_prev)
         s, y = s_new, y_new
         f0 = k[6]  # FSAL
-        if err == 0.0:
-            factor = 10.0
-        else:
-            factor = 0.9 * err**-0.14 * err_prev**0.08
-        h *= min(10.0, max(0.2, factor))
         err_prev = max(err, 1e-10)
         if s >= ctl.max_s:
             termination = "time-limit"
@@ -342,6 +423,113 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
     if termination != "event-stop" and samples[-1][0] < s:
         samples.append((s, seed.with_array(y)))
     return Trajectory(samples=samples, events=hits, termination=termination)
+
+
+def _columnwise(rhs):
+    """rhs over a (4, N) block; below _COLUMNWISE_BELOW lanes it is called
+    on one flat column at a time."""
+    def f(s, y):
+        if y.shape[1] >= _COLUMNWISE_BELOW:
+            return rhs(s, y)
+        out = np.empty_like(y)
+        for j in range(y.shape[1]):
+            out[:, j] = rhs(s[j], y[:, j])
+        return out
+    return f
+
+
+def integrate_block(rhs, seeds, events=(), controls=None) -> list:
+    """Integrate one trajectory per seed, all in lockstep.
+
+    The seeds are the columns of a (4, N) block that rhs takes whole (and
+    column by column once fewer than _COLUMNWISE_BELOW lanes are live).
+    Each lane runs the step, controller, budget and event rules of
+    `integrate` on its own step size and retires on its own termination.
+    Returns one Trajectory per seed, in order, holding its events and
+    termination; its samples are the seed and the end state only.
+    """
+    ctl = _as_controls(controls)
+    if ctl.sample_ds:
+        raise DomainError("integrate_block records no dense samples")
+    watch = _Watch(events)
+    seeds = list(seeds)
+    f = _columnwise(rhs)
+    lane = np.arange(len(seeds))
+    y = np.array([st.as_array() for st in seeds]).T.reshape(4, -1)
+    s = np.zeros(lane.size)
+    f0 = f(s, y)
+    if not np.all(np.isfinite(f0)):
+        raise EvaluationError("non-finite field at a seed state")
+    h = _initial_step(f, s, y, f0, ctl.rtol, ctl.atol, ctl.max_s)
+    err_prev = np.full(lane.size, 1e-4)
+    steps = np.zeros(lane.size, dtype=int)
+    n_cross = np.zeros(lane.size, dtype=int)
+    g_prev = watch.values(y)
+    hits = [[] for _ in seeds]
+    ends = [None] * len(seeds)  # (termination, s, State)
+
+    while lane.size:
+        steps += 1
+        h = np.where(s + h > ctl.max_s, ctl.max_s - s, h)
+        k, ok = _stages(f, s, y, h, f0)
+        y_new = y + h * _combine(_B, k)
+        bad = ok & ~np.isfinite(y_new).all(axis=0)
+        if bad.any():
+            raise EvaluationError("non-finite state at s=%.17g" % (s[bad][0],))
+        err = _error(h, k, y, y_new, ctl)
+        accept = ok & (err <= 1.0)
+        stopped = np.zeros(lane.size, dtype=bool)
+
+        if watch.specs:
+            g_new = watch.values(y_new)
+            crossed = watch.crossed(g_prev, g_new)
+            if crossed is not None:
+                crossed &= accept[:, None]
+                q = _dense_coeffs(k)
+                located = watch.locate(crossed, s, h, y, q, g_prev)
+                for j, group in itertools.groupby(located, lambda t: t[0]):
+                    i = lane[j]
+                    stop_at, kind, n_cross[j] = _record(
+                        watch.specs, [(t, e) for _, t, e in group],
+                        lambda t: seeds[i].with_array(_interpolate(
+                            y[:, j], h[j], q[:, :, j], (t - s[j]) / h[j])),
+                        hits[i], n_cross[j], ctl.max_angle_crossings)
+                    if stop_at is not None:
+                        ends[i] = (kind, stop_at, hits[i][-1].state)
+                        stopped[j] = True
+            g_prev = np.where(accept[:, None], g_new, g_prev)
+
+        # failed evaluations retry at a quarter of the step, rejected steps
+        # at the controller's factor
+        advance = accept & ~stopped
+        s_new = s + h
+        h = np.where(accept, h * _grow(err, err_prev),
+                     np.where(ok, h * _shrink(err), 0.25 * h))
+        s = np.where(advance, s_new, s)
+        y = np.where(advance, y_new, y)
+        f0 = np.where(advance, k[6], f0)  # FSAL
+        err_prev = np.where(advance, np.maximum(err, 1e-10), err_prev)
+
+        failure = ~accept & _underflow(h, s)
+        limit = ~stopped & ~failure & (
+            (advance & (s >= ctl.max_s)) | (steps >= _MAX_STEPS))
+        retired = stopped | failure | limit
+        if retired.any():
+            for j in np.flatnonzero(failure | limit):
+                i = lane[j]
+                ends[i] = ("step-failure" if failure[j] else "time-limit",
+                           float(s[j]), seeds[i].with_array(y[:, j]))
+            keep = ~retired
+            lane, s, h, err_prev, steps, n_cross, g_prev = (a[keep] for a in (
+                lane, s, h, err_prev, steps, n_cross, g_prev))
+            y, f0 = y[:, keep], f0[:, keep]
+
+    out = []
+    for seed, lane_hits, (termination, s_end, end) in zip(seeds, hits, ends):
+        samples = [(0.0, seed)] + ([(s_end, end)] if s_end > 0.0 else [])
+        out.append(Trajectory(samples=samples, events=lane_hits,
+                              termination=termination))
+    return out
 
 
 def field_for(problem, chart: str):

@@ -25,8 +25,7 @@ quarter segments mirror twice or mirror-then-retrace, half segments
 mirror or retrace once.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
@@ -35,7 +34,8 @@ from scipy.optimize import brentq
 from . import dynamics as dyn
 from .dynamics import NEWCOORDS, State
 from .errors import AmbiguousBracketError, DomainError, OrbitNotFoundError
-from .odeint import Controls, EventSpec, Trajectory, field_for, integrate
+from .odeint import (Controls, EventSpec, Trajectory, field_for, integrate,
+                     integrate_block)
 from .problems import ProblemSpec
 
 LOCUS_S = "S(-pi/2)"
@@ -45,6 +45,7 @@ FAMILY_NAMES = ("B", "LessSymB", "ZB", "Z1", "Z5", "PP", "Z2")
 
 RESIDUAL_TOL = 1e-8
 R_ESCAPE = 1e3
+SHOT_MAX_S = 200.0  # rescaled-time limit of one shot unless controls say
 _HALF_PI = math.pi / 2.0
 
 
@@ -157,6 +158,9 @@ class _Recipe:
     terminal_m: int
     segment: str  # "quarter" | "half"
     closure: str  # "mirror-mirror" | "mirror-retrace" | "mirror" | "retrace"
+    # rtol, atol and max_s of the shots; rtol and atol also of the
+    # reconstruction (None: the defaults, see _controls)
+    controls: Controls = None
 
 
 def _recipe_for(spec: FamilySpec) -> _Recipe:
@@ -207,11 +211,17 @@ def _line_of(angle: float) -> int:
     return int(round(angle / _HALF_PI))
 
 
-def _fly(problem, seed: State, ms, controls: Controls, stop=None):
-    """Integrate one shot, watching every line within three of the lines ms
+def _controls(controls) -> Controls:
+    """The search's integration controls: rtol 1e-10, atol 1e-12 and
+    max_s SHOT_MAX_S unless given."""
+    return controls if controls is not None else Controls(max_s=SHOT_MAX_S)
+
+
+def _fly(problem, seeds, ms, controls: Controls, stop=None):
+    """Integrate one shot from a seed State, or a lockstep block of shots
+    from a list of seeds, watching every line within three of the lines ms
     and of theta = 0, the v and w zeros, escape, and an optional stop.
-    Returns the trajectory, its (s, m) line crossings and its fate,
-    "collision-asymptotic" | "escape" | None."""
+    Returns the Trajectory, or the list of them."""
     ms = tuple(ms) + (0,)
     events = [EventSpec.angle(m * _HALF_PI)
               for m in range(min(ms) - 3, max(ms) + 4)]
@@ -219,15 +229,25 @@ def _fly(problem, seed: State, ms, controls: Controls, stop=None):
                EventSpec.r_exceeds(R_ESCAPE)]
     if stop is not None:
         events.append(stop)
-    traj = integrate(field_for(problem, NEWCOORDS), seed, events, controls)
-    cross = [(h.s, _line_of(h.state.angle))
-             for h in traj.events if h.kind == "angle-crossing"]
-    fate = None
+    rhs = field_for(problem, NEWCOORDS)
+    if isinstance(seeds, State):
+        return integrate(rhs, seeds, events, controls)
+    return integrate_block(rhs, seeds, events, controls)
+
+
+def _crossings(traj: Trajectory) -> list:
+    """(s, m) of every line crossing of a shot."""
+    return [(h.s, _line_of(h.state.angle))
+            for h in traj.events if h.kind == "angle-crossing"]
+
+
+def _fate(traj: Trajectory):
+    """"collision-asymptotic" | "escape" | None."""
     if traj.termination == "step-failure":
-        fate = "collision-asymptotic"
-    elif traj.events and traj.events[-1].kind == "r-exceeds":
-        fate = "escape"
-    return traj, cross, fate
+        return "collision-asymptotic"
+    if traj.events and traj.events[-1].kind == "r-exceeds":
+        return "escape"
+    return None
 
 
 @dataclass
@@ -240,13 +260,27 @@ class _ShotRecord:
     terminal_s: float
 
 
-def _shot(problem, recipe: _Recipe, param: float) -> _ShotRecord:
-    seed = seed_state(problem, recipe.locus, param)
-    full = recipe.lines + ((recipe.terminal_m,)
-                           if recipe.terminal == "line" else ())
-    cap = len(full) if recipe.terminal == "line" else len(full) + 1
-    traj, cross, fate = _fly(problem, seed, full, Controls(
-        max_s=200.0, max_angle_crossings=cap))
+def _full_lines(recipe: _Recipe) -> tuple:
+    """The prescribed crossings, with the terminal line if there is one."""
+    if recipe.terminal == "line":
+        return recipe.lines + (recipe.terminal_m,)
+    return recipe.lines
+
+
+def _shot_controls(recipe: _Recipe) -> Controls:
+    """The recipe's controls, capped at the crossings a classification
+    reads: the full pattern, plus one past a brake terminal."""
+    cap = len(_full_lines(recipe)) + (recipe.terminal == "brake")
+    return replace(_controls(recipe.controls), sample_ds=None,
+                   max_angle_crossings=cap)
+
+
+def _classify(recipe: _Recipe, param: float, traj: Trajectory) -> _ShotRecord:
+    """Classify a shot from the seed at param against the recipe's
+    crossing pattern and terminal, with its residual when it matches."""
+    full = _full_lines(recipe)
+    cross = _crossings(traj)
+    fate = _fate(traj)
     ms = tuple(m for _, m in cross)
     rec = _ShotRecord(param=param, classification=fate or "no-terminal",
                       lines=ms, residual=None, terminal_s=traj.end_s)
@@ -286,10 +320,22 @@ def _shot(problem, recipe: _Recipe, param: float) -> _ShotRecord:
     return rec
 
 
-def _scan_worker(task):
-    problem, recipe, param = task
-    rec = _shot(problem, recipe, param)
-    return (param, rec.classification, rec.lines, rec.residual)
+def _shot(problem, recipe: _Recipe, param: float) -> _ShotRecord:
+    seed = seed_state(problem, recipe.locus, param)
+    return _classify(recipe, param, _fly(problem, seed, _full_lines(recipe),
+                                         _shot_controls(recipe)))
+
+
+def _row(rec: _ShotRecord) -> tuple:
+    """A scan-table row: (param, classification, lines, residual)."""
+    return (rec.param, rec.classification, rec.lines, rec.residual)
+
+
+def _scan(problem, recipe: _Recipe, params) -> list:
+    """The scan-table rows of the seeds at params, flown as one block."""
+    seeds = [seed_state(problem, recipe.locus, p) for p in params]
+    trajs = _fly(problem, seeds, _full_lines(recipe), _shot_controls(recipe))
+    return [_row(_classify(recipe, p, t)) for p, t in zip(params, trajs)]
 
 
 def shoot(problem: ProblemSpec, seed: State, stop: EventSpec = None,
@@ -301,8 +347,8 @@ def shoot(problem: ProblemSpec, seed: State, stop: EventSpec = None,
     region or stalled against the total collision.
     """
     # lines -12..12
-    traj, _, fate = _fly(problem, seed, (-9, 9), Controls(
-        max_s=200.0, max_angle_crossings=max_crossings), stop)
+    traj = _fly(problem, seed, (-9, 9), Controls(
+        max_s=SHOT_MAX_S, max_angle_crossings=max_crossings), stop)
     entries = []
     for h in traj.events:
         if h.kind == "angle-crossing":
@@ -310,7 +356,7 @@ def shoot(problem: ProblemSpec, seed: State, stop: EventSpec = None,
             entries.append((line_kind(m), m))
         elif h.kind == "v-zero":
             entries.append(("v-zero", None))
-    return CrossingSignature(tuple(entries)), fate or traj.end_state
+    return CrossingSignature(tuple(entries)), _fate(traj) or traj.end_state
 
 
 # -- search --------------------------------------------------------------------
@@ -369,8 +415,9 @@ def _refine(problem, recipe, a, b) -> _ShotRecord:
 def _reconstruct_and_wrap(problem, spec, recipe, rec) -> PeriodicOrbit:
     tau = rec.terminal_s
     seed = seed_state(problem, recipe.locus, rec.param)
-    ctl = Controls(max_s=tau, sample_ds=tau / 512.0)
-    fund = _fly(problem, seed, recipe.lines, ctl)[0]
+    ctl = _controls(recipe.controls)
+    fund = _fly(problem, seed, recipe.lines, Controls(
+        rtol=ctl.rtol, atol=ctl.atol, max_s=tau, sample_ds=tau / 512.0))
     period = 4.0 * tau if recipe.segment == "quarter" else 2.0 * tau
     orbit = PeriodicOrbit(family=spec, seed=seed, seed_parameter=rec.param,
                           quarter_or_half=recipe.segment, fundamental=fund,
@@ -390,10 +437,15 @@ def _reconstruct_and_wrap(problem, spec, recipe, rec) -> PeriodicOrbit:
 
 
 def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
-               workers: int = 1, exhaustive: bool = False):
+               controls: Controls = None, exhaustive: bool = False):
     """Scan the seed parameter, bracket the sign change of the terminal
     residual under the family's prescribed signature, and refine each
     bracket by Brent's method.
+
+    The scan flies every seed in one lockstep block; root refinement and
+    reconstruction fly single shots.  controls sets rtol and atol of every
+    integration and max_s of the shots (default: rtol 1e-10, atol 1e-12,
+    max_s SHOT_MAX_S); reconstruction runs to the found segment's end.
 
     Returns the first orbit found, or every bracket's orbit as a list when
     exhaustive is set.  Raises DomainError for an empty search window, a
@@ -402,7 +454,7 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     AmbiguousBracketError when the signature is unstable inside a bracket
     even after one local re-scan.
     """
-    recipe = _recipe_for(family)
+    recipe = replace(_recipe_for(family), controls=_controls(controls))
     cfg = dict(_default_search(problem, recipe))
     if search:
         cfg.update(search)
@@ -413,14 +465,8 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     if n < 2:
         raise DomainError("search window needs at least 2 grid points to"
                           " bracket a root, got %d" % (n,))
-    params = _grid(recipe, lo, hi, n)
-
-    tasks = [(problem, recipe, float(p)) for p in params]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_worker, tasks, chunksize=4))
-    else:
-        rows = [_scan_worker(t) for t in tasks]
+    params = [float(p) for p in _grid(recipe, lo, hi, n)]
+    rows = _scan(problem, recipe, params)
 
     brackets = _brackets(rows)
     if not brackets:
@@ -435,7 +481,7 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
         except AmbiguousBracketError:
             # scan the bracket once more with the locus midpoint added and
             # refine its first clean sub-bracket
-            mids = [_scan_worker((problem, recipe, float(p)))
+            mids = [_row(_shot(problem, recipe, float(p)))
                     for p in _grid(recipe, a[0], b[0], 3)[1:-1]]
             sub = _brackets([a] + mids + [b])
             if not sub:
@@ -490,15 +536,19 @@ def reconstruct_full(orbit: PeriodicOrbit) -> Trajectory:
     return Trajectory(samples=acc, events=[], termination="reconstructed")
 
 
-def verify_periodicity(problem: ProblemSpec, orbit: PeriodicOrbit) -> dict:
-    """Re-integrate the seed over one full period in a single pass.
+def verify_periodicity(problem: ProblemSpec, orbit: PeriodicOrbit,
+                       controls: Controls = None) -> dict:
+    """Re-integrate the seed over one full period in a single pass, at the
+    rtol and atol of controls (default 1e-10, 1e-12).
 
     closure_error is the largest coordinate gap to the seed, with theta
     compared modulo the 2 pi cover period; energy_drift is the largest
     energy residual along the run.
     """
     period = orbit.full_period_s
-    ctl = Controls(max_s=period, sample_ds=period / 1024.0)
+    ctl = _controls(controls)
+    ctl = Controls(rtol=ctl.rtol, atol=ctl.atol, max_s=period,
+                   sample_ds=period / 1024.0)
     traj = integrate(field_for(problem, NEWCOORDS), orbit.seed, (), ctl)
     end, seed = traj.end_state, orbit.seed
     dth = abs(end.angle - seed.angle)

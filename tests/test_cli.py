@@ -186,6 +186,26 @@ def test_orbit_report_and_trajectory(tmp_path):
     assert all(b >= a for a, b in zip(t, t[1:])), "physical time monotone"
 
 
+def test_orbit_runs_the_echoed_integration_settings():
+    # --rtol, --atol and --max-s are echoed in config; each must also change
+    # what the search computes
+    base = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
+            "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
+    code, ref = run_json(base)
+    assert code == 0
+    for flag, value, key in (("--rtol", "1e-6", "rtol"),
+                             ("--atol", "1e-8", "atol"),
+                             ("--max-s", "2", "max_s")):
+        code, out = run_json(base + [flag, value])
+        assert out["config"][key] == float(value)
+        assert code != 0 or out["results"] != ref["results"], flag
+    # the quarter period is about 2.5: shots cut at s = 2 reach no terminal
+    code, out = run_json(base + ["--max-s", "2"])
+    assert code == 3
+    assert {r["classification"] for r in out["results"]["scan"]} == {
+        "no-terminal"}
+
+
 def test_exit_64_on_bad_search_window(capsys):
     # an empty window, a window reaching r <= 0 on the S locus, and grids
     # too coarse to bracket a root
@@ -252,3 +272,12 @@ def test_table_sweep_rejects_fewer_than_one_step(capsys):
         assert code == 64
         assert text == ""
         assert capsys.readouterr().err.startswith("error: --steps")
+
+
+def test_table_n_sweep_rejects_an_empty_range(capsys):
+    # lo > hi used to print a header-only table with exit 0
+    code, text = run(["table", "landmarks-sweep", "--sweep", "n",
+                      "--lo", "5", "--hi", "3"])
+    assert code == 64
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: --lo")

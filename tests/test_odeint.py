@@ -199,3 +199,79 @@ def test_r_exceeds_stop(pla10):
                         controls=Controls(max_s=100.0))
     assert traj.termination == "event-stop"
     assert traj.end_state.r == pytest.approx(5.0, abs=1e-8)
+
+
+# -- lockstep blocks -----------------------------------------------------------
+
+
+def _lanes_rhs(s, y):
+    # r'' = 0.05 r, a pendulum in the angle; the field is not finite once
+    # r <= 0, so a lane heading there ends in a step failure.  Takes a flat
+    # state or a (4, N) block.
+    r, v, th, w = y
+    return np.array([v, 0.05 * r, w,
+                     -0.1 * np.sin(th) + np.where(r > 0.0, 0.0, np.nan)])
+
+
+_LANE_EVENTS = [EventSpec.angle(m * math.pi / 2.0) for m in range(-2, 4)] + [
+    EventSpec.r_below(0.5, action="record"), EventSpec.r_exceeds(5.0)]
+_LANE_CONTROLS = Controls(max_s=10.0, max_angle_crossings=3)
+# (r, v, theta, w) -> the termination integrate gives that seed alone
+_LANE_SEEDS = {
+    (1.0, 0.0, 0.1, 1.0): "crossing-cap",  # spins through the lines
+    (1.0, 1.0, 0.1, 0.01): "event-stop",  # escapes past r = 5
+    (1.0, 0.0, 0.1, 0.01): "time-limit",  # swings once across theta = 0
+    (1.0, -0.5, 0.1, 0.01): "step-failure",  # runs into r = 0
+}
+
+
+def _lane_seeds(copies):
+    return [State(NEWCOORDS, r, v, th + 0.01 * c, w)
+            for c in range(copies) for r, v, th, w in _LANE_SEEDS]
+
+
+def _assert_block_matches_integrate(seeds):
+    block = oi.integrate_block(_lanes_rhs, seeds, _LANE_EVENTS,
+                               _LANE_CONTROLS)
+    assert len(block) == len(seeds)
+    for seed, got in zip(seeds, block):
+        want = oi.integrate(_lanes_rhs, seed, _LANE_EVENTS, _LANE_CONTROLS)
+        assert got.termination == want.termination
+        assert got.samples[0] == (0.0, seed)
+        assert len(got.samples) == 2
+        assert [h.kind for h in got.events] == [h.kind for h in want.events]
+        for a, b in zip(got.events, want.events):
+            assert a.spec is b.spec
+            assert abs(a.s - b.s) < 1e-9
+        assert abs(got.end_s - want.end_s) < 1e-9
+        assert np.max(np.abs(got.end_state.as_array()
+                             - want.end_state.as_array())) < 1e-9
+    return block
+
+
+def test_block_lanes_match_integrate_per_termination():
+    seeds = _lane_seeds(3)
+    # starts as whole-block field calls
+    assert len(seeds) >= oi._COLUMNWISE_BELOW
+    block = _assert_block_matches_integrate(seeds)
+    assert [t.termination for t in block] == list(_LANE_SEEDS.values()) * 3
+    # the r-below record fires on the lane running into r = 0 only
+    assert [h.kind for h in block[3].events].count("r-below") == 1
+
+
+def test_one_lane_block_matches_integrate():
+    for seed in _lane_seeds(1):
+        _assert_block_matches_integrate([seed])
+
+
+def test_block_below_the_columnwise_size_matches_integrate():
+    seeds = _lane_seeds(1)[:3]
+    assert len(seeds) < oi._COLUMNWISE_BELOW
+    _assert_block_matches_integrate(seeds)
+
+
+def test_block_takes_no_dense_sampling():
+    from schubart.errors import DomainError
+    with pytest.raises(DomainError):
+        oi.integrate_block(_lanes_rhs, _lane_seeds(1),
+                           controls=Controls(sample_ds=0.1))

@@ -327,7 +327,7 @@ def test_ambiguous_bracket_is_rescanned_locally(pyr2, monkeypatch):
     orb = ob.find_orbit(pyr2, spec, search)
     assert len(bad) == 1
     assert abs(orb.seed_parameter - root) < 1e-8
-    after_scan = params[len(grid):]
+    after_scan = params
     assert all(lo <= p <= hi for p in after_scan)
     assert any(abs(p - math.sqrt(lo * hi)) < 1e-12 for p in after_scan)
 
@@ -338,12 +338,27 @@ def test_ambiguous_bracket_is_rescanned_locally(pyr2, monkeypatch):
         ob.find_orbit(pyr2, spec, search)
 
 
-def test_parallel_scan_matches_serial(pyr2):
-    spec = ob.FamilySpec("B", 0)
-    search = {"param_lo": 0.4, "param_hi": 0.7, "grid_points": 6}
-    a = ob.find_orbit(pyr2, spec, search, workers=1)
-    b = ob.find_orbit(pyr2, spec, search, workers=2)
-    assert a.seed_parameter == b.seed_parameter
+def test_block_scan_matches_scalar_shots(request, pyr2):
+    # the lockstep block against one scalar shot per seed: vectorized sin
+    # and cos are not bit-identical to the scalar ones, so residuals may
+    # differ in the last digits, but nothing else may
+    windows = [(which, spec, lo, hi, 9) for which, spec, lo, hi, _ in _TABLE]
+    windows.append(("pyr", ob.FamilySpec("B", 0), 1e-3, 1e2, 60))
+    for which, spec, lo, hi, n in windows:
+        problem = request.getfixturevalue(
+            {"pyr": "pyr2", "spa": "spa3", "pla": "pla10"}[which])
+        recipe = ob._recipe_for(spec)
+        params = [float(p) for p in ob._grid(recipe, lo, hi, n)]
+        rows = ob._scan(problem, recipe, params)
+        assert len(rows) == len(params)
+        for row, param in zip(rows, params):
+            want = ob._shot(problem, recipe, param)
+            assert row[:3] == (param, want.classification, want.lines), spec
+            if want.residual is None:
+                assert row[3] is None
+            else:
+                assert np.sign(row[3]) == np.sign(want.residual)
+                assert abs(row[3] - want.residual) <= 1e-10
 
 
 def test_small_r_shots_open_out_on_the_central_line(pyr2):

@@ -36,3 +36,30 @@ def test_tracer_names_resolve_and_count_the_field(capsys):
     metrics = tr.layer_metrics(tracer.spans)
     assert metrics["dynamics.field_calls"] > 0
     assert metrics["manifolds.trace_calls"] > 0
+
+
+def test_tracer_counts_the_orbit_search_repeatably(capsys):
+    # the scan flies its seeds through odeint.integrate_block, which no span
+    # wraps: its field calls must still reach the traced field name
+    tr = _load_tracer()
+    argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
+            "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
+    passes = []
+    for _ in range(2):
+        tracer = tr.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_task(0)
+            code = cli.main(argv)
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert code == 0
+        metrics = tr.layer_metrics(tracer.spans)
+        assert metrics["dynamics.field_calls"] > 0
+        assert metrics["odeint.integrate_calls"] > 0
+        # the scan block's calls lie outside every integrate span
+        integ = [s for s in tracer.spans if s.name == "odeint.integrate"]
+        assert metrics["dynamics.field_calls"] > tr._fev(integ)
+        passes.append({name: metrics[name] for name in tr.COUNTS})
+    assert passes[0] == passes[1]
