@@ -45,7 +45,7 @@ class RunConfig:
     n: int = 2
     mu: float = 1.0
     # integrator overrides
-    rtol: float = 1e-10
+    rtol: float = 1e-11
     atol: float = 1e-12
     max_s: float = 200.0
     # search overrides (None -> per-family defaults)

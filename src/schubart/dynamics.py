@@ -140,7 +140,7 @@ def _terms(p: ProblemSpec, theta):
     Broadcasts over arrays."""
     si, co = np.sin(theta), np.cos(theta)
     c1, c2, c, cq = _chart(p.chart, si, co)
-    _, _, w, wp = _quantities(p, _phi(p.chart, si, c1, c2))
+    w, wp = _quantities(p, _phi(p.chart, si, c1, c2))
     if p.chart == HALF_CIRCLE:
         wc, wcp = (1.0 + si * si) * w, 2.0 * co * (si * w + wp)
     else:
@@ -195,7 +195,7 @@ def devaney_rhs(p: ProblemSpec, y) -> np.ndarray:
     """Right-hand side of the blown-up system in the devaney chart, at a
     flat [r, v, phi, w] vector (h = -1) or a devaney State."""
     r, v, phi, w, h = _unpack(DEVANEY, y)
-    _, _, wq, wqp = _quantities(p, phi)
+    wq, wqp = _quantities(p, phi)
     f = shape_f(p, phi)
     fp = shape_fprime(p, phi)
     bigf = f / math.sqrt(wq)
@@ -256,7 +256,7 @@ def energy_residual(p: ProblemSpec, s: State) -> float:
     if s.chart == NEWCOORDS:
         return energy_gradient(p, s)[0]
     if s.chart == DEVANEY:
-        _, _, wq, _ = _quantities(p, s.angle)
+        wq, _ = _quantities(p, s.angle)
         f = shape_f(p, s.angle)
         return (
             s.w * s.w / (2.0 * f)
@@ -370,7 +370,7 @@ def to_configuration(p: ProblemSpec, s: State):
         return q1, q2, qd1, qd2
     if s.chart == DEVANEY:
         phi = s.angle
-        _, _, wq, _ = _quantities(p, phi)
+        wq, _ = _quantities(p, phi)
         f = shape_f(p, phi)
         phidot_r32 = s.w * math.sqrt(wq) / f  # r^{3/2} * phidot
         c1, c2 = math.cos(phi), math.sin(phi)
@@ -398,7 +398,7 @@ def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2, chart: str = NEWCOORDS,
     phi = math.atan2(sphi, cphi)
     if chart == DEVANEY:
         f = shape_f(p, phi)
-        _, _, wq, _ = _quantities(p, phi)
+        wq, _ = _quantities(p, phi)
         # sqrt(f/V) = f / sqrt(W); f > 0 on the open shape domain
         w = phidot * r**1.5 * f / math.sqrt(wq)
         return State(DEVANEY, r, v, phi, w, h)

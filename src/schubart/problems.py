@@ -140,20 +140,17 @@ def planar(n: int) -> ProblemSpec:
 # -- potential evaluation ----------------------------------------------------
 #
 # Every evaluator accepts scalar or ndarray phi and returns the same shape.
+# The _quantities functions give the regularized W and W'; V and V' follow
+# from W = f V in potential.
 
 
 def _pyramidal_quantities(p: ProblemSpec, phi):
     s, c = np.sin(phi), np.cos(phi)
-    s4 = p.s_n / 4.0
-    ratio = p.n / p.mu
-    d = 1.0 + ratio * s * s
+    d = 1.0 + (p.n / p.mu) * s * s
     dm12 = 1.0 / np.sqrt(d)
-    dm32 = dm12 / d
-    v = s4 / c + p.mu * dm12
-    vp = s4 * s / (c * c) - p.n * s * c * dm32
-    w = s4 + p.mu * c * dm12
-    wp = -(p.n + p.mu) * s * dm32
-    return v, vp, w, wp
+    w = p.s_n / 4.0 + p.mu * c * dm12
+    wp = -(p.n + p.mu) * s * dm12 / d
+    return w, wp
 
 
 def _spatial_quantities(p: ProblemSpec, phi):
@@ -161,15 +158,10 @@ def _spatial_quantities(p: ProblemSpec, phi):
     s, c = np.sin(phi), np.cos(phi)
     s4 = p.s_n / 4.0
     ck = p._ck.reshape((-1,) + (1,) * phi.ndim)
-    sig = np.sqrt(1.0 - (ck * c) ** 2)
-    sum1 = np.sum(1.0 / sig, axis=0)
-    sum3 = np.sum(1.0 / sig**3, axis=0)
-    sum3c = np.sum(ck**2 / sig**3, axis=0)
-    v = s4 / c + 0.25 * sum1
-    vp = s4 * s / (c * c) - 0.25 * s * c * sum3c
-    w = s4 + 0.25 * c * sum1
-    wp = -0.25 * s * sum3
-    return v, vp, w, wp
+    inv = 1.0 / np.sqrt(1.0 - (ck * c) ** 2)
+    w = s4 + 0.25 * c * np.sum(inv, axis=0)
+    wp = -0.25 * s * np.sum(inv**3, axis=0)
+    return w, wp
 
 
 def _planar_quantities(p: ProblemSpec, phi):
@@ -180,14 +172,9 @@ def _planar_quantities(p: ProblemSpec, phi):
     d = 1.0 / np.sqrt(1.0 - 2.0 * s * c * cl)
     t = np.sum(d, axis=0)
     u = np.sum(cl * d**3, axis=0)
-    cos2 = np.cos(2.0 * phi)
-    # V blows up at the arms where sin or cos vanishes; W stays finite there
-    with np.errstate(divide="ignore"):
-        v = s4 * (1.0 / c + 1.0 / s) + t
-        vp = s4 * (s / (c * c) - c / (s * s)) + cos2 * u
     w = s4 * (s + c) + s * c * t
-    wp = s4 * (c - s) + cos2 * (t + s * c * u)
-    return v, vp, w, wp
+    wp = s4 * (c - s) + np.cos(2.0 * phi) * (t + s * c * u)
+    return w, wp
 
 
 def _quantities(p: ProblemSpec, phi):
@@ -226,17 +213,21 @@ def potential(p: ProblemSpec, phi, quantity: str):
     if q == "f":
         out = shape_f(p, phi)
     else:
-        v, vp, w, wp = _quantities(p, phi)
-        if q == "V":
-            out = v
-        elif q == "V'":
-            out = vp
-        elif q == "W":
+        w, wp = _quantities(p, phi)
+        if q == "W":
             out = w
         elif q == "W'":
             out = wp
-        else:  # F
+        elif q == "F":
             out = shape_f(p, phi) / np.sqrt(w)
+        else:
+            # V = W / f and V' = (W' - f' V) / f blow up at the arms, where
+            # f vanishes; W stays finite there
+            f = shape_f(p, phi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = w / f
+                if q == "V'":
+                    out = (wp - shape_fprime(p, phi) * out) / f
     if np.ndim(phi) == 0:
         return float(out)
     return out

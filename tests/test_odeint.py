@@ -40,14 +40,52 @@ def test_accuracy_tracks_tolerance():
 
 def test_dense_sampling_grid():
     seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
-    traj = oi.integrate(_circle_rhs, seed,
-                        controls=Controls(max_s=1.0, sample_ds=0.01))
+    traj = oi.integrate(_circle_rhs, seed, controls=Controls(
+        rtol=1e-10, atol=1e-14, max_s=2.0 * math.pi, sample_ds=0.01))
     s, y = traj.as_arrays()
     assert s[0] == 0.0
     # uniform interior grid at the requested spacing
     assert np.max(np.abs(np.diff(s)[:-1] - 0.01)) < 1e-12
-    # interpolant accuracy on the circle
-    assert np.max(np.abs(y[:, 0] - np.cos(s))) < 1e-9
+    # interpolant accuracy: the samples lie on the exact circle
+    assert np.max(np.hypot(y[:, 0] - np.cos(s), y[:, 1] - np.sin(s))) < 1e-9
+
+
+def test_dop853_tableau_is_consistent():
+    # each stage sits at its node, the solution weights sum to one and the
+    # two error estimates are differences of weights that do
+    assert np.max(np.abs(oi._A.sum(axis=1) - oi._C)) < 1e-14
+    assert abs(oi._B.sum() - 1.0) < 1e-14
+    assert np.max(np.abs(oi._E.sum(axis=1))) < 1e-14
+
+
+def test_interpolant_matches_the_step_ends(pyr2):
+    rhs = oi.field_for(pyr2, NEWCOORDS)
+    y = np.array([0.2, 0.1, -0.4, dyn.solve_w(pyr2, 0.2, 0.1, -0.4)])
+    s, h = 0.5, 0.05
+    k, ok = oi._stages(rhs, s, y, h, rhs(s, y))
+    assert ok
+    y_new = y + h * oi._combine(oi._B, k)
+    q = oi._dense_coeffs(rhs, s, y, h, k)
+    assert np.array_equal(oi._interpolate(y, h, q, 0.0), y)
+    assert np.max(np.abs(oi._interpolate(y, h, q, 1.0) - y_new)) < 1e-15
+    # stage 12 is the field at the new state (FSAL)
+    assert np.array_equal(k[12], rhs(s + h, y_new))
+
+
+def test_matches_scipy_dop853_on_the_circle():
+    from scipy.integrate import solve_ivp
+    seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
+    end = 20.0
+    traj = oi.integrate(_circle_rhs, seed, controls=Controls(
+        rtol=1e-10, atol=1e-14, max_s=end))
+    ref = solve_ivp(_circle_rhs, (0.0, end), seed.as_array(),
+                    method="DOP853", rtol=1e-10, atol=1e-14)
+    assert np.max(np.abs(traj.end_state.as_array() - ref.y[:, -1])) < 1e-9
+    # the same 8th-order pair: scipy's I controller settles at a larger
+    # error per step than the PI controller here, so it takes fewer steps,
+    # but not the several-fold difference of a lower-order pair
+    n_ours, n_scipy = len(traj.samples) - 1, len(ref.t) - 1
+    assert n_scipy <= n_ours <= 1.5 * n_scipy
 
 
 def test_event_localization_exact():

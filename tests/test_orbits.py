@@ -174,6 +174,17 @@ def test_family_roots(request, which, spec, lo, hi, segment):
     assert got["energy_drift"] <= 1e-8 * (1.0 + max_r)
 
 
+def test_energy_drift_is_the_largest_sample_residual(b0, pyr2):
+    # the drift taken over the sample array at once equals the largest
+    # scalar energy residual of the same run
+    period = b0.full_period_s
+    traj = integrate(field_for(pyr2, NEWCOORDS), b0.seed, (), Controls(
+        max_s=period, sample_ds=period / 1024.0))
+    want = max(abs(dyn.energy_residual(pyr2, st)) for _, st in traj.samples)
+    got = ob.verify_periodicity(pyr2, b0)["energy_drift"]
+    assert abs(got - want) <= 1e-15
+
+
 def test_Z5_11_is_Z1_1_retraced(pyr2):
     z1 = _found(pyr2, ("pyr", "Z1", 1), ob.FamilySpec("Z1", 1), -2.66, -2.56)
     z5 = _found(pyr2, ("pyr", "Z5", (1, 1)), ob.FamilySpec("Z5", 1, 1),

@@ -80,6 +80,53 @@ def test_W_equals_f_times_V(all_problems):
         assert np.max(np.abs(f * v - w)) < 1e-12 * np.max(np.abs(w))
 
 
+def _closed_form_v(p, phi):
+    """V and V' of a problem from their own closed forms, on an array of
+    phi: the reference for the V = W / f route of potential."""
+    s, c = np.sin(phi), np.cos(phi)
+    s4 = p.s_n / 4.0
+    if p.kind == pr.PYRAMIDAL:
+        d = 1.0 + (p.n / p.mu) * s * s
+        return (s4 / c + p.mu / np.sqrt(d),
+                s4 * s / (c * c) - p.n * s * c / d**1.5)
+    k = np.arange(1, p.n + 1)[:, None]
+    if p.kind == pr.SPATIAL:
+        ck = np.cos(np.pi * (2.0 * k - 1.0) / (2.0 * p.n))
+        sig = np.sqrt(1.0 - (ck * c) ** 2)
+        return (s4 / c + 0.25 * np.sum(1.0 / sig, axis=0),
+                s4 * s / (c * c)
+                - 0.25 * s * c * np.sum(ck**2 / sig**3, axis=0))
+    cl = np.cos(np.pi * (2.0 * k - 1.0) / p.n)
+    d = 1.0 / np.sqrt(1.0 - 2.0 * s * c * cl)
+    with np.errstate(divide="ignore"):
+        return (s4 * (1.0 / c + 1.0 / s) + np.sum(d, axis=0),
+                s4 * (s / (c * c) - c / (s * s))
+                + np.cos(2.0 * phi) * np.sum(cl * d**3, axis=0))
+
+
+def test_V_from_W_matches_closed_form(all_problems):
+    for p in all_problems + [pr.pyramidal(5, 0.3)]:
+        phis = np.linspace(p.phi_a + 1e-3, p.phi_b - 1e-3, 2001)
+        v_ref, vp_ref = _closed_form_v(p, phis)
+        v, vp = pr.potential(p, phis, "V"), pr.potential(p, phis, "V'")
+        assert np.max(np.abs(v - v_ref) / np.abs(v_ref)) < 1e-12
+        # V' vanishes at the critical points: relative to max(1, |V'|)
+        assert np.max(np.abs(vp - vp_ref)
+                      / np.maximum(1.0, np.abs(vp_ref))) < 1e-12
+        # at the arms (and at phi = -0.0 on the planar domain) V and V' are
+        # huge or infinite, with the closed form's values and signs
+        ends = np.array([p.phi_a, p.phi_b, -0.0])[:2 + (p.kind == pr.PLANAR)]
+        for got, want in zip((pr.potential(p, ends, "V"),
+                              pr.potential(p, ends, "V'")),
+                             _closed_form_v(p, ends)):
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            assert np.array_equal(np.sign(got), np.sign(want))
+            fin = np.isfinite(want)
+            assert np.all(np.abs(got[fin] - want[fin])
+                          <= 1e-12 * np.abs(want[fin]))
+    assert np.isinf(pr.potential(all_problems[-1], 0.0, "V"))
+
+
 def test_W_positive_and_finite_at_ends(all_problems):
     for p in all_problems:
         phis = np.linspace(p.phi_a, p.phi_b, 101)
