@@ -42,7 +42,7 @@ def main():
         tr = mf.trace_branch(problem, branch, stop_at_last_landmark=True)
         landmarks.update(tr.landmarks)
         print("%-14s %5d points, ends by %s, landmarks %s"
-              % (branch, len(tr.trajectory.samples), tr.termination,
+              % (branch, len(tr.trajectory.s), tr.termination,
                  sorted(tr.landmarks) or "(none)"))
         if args.csv_prefix:
             name = "%s_%s.csv" % (args.csv_prefix,
@@ -50,8 +50,8 @@ def main():
             with open(name, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["s", "theta", "v", "w"])
-                for s, st in tr.trajectory.samples:
-                    writer.writerow([s, st.angle, st.v, st.w])
+                _, v, theta, w = tr.trajectory.y
+                writer.writerows(zip(tr.trajectory.s, theta, v, w))
             print("  wrote", name)
 
     print()

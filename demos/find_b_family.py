@@ -47,8 +47,8 @@ def main():
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["theta", "r"])
-            for _, st in first.reconstructed.samples:
-                writer.writerow([st.angle, st.r])
+            r, _, theta, _ = first.reconstructed.y
+            writer.writerows(zip(theta, r))
         print("wrote", args.csv)
 
 

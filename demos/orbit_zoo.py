@@ -47,8 +47,9 @@ def main():
               % (spec, orbit.seed_parameter, orbit.full_period_s,
                  " ".join(ob.prescribed_signature(spec))))
         if args.csv:
-            for s, st in orbit.reconstructed.samples:
-                rows.append([str(spec), s, st.angle, st.r])
+            r, _, theta, _ = orbit.reconstructed.y
+            rows += [[str(spec), s, th, rr]
+                     for s, th, rr in zip(orbit.reconstructed.s, theta, r)]
 
     if args.csv and rows:
         with open(args.csv, "w", newline="") as fh:

@@ -44,7 +44,7 @@ class RunConfig:
     problem: str = "pyramidal"
     n: int = 2
     mu: float = 1.0
-    # integrator overrides
+    # integrator overrides (orbit)
     rtol: float = 1e-11
     atol: float = 1e-12
     max_s: float = 200.0
@@ -55,8 +55,6 @@ class RunConfig:
     workers: int = None
     # condition comparison level (None -> module default)
     beta: float = None
-    # seed of record, echoed for deterministic reruns
-    seed: int = 20260816
     out: str = None
     format: str = "json"
 
@@ -226,12 +224,8 @@ def _search_overrides(cfg: RunConfig) -> dict:
 
 
 def _trajectory_csv(orbit) -> str:
-    samples = orbit.reconstructed.samples
-    s = np.array([p for p, _ in samples])
-    r = np.array([st.r for _, st in samples])
-    v = np.array([st.v for _, st in samples])
-    theta = np.array([st.angle for _, st in samples])
-    w = np.array([st.w for _, st in samples])
+    s = orbit.reconstructed.s
+    r, v, theta, w = orbit.reconstructed.y
     # physical time from the rescaling dt/ds = r^(3/2) cos^2(theta)
     dt_ds = r ** 1.5 * np.cos(theta) ** 2
     t = np.concatenate(
@@ -365,10 +359,6 @@ def _add_common(sub):
     sub.add_argument("--problem", choices=["pyramidal", "spatial", "planar"])
     sub.add_argument("--n", type=int)
     sub.add_argument("--mu", type=float)
-    sub.add_argument("--rtol", type=float)
-    sub.add_argument("--atol", type=float)
-    sub.add_argument("--max-s", dest="max_s", type=float)
-    sub.add_argument("--seed", type=int)
     sub.add_argument("--out")
     sub.add_argument("--format", choices=["json", "csv"])
 
@@ -393,6 +383,9 @@ def make_parser() -> _Parser:
     p = subs.add_parser("orbit", help="search one periodic family")
     _add_common(p)
     p.add_argument("--family", required=True, choices=orbits.FAMILY_NAMES)
+    p.add_argument("--rtol", type=float)
+    p.add_argument("--atol", type=float)
+    p.add_argument("--max-s", dest="max_s", type=float)
     p.add_argument("--k", type=int, help="index for B/Z1")
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)

@@ -282,31 +282,37 @@ def solve_w(p: ProblemSpec, r: float, v: float, theta: float, sign: int = 1):
 
 # -- discrete symmetries ------------------------------------------------------
 
-_SYMMETRY_OPS = ("R1", "R2", "T1")
+def _image(s, r, v, angle, w):
+    """(r, v, angle, w) in the form of s: a State like s, or an array like
+    the flat vector or (4, N) block s."""
+    if isinstance(s, State):
+        return replace(s, r=r, v=v, angle=angle, w=w)
+    return np.array([r, v, angle, w])
 
 
-def apply_symmetry(op: str, s: State):
-    """Apply one of the built-in symmetries in the newcoords chart.
+def apply_symmetry(op: str, s):
+    """Apply one of the built-in symmetries in the newcoords chart to a
+    State, or to a flat vector or (4, N) block taken as by newcoords_rhs.
 
-    Returns (image state, time_reversing flag).  R1: (r,-v,theta,-w);
+    Returns (image, time_reversing flag).  R1: (r,-v,theta,-w);
     R2: (r,-v,-theta,w); T1: (r,v,theta+pi,w).
     """
-    if s.chart != NEWCOORDS:
-        raise DomainError("symmetries are defined in the newcoords chart")
+    r, v, theta, w, _ = _unpack(NEWCOORDS, s)
     if op == "R1":
-        return replace(s, v=-s.v, w=-s.w), True
+        return _image(s, r, -v, theta, -w), True
     if op == "R2":
-        return replace(s, v=-s.v, angle=-s.angle), True
+        return _image(s, r, -v, -theta, w), True
     if op == "T1":
-        return replace(s, angle=s.angle + math.pi), False
+        return _image(s, r, v, theta + math.pi, w), False
     raise DomainError("unknown symmetry %r (expected R1, R2 or T1)" % (op,))
 
 
-def sigma_line(theta_bar: float, s: State):
+def sigma_line(theta_bar: float, s):
     """Reflection about the vertical line theta = theta_bar:
-    (r, -v, 2 theta_bar - theta, w).  Time-reversing.  A flow symmetry for
-    theta_bar any multiple of pi/2."""
-    return replace(s, v=-s.v, angle=2.0 * theta_bar - s.angle), True
+    (r, -v, 2 theta_bar - theta, w), of a state taken as by apply_symmetry.
+    Time-reversing.  A flow symmetry for theta_bar any multiple of pi/2."""
+    r, v, theta, w, _ = _unpack(NEWCOORDS, s)
+    return _image(s, r, -v, 2.0 * theta_bar - theta, w), True
 
 
 def deck_transform(s: State):

@@ -8,11 +8,12 @@ step's 7th-order interpolant until the bracket is narrower than 1e-13 in
 rescaled time.  The interpolant costs three more field evaluations, made
 only on steps that have a sign change or a dense sample.
 
-`integrate` runs one seed and records its samples; `integrate_block` runs
-a family of seeds in lockstep as the columns of a (4, N) block, each lane
-with its own step size, controller memory, events and termination, and
-records only where each lane ended.  Both call the same step, controller
-and event-location helpers.
+`integrate` runs one seed and records its samples as the columns of a
+(4, k) array; `integrate_block` runs a family of seeds in lockstep as the
+columns of a (4, N) block, each lane with its own step size, controller
+memory, events and termination, and records only where each lane started
+and ended.  Both call the same step, controller and event-location
+helpers and return the same Trajectory.
 """
 
 from dataclasses import dataclass
@@ -205,7 +206,6 @@ _COLUMNWISE_BELOW = 8
 # the component of [r, v, angle, w] each event kind watches
 _COMPONENT = {"angle-crossing": 2, "v-zero": 1, "w-zero": 3, "r-exceeds": 0,
               "r-below": 0}
-EVENT_KINDS = tuple(_COMPONENT)
 
 
 @dataclass(frozen=True)
@@ -269,25 +269,29 @@ class EventHit:
 
 @dataclass
 class Trajectory:
-    """Integration output: accepted samples, localized events, and how the
-    run ended (event-stop | time-limit | step-failure | crossing-cap)."""
+    """Integration output: the sample positions s (k,) and the states there
+    as the [r, v, angle, w] columns of y (4, k), in the chart and at the
+    energy of the seed State; the localized events; and how the run ended
+    (event-stop | time-limit | step-failure | crossing-cap).  Iterating
+    gives (s, State) pairs, each State built when it is read."""
 
-    samples: list
+    s: np.ndarray
+    y: np.ndarray
     events: list
     termination: str
+    seed: State
 
     @property
     def end_state(self) -> State:
-        return self.samples[-1][1]
+        return self.seed.with_array(self.y[:, -1])
 
     @property
     def end_s(self) -> float:
-        return self.samples[-1][0]
+        return float(self.s[-1])
 
-    def as_arrays(self):
-        s = np.array([t for t, _ in self.samples])
-        y = np.array([st.as_array() for _, st in self.samples])
-        return s, y
+    def __iter__(self):
+        for t, col in zip(self.s, self.y.T):
+            yield float(t), self.seed.with_array(col)
 
 
 @dataclass
@@ -297,14 +301,6 @@ class Controls:
     max_s: float = 1e3
     sample_ds: float = None  # uniform dense sampling when set
     max_angle_crossings: int = None  # truncate at the Nth angle-crossing hit
-
-
-def _as_controls(controls) -> Controls:
-    if controls is None:
-        return Controls()
-    if isinstance(controls, Controls):
-        return controls
-    return Controls(**controls)
 
 
 def _rms_norm(x, scale):
@@ -483,7 +479,7 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
     "step-failure" when the step size underflows, "crossing-cap" when
     max_angle_crossings angle events have fired, "event-stop" otherwise.
     """
-    ctl = _as_controls(controls)
+    ctl = controls or Controls()
     watch = _Watch(events)
     y = seed.as_array()
     s = 0.0
@@ -491,7 +487,8 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
     if not np.all(np.isfinite(f0)):
         raise EvaluationError("non-finite field at the seed state")
 
-    samples = [(0.0, seed)]
+    # the sample positions, and the states there as (4, m) column blocks
+    s_out, y_out = [0.0], [y[:, None]]
     hits = []
     next_sample = ctl.sample_ds if ctl.sample_ds else None
 
@@ -548,23 +545,25 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
                 lambda t: seed.with_array(_interpolate(y, h, q, (t - s) / h)),
                 hits, n_cross, ctl.max_angle_crossings)
 
+        if next_sample is not None:
+            # the grid points of this step, short of a stop
+            grid = []
+            while next_sample <= s_new and (stop_at is None
+                                            or next_sample < stop_at):
+                grid.append(next_sample)
+                next_sample += ctl.sample_ds
+            if grid:
+                s_out += grid
+                y_out.append(_interpolate(y[:, None], h, q[..., None],
+                                          (np.array(grid) - s) / h))
         if stop_at is not None:
-            if next_sample is not None:
-                while next_sample < stop_at:
-                    samples.append((next_sample, seed.with_array(
-                        _interpolate(y, h, q, (next_sample - s) / h))))
-                    next_sample += ctl.sample_ds
-            samples.append((stop_at, hits[-1].state))
+            s_out.append(stop_at)
+            y_out.append(hits[-1].state.as_array()[:, None])
             termination = stop_kind
             break
-
-        if next_sample is not None:
-            while next_sample <= s_new:
-                samples.append((next_sample, seed.with_array(
-                    _interpolate(y, h, q, (next_sample - s) / h))))
-                next_sample += ctl.sample_ds
-        else:
-            samples.append((s_new, seed.with_array(y_new)))
+        if next_sample is None:
+            s_out.append(s_new)
+            y_out.append(y_new[:, None])
 
         h *= _grow(err, err_prev)
         s, y = s_new, y_new
@@ -574,9 +573,11 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
             termination = "time-limit"
             break
 
-    if termination != "event-stop" and samples[-1][0] < s:
-        samples.append((s, seed.with_array(y)))
-    return Trajectory(samples=samples, events=hits, termination=termination)
+    if termination != "event-stop" and s_out[-1] < s:
+        s_out.append(s)
+        y_out.append(y[:, None])
+    return Trajectory(np.array(s_out), np.concatenate(y_out, axis=1), hits,
+                      termination, seed)
 
 
 def _columnwise(rhs):
@@ -602,7 +603,7 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
     Returns one Trajectory per seed, in order, holding its events and
     termination; its samples are the seed and the end state only.
     """
-    ctl = _as_controls(controls)
+    ctl = controls or Controls()
     if ctl.sample_ds:
         raise DomainError("integrate_block records no dense samples")
     watch = _Watch(events)
@@ -620,7 +621,7 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
     n_cross = np.zeros(lane.size, dtype=int)
     g_prev = watch.values(y)
     hits = [[] for _ in seeds]
-    ends = [None] * len(seeds)  # (termination, s, State)
+    ends = [None] * len(seeds)  # (termination, s, [r, v, angle, w])
 
     while lane.size:
         steps += 1
@@ -653,7 +654,8 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
                             y[:, j], h[j], q[:, :, jq], (t - s[j]) / h[j])),
                         hits[i], n_cross[j], ctl.max_angle_crossings)
                     if stop_at is not None:
-                        ends[i] = (kind, stop_at, hits[i][-1].state)
+                        ends[i] = (kind, stop_at,
+                                   hits[i][-1].state.as_array())
                         stopped[j] = True
             g_prev = np.where(accept[:, None], g_new, g_prev)
 
@@ -676,7 +678,7 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
             for j in np.flatnonzero(failure | limit):
                 i = lane[j]
                 ends[i] = ("step-failure" if failure[j] else "time-limit",
-                           float(s[j]), seeds[i].with_array(y[:, j]))
+                           float(s[j]), y[:, j])
             keep = ~retired
             lane, s, h, err_prev, steps, n_cross, g_prev = (a[keep] for a in (
                 lane, s, h, err_prev, steps, n_cross, g_prev))
@@ -684,9 +686,10 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
 
     out = []
     for seed, lane_hits, (termination, s_end, end) in zip(seeds, hits, ends):
-        samples = [(0.0, seed)] + ([(s_end, end)] if s_end > 0.0 else [])
-        out.append(Trajectory(samples=samples, events=lane_hits,
-                              termination=termination))
+        k = 2 if s_end > 0.0 else 1
+        out.append(Trajectory(np.array([0.0, s_end])[:k],
+                              np.column_stack([seed.as_array(), end])[:, :k],
+                              lane_hits, termination, seed))
     return out
 
 

@@ -496,21 +496,17 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
 # -- reconstruction and verification -------------------------------------------
 
 
-def _extend_mirror(samples):
-    s_end, st_end = samples[-1]
-    tb = _line_of(st_end.angle) * _HALF_PI
-    out = list(samples)
-    for s, st in reversed(samples[:-1]):
-        out.append((2.0 * s_end - s, dyn.sigma_line(tb, st)[0]))
-    return out
-
-
-def _extend_retrace(samples):
-    s_end = samples[-1][0]
-    out = list(samples)
-    for s, st in reversed(samples[:-1]):
-        out.append((2.0 * s_end - s, dyn.apply_symmetry("R1", st)[0]))
-    return out
+def _extend(s, y, closure):
+    """The segment (s, y) followed by its image under one reversing
+    reflection, traversed back from the segment's end: sigma_line about
+    the end line for "mirror", R1 for "retrace"."""
+    back = y[:, -2::-1]
+    if closure == "mirror":
+        image = dyn.sigma_line(_line_of(y[2, -1]) * _HALF_PI, back)[0]
+    else:
+        image = dyn.apply_symmetry("R1", back)[0]
+    return (np.concatenate([s, 2.0 * s[-1] - s[-2::-1]]),
+            np.concatenate([y, image], axis=1))
 
 
 def reconstruct_full(orbit: PeriodicOrbit) -> Trajectory:
@@ -523,17 +519,11 @@ def reconstruct_full(orbit: PeriodicOrbit) -> Trajectory:
     retraced families and to the seed shifted by a full cover turn
     (theta +- 2 pi) for the mirrored ones.
     """
-    recipe = _recipe_for(orbit.family)
-    acc = list(orbit.fundamental.samples)
-    if recipe.closure == "mirror-mirror":
-        acc = _extend_mirror(_extend_mirror(acc))
-    elif recipe.closure == "mirror-retrace":
-        acc = _extend_retrace(_extend_mirror(acc))
-    elif recipe.closure == "mirror":
-        acc = _extend_mirror(acc)
-    else:
-        acc = _extend_retrace(acc)
-    return Trajectory(samples=acc, events=[], termination="reconstructed")
+    fund = orbit.fundamental
+    s, y = fund.s, fund.y
+    for closure in _recipe_for(orbit.family).closure.split("-"):
+        s, y = _extend(s, y, closure)
+    return Trajectory(s, y, [], "reconstructed", fund.seed)
 
 
 def verify_periodicity(problem: ProblemSpec, orbit: PeriodicOrbit,
@@ -555,6 +545,5 @@ def verify_periodicity(problem: ProblemSpec, orbit: PeriodicOrbit,
     dth = abs(dth - 2.0 * math.pi * round(dth / (2.0 * math.pi)))
     closure = max(abs(end.r - seed.r), abs(end.v - seed.v),
                   abs(end.w - seed.w), dth)
-    drift = float(np.max(np.abs(dyn.energy_gradient(
-        problem, traj.as_arrays()[1].T)[0])))
+    drift = float(np.max(np.abs(dyn.energy_gradient(problem, traj.y)[0])))
     return {"closure_error": closure, "energy_drift": drift}

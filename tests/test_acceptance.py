@@ -240,12 +240,12 @@ def _suite_energy_and_w_bound(problem, states):
     for st in states:
         traj = oi.integrate(rhs, st, controls=Controls(max_s=1.0,
                                                        sample_ds=0.1))
-        for _, smp in traj.samples:
+        for _, smp in traj:
             scale = 1.0 + smp.r + smp.v * smp.v
             if abs(dyn.energy_residual(problem, smp)) > 1e-8 * scale:
                 bad_e += 1
                 break
-        for _, smp in traj.samples:
+        for _, smp in traj:
             wsq_max = 2.0 * dyn.curly_w(problem, smp.angle)[0] \
                 / dyn.chart_eval(problem.chart, smp.angle).c
             if smp.w * smp.w > wsq_max + 1e-9 * (1.0 + wsq_max):
@@ -285,7 +285,7 @@ def _suite_gradient_like(problem, rng, count):
             problem, seed, controls=Controls(max_s=3.0, sample_ds=0.05,
                                              rtol=1e-12, atol=1e-14))
         vs, res = [], []
-        for _, smp in traj.samples:
+        for _, smp in traj:
             vs.append(smp.v)
             res.append(abs(dyn.energy_residual(problem, smp)))
         # passing a saddle sheds shadowing accuracy: assert monotonicity on

@@ -91,9 +91,22 @@ def test_config_file_and_flag_override(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"problem": "pyramidal", "n_bodies": 4}))
-    code, _ = run(["conditions", "--config", str(path)])
-    assert code == 64
+    for loaded in ({"problem": "pyramidal", "n_bodies": 4}, {"seed": 1}):
+        path.write_text(json.dumps(loaded))
+        code, _ = run(["conditions", "--config", str(path)])
+        assert code == 64
+
+
+def test_exit_64_on_flags_a_subcommand_does_not_read(capsys):
+    # the integration settings are orbit flags only, and no subcommand
+    # takes a seed
+    for argv in (["conditions", "--rtol", "1e-4"],
+                 ["branches", "--max-s", "5"],
+                 ["table", "g3", "--atol", "1e-9"],
+                 ["orbit", "--family", "B", "--k", "0", "--seed", "1"]):
+        code, _ = run(argv)
+        assert code == 64, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_workers_resolution(monkeypatch):

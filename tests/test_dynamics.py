@@ -194,6 +194,22 @@ def test_sigma_line_is_flow_symmetry_on_half_pi_grid(pyr2, rng):
                 1.0, float(np.max(np.abs(fx))))
 
 
+def test_symmetries_map_column_blocks_like_states():
+    # a (4, N) block maps column by column, bit for bit, as its States do
+    # (own rng: the session stream is left as it was)
+    y = np.random.default_rng(11).uniform(-2.0, 2.0, (4, 6))
+    states = [State(NEWCOORDS, *col) for col in y.T]
+    maps = [lambda x, op=op: dyn.apply_symmetry(op, x)
+            for op in ("R1", "R2", "T1")]
+    maps += [lambda x, k=k: dyn.sigma_line(k * math.pi / 2.0, x)
+             for k in (-1, 0, 2)]
+    for image in maps:
+        block, rev = image(y)
+        assert rev is image(states[0])[1]
+        want = np.array([image(st)[0].as_array() for st in states]).T
+        assert np.array_equal(block, want)
+
+
 def test_deck_transform_preserves_field(pyr2, spa3, rng):
     ddeck = np.diag([1.0, 1.0, -1.0, -1.0])
     for p in (pyr2, spa3):

@@ -11,6 +11,7 @@ from schubart import manifolds as mf
 from schubart import problems as pr
 from schubart.dynamics import DEVANEY, NEWCOORDS, State
 from schubart.errors import DomainError
+from schubart.odeint import Controls
 
 # independent-oracle landmark values (forward/backward branch shooting)
 LANDMARKS = {
@@ -145,7 +146,7 @@ def test_branch_traces_share_landmarks_with_cached_sweep(pyr2):
 def test_branch_pairing_under_deck_map(pyr2):
     # (theta -> -pi - theta, w -> -w) maps gamma onto gamma'- and
     # gamma' onto gamma-; end states of finished traces mirror exactly
-    ctl = dict(rtol=1e-11, atol=1e-13, max_s=25.0)
+    ctl = Controls(rtol=1e-11, atol=1e-13, max_s=25.0)
     ends = {}
     for b in ("gamma", "gamma-", "gamma'", "gamma'-"):
         ends[b] = mf.trace_branch(pyr2, b, controls=ctl).trajectory.end_state
@@ -164,7 +165,7 @@ def test_branch_terminations_pyr2(pyr2):
         "gamma'-": "hole B_b+",
     }
     for b, t in want.items():
-        tr = mf.trace_branch(pyr2, b, controls=dict(max_s=40.0))
+        tr = mf.trace_branch(pyr2, b, controls=Controls(max_s=40.0))
         assert tr.termination == t, b
 
 
@@ -174,14 +175,14 @@ def test_trace_rejects_unknown_branch(pyr2):
 
 
 def test_trace_stays_on_collision_manifold(pyr2):
-    tr = mf.trace_branch(pyr2, "gamma", controls=dict(max_s=15.0))
-    s, y = tr.trajectory.as_arrays()
-    assert np.max(np.abs(y[:, 0])) == 0.0
+    tr = mf.trace_branch(pyr2, "gamma", controls=Controls(max_s=15.0))
+    y = tr.trajectory.y
+    assert np.max(np.abs(y[0])) == 0.0
     # gradient-like flow: v nondecreasing along the forward trace
-    v = y[:, 1]
+    v = y[1]
     assert np.all(np.diff(v) > -1e-10)
     # on-manifold energy relation holds throughout
-    for _, st in tr.trajectory.samples[::5]:
+    for _, st in list(tr.trajectory)[::5]:
         assert abs(dyn.energy_residual(pyr2, st)) < 1e-8
 
 

@@ -42,12 +42,15 @@ def test_dense_sampling_grid():
     seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
     traj = oi.integrate(_circle_rhs, seed, controls=Controls(
         rtol=1e-10, atol=1e-14, max_s=2.0 * math.pi, sample_ds=0.01))
-    s, y = traj.as_arrays()
+    s, y = traj.s, traj.y
+    assert y.shape == (4, len(s))
     assert s[0] == 0.0
+    assert np.all(np.diff(s) > 0.0)
     # uniform interior grid at the requested spacing
     assert np.max(np.abs(np.diff(s)[:-1] - 0.01)) < 1e-12
     # interpolant accuracy: the samples lie on the exact circle
-    assert np.max(np.hypot(y[:, 0] - np.cos(s), y[:, 1] - np.sin(s))) < 1e-9
+    assert np.max(np.hypot(y[0] - np.cos(s), y[1] - np.sin(s))) < 1e-9
+    assert np.array_equal(traj.end_state.as_array(), y[:, -1])
 
 
 def test_dop853_tableau_is_consistent():
@@ -84,7 +87,7 @@ def test_matches_scipy_dop853_on_the_circle():
     # the same 8th-order pair: scipy's I controller settles at a larger
     # error per step than the PI controller here, so it takes fewer steps,
     # but not the several-fold difference of a lower-order pair
-    n_ours, n_scipy = len(traj.samples) - 1, len(ref.t) - 1
+    n_ours, n_scipy = len(traj.s) - 1, len(ref.t) - 1
     assert n_scipy <= n_ours <= 1.5 * n_scipy
 
 
@@ -145,8 +148,7 @@ def test_bit_determinism(pyr2):
     for _ in range(2):
         traj = oi.integrate(rhs, seed, events=[EventSpec.angle(0.3)],
                             controls=Controls(max_s=5.0))
-        s, y = traj.as_arrays()
-        runs.append((s, y, [h.s for h in traj.events]))
+        runs.append((traj.s, traj.y, [h.s for h in traj.events]))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
     assert runs[0][2] == runs[1][2]
@@ -164,7 +166,7 @@ def test_energy_drift_newcoords(all_problems, rng):
         # runs reach large r and v, where the relation cancels large terms)
         drift = max(
             abs(dyn.energy_residual(p, st)) / (1.0 + st.r + st.v * st.v)
-            for _, st in traj.samples
+            for _, st in traj
         )
         assert drift < 1e-10
 
@@ -183,7 +185,7 @@ def test_energy_drift_devaney(pyr2):
     # the devaney residual divides by f(phi): ill-conditioned near the arms,
     # so check it on the interior samples only
     drift = max(abs(dyn.energy_residual(pyr2, st))
-                for _, st in traj.samples if abs(st.angle) < 1.2)
+                for _, st in traj if abs(st.angle) < 1.2)
     assert drift < 1e-9
 
 
@@ -196,11 +198,11 @@ def test_homothetic_orbit_stays_on_ray(all_problems):
         seed = State(NEWCOORDS, r0, 0.0, ts, 0.0)
         traj = oi.integrate(rhs, seed,
                             controls=Controls(max_s=4.0, sample_ds=0.1))
-        for _, st in traj.samples:
+        for _, st in traj:
             assert abs(st.angle - ts) < 1e-9
             assert abs(st.w) < 1e-9
         # the collapse is monotone: v decreases from 0
-        vs = [st.v for _, st in traj.samples]
+        vs = [st.v for _, st in traj]
         assert all(b <= a + 1e-12 for a, b in zip(vs, vs[1:]))
 
 
@@ -215,9 +217,9 @@ def test_collision_manifold_flow(pyr2, spa3, pla3):
         seed = State(NEWCOORDS, 0.0, v0, -1.0, w0)
         traj = oi.integrate_collision_manifold(
             p, seed, controls=Controls(max_s=6.0, sample_ds=0.2))
-        for _, st in traj.samples:
+        for _, st in traj:
             assert st.r == 0.0
-        vs = [st.v for _, st in traj.samples]
+        vs = [st.v for _, st in traj]
         assert all(b >= a - 1e-12 for a, b in zip(vs, vs[1:]))
 
 
@@ -275,8 +277,9 @@ def _assert_block_matches_integrate(seeds):
     for seed, got in zip(seeds, block):
         want = oi.integrate(_lanes_rhs, seed, _LANE_EVENTS, _LANE_CONTROLS)
         assert got.termination == want.termination
-        assert got.samples[0] == (0.0, seed)
-        assert len(got.samples) == 2
+        assert np.array_equal(got.s, [0.0, got.end_s])
+        assert got.y.shape == (4, 2)
+        assert np.array_equal(got.y[:, 0], seed.as_array())
         assert [h.kind for h in got.events] == [h.kind for h in want.events]
         for a, b in zip(got.events, want.events):
             assert a.spec is b.spec

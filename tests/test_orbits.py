@@ -169,7 +169,7 @@ def test_family_roots(request, which, spec, lo, hi, segment):
     assert abs(orb.full_period_s
                - factor * orb.fundamental.end_s) < 1e-12
     got = ob.verify_periodicity(problem, orb)
-    max_r = max(st.r for _, st in orb.reconstructed.samples)
+    max_r = orb.reconstructed.y[0].max()
     assert got["closure_error"] <= 1e-6
     assert got["energy_drift"] <= 1e-8 * (1.0 + max_r)
 
@@ -180,7 +180,7 @@ def test_energy_drift_is_the_largest_sample_residual(b0, pyr2):
     period = b0.full_period_s
     traj = integrate(field_for(pyr2, NEWCOORDS), b0.seed, (), Controls(
         max_s=period, sample_ds=period / 1024.0))
-    want = max(abs(dyn.energy_residual(pyr2, st)) for _, st in traj.samples)
+    want = max(abs(dyn.energy_residual(pyr2, st)) for _, st in traj)
     got = ob.verify_periodicity(pyr2, b0)["energy_drift"]
     assert abs(got - want) <= 1e-15
 
@@ -200,11 +200,10 @@ def test_Z_family_brake_property(pyr2):
             (("pyr", "Z5", (1, 2)), ob.FamilySpec("Z5", 1, 2), -2.66, -2.61)]:
         orb = _found(pyr2, key, spec, lo, hi)
         half = orb.full_period_s / 2.0
-        st0 = orb.reconstructed.samples[0][1]
-        sth = min(orb.reconstructed.samples,
-                  key=lambda t: abs(t[0] - half))[1]
-        assert st0.v ** 2 + st0.w ** 2 <= 1e-16
-        assert sth.v ** 2 + sth.w ** 2 <= 1e-16
+        s, (_, v, _, w) = orb.reconstructed.s, orb.reconstructed.y
+        k = np.argmin(np.abs(s - half))
+        assert v[0] ** 2 + w[0] ** 2 <= 1e-16
+        assert v[k] ** 2 + w[k] ** 2 <= 1e-16
 
 
 def test_orthogonal_hit_simultaneity(b0):
@@ -223,25 +222,24 @@ def test_signature_reproduced_at_root(pyr2, b0):
 
 def test_reconstruction_symmetry(b0):
     # each mirrored sample is the sigma image of its partner
-    samples = b0.reconstructed.samples
-    n = len(b0.fundamental.samples)
+    s, y = b0.reconstructed.s, b0.reconstructed.y
+    n = len(b0.fundamental.s)
     for k in (1, n // 3, n - 2):
-        s_a, st_a = samples[k]
-        s_b, st_b = samples[2 * (n - 1) - k]
-        assert abs((s_a + s_b) - 2.0 * samples[n - 1][0]) < 1e-12
-        assert abs(st_b.r - st_a.r) < 1e-12
-        assert abs(st_b.v + st_a.v) < 1e-12
-        assert abs(st_b.angle + st_a.angle) < 1e-12  # mirror about theta=0
+        a, b = k, 2 * (n - 1) - k
+        assert abs((s[a] + s[b]) - 2.0 * s[n - 1]) < 1e-12
+        assert abs(y[0, b] - y[0, a]) < 1e-12
+        assert abs(y[1, b] + y[1, a]) < 1e-12
+        assert abs(y[2, b] + y[2, a]) < 1e-12  # mirror about theta=0
 
 
 def test_reconstruction_endpoints(pyr2, b0):
     # mirrored families close one full cover turn away; retraced families
     # return to the seed exactly
-    end_b = b0.reconstructed.samples[-1][1]
+    end_b = b0.reconstructed.end_state
     assert abs(end_b.angle - b0.seed.angle - 2.0 * math.pi) < 1e-12
     assert abs(end_b.r - b0.seed.r) < 1e-12
     z1 = _found(pyr2, ("pyr", "Z1", 1), ob.FamilySpec("Z1", 1), -2.66, -2.56)
-    end_z = z1.reconstructed.samples[-1][1]
+    end_z = z1.reconstructed.end_state
     assert end_z == z1.seed or (
         abs(end_z.angle - z1.seed.angle) < 1e-15
         and abs(end_z.r - z1.seed.r) < 1e-15)
