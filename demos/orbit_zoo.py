@@ -6,7 +6,7 @@ seed, crossing pattern and period, and optionally writes every (theta, r)
 projection into one long CSV keyed by family for plotting overlays.
 
 The windows below bracket known members so the demo finishes quickly;
-drop the --fast flag to scan each family's full default range instead.
+pass --full-scan to scan each family's full default range instead.
 """
 
 import argparse
@@ -28,16 +28,16 @@ MEMBERS = [
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--csv", default=None, help="combined projection CSV")
-    ap.add_argument("--fast", action="store_true", default=True)
-    ap.add_argument("--full-scan", dest="fast", action="store_false")
+    ap.add_argument("--full-scan", action="store_true",
+                    help="scan each family's full default range")
     args = ap.parse_args()
 
     problem = pr.pyramidal(2)
     rows = []
     print("family        seed param       period(s)   pattern")
     for spec, (lo, hi) in MEMBERS:
-        search = ({"param_lo": lo, "param_hi": hi, "grid_points": 9}
-                  if args.fast else None)
+        search = (None if args.full_scan
+                  else {"param_lo": lo, "param_hi": hi, "grid_points": 9})
         try:
             orbit = ob.find_orbit(problem, spec, search)
         except ob.OrbitNotFoundError as err:

@@ -31,6 +31,7 @@ from . import conditions as conditions_mod
 from . import manifolds
 from . import orbits
 from . import problems
+from .dynamics import H
 from .errors import DomainError, OrbitNotFoundError, SchubartError
 from .odeint import Controls
 
@@ -45,9 +46,9 @@ class RunConfig:
     n: int = 2
     mu: float = 1.0
     # integrator overrides (orbit)
-    rtol: float = 1e-11
-    atol: float = 1e-12
-    max_s: float = 200.0
+    rtol: float = Controls.rtol
+    atol: float = Controls.atol
+    max_s: float = orbits.SHOT_MAX_S
     # search overrides (None -> per-family defaults)
     grid_points: int = None
     param_lo: float = None
@@ -267,7 +268,7 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
         "closure_error": checks["closure_error"],
         "energy_drift": checks["energy_drift"],
         "seed": {"chart": seed.chart, "r": seed.r, "v": seed.v,
-                 "theta": seed.angle, "w": seed.w, "h": seed.h},
+                 "theta": seed.angle, "w": seed.w, "h": H},
         "notes": dict(orbit.notes),
     }
     report = _json_text(_envelope("orbit", cfg, results, t0))

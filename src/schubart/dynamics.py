@@ -43,20 +43,20 @@ from .problems import (
 DEVANEY = "devaney"
 NEWCOORDS = "newcoords"
 
+# the energy level of every state and field here
+H = -1.0
+
 
 @dataclass(frozen=True)
 class State:
-    """A phase point.  angle is phi in the devaney chart, theta in newcoords.
-
-    h is the fixed energy level; every built-in construction uses h = -1.
-    """
+    """A phase point at the energy level H.  angle is phi in the devaney
+    chart, theta in newcoords."""
 
     chart: str
     r: float
     v: float
     angle: float
     w: float
-    h: float = -1.0
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r, self.v, self.angle, self.w], dtype=float)
@@ -181,31 +181,31 @@ def theta_star(p: ProblemSpec) -> float:
 
 
 def _unpack(chart: str, y):
-    """(r, v, angle, w, h) of a State in the given chart, or of a flat
-    [r, v, angle, w] vector (or a (4, N) block of them) at h = -1."""
+    """(r, v, angle, w) of a State in the given chart, or of a flat
+    [r, v, angle, w] vector (or a (4, N) block of them)."""
     if isinstance(y, State):
         if y.chart != chart:
             raise DomainError("a %s-chart state given where the %s chart is"
                               " needed" % (y.chart, chart))
-        return y.r, y.v, y.angle, y.w, y.h
-    return y[0], y[1], y[2], y[3], -1.0
+        return y.r, y.v, y.angle, y.w
+    return y[0], y[1], y[2], y[3]
 
 
 def devaney_rhs(p: ProblemSpec, y) -> np.ndarray:
     """Right-hand side of the blown-up system in the devaney chart, at a
-    flat [r, v, phi, w] vector (h = -1) or a devaney State."""
-    r, v, phi, w, h = _unpack(DEVANEY, y)
+    flat [r, v, phi, w] vector or a devaney State, at the energy H."""
+    r, v, phi, w = _unpack(DEVANEY, y)
     wq, wqp = _quantities(p, phi)
     f = shape_f(p, phi)
     fp = shape_fprime(p, phi)
     bigf = f / math.sqrt(wq)
     dr = r * v * bigf
-    dv = bigf * (2.0 * h * r - 0.5 * v * v) + math.sqrt(wq)
+    dv = bigf * (2.0 * H * r - 0.5 * v * v) + math.sqrt(wq)
     dphi = w
     dw = (
         -0.5 * v * w * bigf
         + (wqp / wq) * (f - 0.5 * w * w)
-        + fp * (1.0 + (f / wq) * (2.0 * h * r - v * v))
+        + fp * (1.0 + (f / wq) * (2.0 * H * r - v * v))
     )
     return np.array([dr, dv, dphi, dw])
 
@@ -215,17 +215,17 @@ def newcoords_rhs(p: ProblemSpec, y) -> np.ndarray:
     regular points; the field is polynomial in the state given the chart
     functions).
 
-    y is a flat [r, v, theta, w] vector at h = -1, a (4, N) block of such
-    columns (the result is then (4, N) too), or a newcoords State.
+    y is a flat [r, v, theta, w] vector, a (4, N) block of such columns
+    (the result is then (4, N) too), or a newcoords State, at the energy H.
     """
-    r, v, theta, w, h = _unpack(NEWCOORDS, y)
+    r, v, theta, w = _unpack(NEWCOORDS, y)
     si, co, c, cp, wc, wcp = _terms(p, theta)
     csq = co * co
     return np.array([
         r * v * csq,
         0.5 * v * v * csq + w * w * c - wc,
         w * c,
-        wcp - 0.5 * v * w * csq + si * co * (v * v - 2.0 * h * r)
+        wcp - 0.5 * v * w * csq + si * co * (v * v - 2.0 * H * r)
         - 0.5 * w * w * cp,
     ])
 
@@ -234,18 +234,18 @@ def energy_gradient(p: ProblemSpec, y):
     """(E, dE/dy): the newcoords energy residual and its gradient over
     [r, v, theta, w], in closed form from the field's chart terms.
 
-    E = v^2 cos^2/2 + w^2 c/2 - curly W - h r cos^2, so dE/dv = v cos^2,
-    dE/dw = w c and dE/dtheta = -sin cos (v^2 - 2 h r) + w^2 c'/2 - curly W'.
+    E = v^2 cos^2/2 + w^2 c/2 - curly W - H r cos^2, so dE/dv = v cos^2,
+    dE/dw = w c and dE/dtheta = -sin cos (v^2 - 2 H r) + w^2 c'/2 - curly W'.
     y is taken as by newcoords_rhs.
     """
-    r, v, theta, w, h = _unpack(NEWCOORDS, y)
+    r, v, theta, w = _unpack(NEWCOORDS, y)
     si, co, c, cp, wc, wcp = _terms(p, theta)
     csq = co * co
-    res = 0.5 * v * v * csq + 0.5 * w * w * c - wc - h * r * csq
+    res = 0.5 * v * v * csq + 0.5 * w * w * c - wc - H * r * csq
     grad = np.array([
-        -h * csq,
+        -H * csq,
         v * csq,
-        -si * co * (v * v - 2.0 * h * r) + 0.5 * w * w * cp - wcp,
+        -si * co * (v * v - 2.0 * H * r) + 0.5 * w * w * cp - wcp,
         w * c,
     ])
     return res, grad
@@ -261,13 +261,13 @@ def energy_residual(p: ProblemSpec, s: State) -> float:
         return (
             s.w * s.w / (2.0 * f)
             - 1.0
-            - (f / wq) * (s.r * s.h - 0.5 * s.v * s.v)
+            - (f / wq) * (s.r * H - 0.5 * s.v * s.v)
         )
     raise DomainError("unknown chart %r" % (s.chart,))
 
 
 def solve_w(p: ProblemSpec, r: float, v: float, theta: float, sign: int = 1):
-    """w >= 0 (or <= 0) satisfying the energy relation at h = -1 in the
+    """w >= 0 (or <= 0) satisfying the energy relation on the level H in the
     newcoords chart, or None when no real solution exists."""
     _, co, c, _, wc, _ = _terms(p, theta)
     csq = co * co
@@ -297,7 +297,7 @@ def apply_symmetry(op: str, s):
     Returns (image, time_reversing flag).  R1: (r,-v,theta,-w);
     R2: (r,-v,-theta,w); T1: (r,v,theta+pi,w).
     """
-    r, v, theta, w, _ = _unpack(NEWCOORDS, s)
+    r, v, theta, w = _unpack(NEWCOORDS, s)
     if op == "R1":
         return _image(s, r, -v, theta, -w), True
     if op == "R2":
@@ -311,7 +311,7 @@ def sigma_line(theta_bar: float, s):
     """Reflection about the vertical line theta = theta_bar:
     (r, -v, 2 theta_bar - theta, w), of a state taken as by apply_symmetry.
     Time-reversing.  A flow symmetry for theta_bar any multiple of pi/2."""
-    r, v, theta, w, _ = _unpack(NEWCOORDS, s)
+    r, v, theta, w = _unpack(NEWCOORDS, s)
     return _image(s, r, -v, 2.0 * theta_bar - theta, w), True
 
 
@@ -388,8 +388,8 @@ def to_configuration(p: ProblemSpec, s: State):
     raise DomainError("unknown chart %r" % (s.chart,))
 
 
-def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2, chart: str = NEWCOORDS,
-                       h: float = -1.0) -> State:
+def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2,
+                       chart: str = NEWCOORDS) -> State:
     """Inverse of to_configuration onto the principal chart sheet."""
     k2 = _mass_scale(p)
     u1, u2 = q1, q2 / k2
@@ -407,7 +407,7 @@ def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2, chart: str = NEWCOORDS,
         wq, _ = _quantities(p, phi)
         # sqrt(f/V) = f / sqrt(W); f > 0 on the open shape domain
         w = phidot * r**1.5 * f / math.sqrt(wq)
-        return State(DEVANEY, r, v, phi, w, h)
+        return State(DEVANEY, r, v, phi, w)
     theta = float(theta_of_phi(p, phi))
     co = math.cos(theta)
     if p.chart == HALF_CIRCLE:
@@ -417,4 +417,4 @@ def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2, chart: str = NEWCOORDS,
     thetadot = phidot / dphi_dtheta
     c = chart_eval(p.chart, theta).c
     w = thetadot * r**1.5 * co * co / c
-    return State(NEWCOORDS, r, v, theta, w, h)
+    return State(NEWCOORDS, r, v, theta, w)

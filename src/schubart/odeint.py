@@ -1,12 +1,13 @@
 """Adaptive Dormand-Prince 8(5,3) (DOP853) integration with dense output
 and events.
 
-The integrator is deliberately self-contained so that event localization
-is reproducible bit-for-bit: events are bracketed by sign changes of the
-event function across each accepted step and refined by bisection on the
-step's 7th-order interpolant until the bracket is narrower than 1e-13 in
-rescaled time.  The interpolant costs three more field evaluations, made
-only on steps that have a sign change or a dense sample.
+The coefficients are those of scipy.integrate.DOP853.  The stepping is
+written here so that event localization is reproducible bit-for-bit:
+events are bracketed by sign changes of the event function across each
+accepted step and refined by bisection on the step's 7th-order
+interpolant until the bracket is narrower than 1e-13 in rescaled time.
+The interpolant costs three more field evaluations, made only on steps
+that have a sign change or a dense sample.
 
 `integrate` runs one seed and records its samples as the columns of a
 (4, k) array; `integrate_block` runs a family of seeds in lockstep as the
@@ -20,123 +21,25 @@ from dataclasses import dataclass
 import itertools
 
 import numpy as np
+from scipy.integrate import DOP853 as _DOP853
 
 from .dynamics import DEVANEY, NEWCOORDS, State, devaney_rhs, newcoords_rhs
 from .errors import DomainError, EvaluationError
 
 # DOP853: the 8th-order pair of Dormand and Prince with its 5th- and
 # 3rd-order error estimates and 7th-order continuous extension (Hairer,
-# Norsett & Wanner, Solving ODEs I, II.5-II.6).  The constants are copied
-# from scipy/integrate/_ivp/dop853_coefficients.py (scipy 1.17.1).  Row 12
-# of _A holds the weights B of the solution, so stage 12 is the field at the
-# new state and starts the next step (FSAL); rows 13-15 are the extra
-# stages of the dense output.
-_C = np.array([
-    0.0, 0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
-    0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25,
-    0.307692307692307692307692307692, 0.651282051282051282051282051282, 0.6,
-    0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
-    0.777777777777777777777777777778,
-])
+# Norsett & Wanner, Solving ODEs I, II.5-II.6), with the coefficients of
+# scipy.integrate.DOP853.  Row 12 of _A holds the weights B of the solution,
+# so stage 12 is the field at the new state and starts the next step
+# (FSAL); rows 13-15 are the extra stages of the dense output.
 _A = np.zeros((16, 16))
-_A[1, 0] = 5.26001519587677318785587544488e-2
-_A[2, 0] = 1.97250569845378994544595329183e-2
-_A[2, 1] = 5.91751709536136983633785987549e-2
-_A[3, 0] = 2.95875854768068491816892993775e-2
-_A[3, 2] = 8.87627564304205475450678981324e-2
-_A[4, 0] = 2.41365134159266685502369798665e-1
-_A[4, 2] = -8.84549479328286085344864962717e-1
-_A[4, 3] = 9.24834003261792003115737966543e-1
-_A[5, 0] = 3.7037037037037037037037037037e-2
-_A[5, 3] = 1.70828608729473871279604482173e-1
-_A[5, 4] = 1.25467687566822425016691814123e-1
-_A[6, 0] = 3.7109375e-2
-_A[6, 3] = 1.70252211019544039314978060272e-1
-_A[6, 4] = 6.02165389804559606850219397283e-2
-_A[6, 5] = -1.7578125e-2
-_A[7, 0] = 3.70920001185047927108779319836e-2
-_A[7, 3] = 1.70383925712239993810214054705e-1
-_A[7, 4] = 1.07262030446373284651809199168e-1
-_A[7, 5] = -1.53194377486244017527936158236e-2
-_A[7, 6] = 8.27378916381402288758473766002e-3
-_A[8, 0] = 6.24110958716075717114429577812e-1
-_A[8, 3] = -3.36089262944694129406857109825
-_A[8, 4] = -8.68219346841726006818189891453e-1
-_A[8, 5] = 2.75920996994467083049415600797e1
-_A[8, 6] = 2.01540675504778934086186788979e1
-_A[8, 7] = -4.34898841810699588477366255144e1
-_A[9, 0] = 4.77662536438264365890433908527e-1
-_A[9, 3] = -2.48811461997166764192642586468
-_A[9, 4] = -5.90290826836842996371446475743e-1
-_A[9, 5] = 2.12300514481811942347288949897e1
-_A[9, 6] = 1.52792336328824235832596922938e1
-_A[9, 7] = -3.32882109689848629194453265587e1
-_A[9, 8] = -2.03312017085086261358222928593e-2
-_A[10, 0] = -9.3714243008598732571704021658e-1
-_A[10, 3] = 5.18637242884406370830023853209
-_A[10, 4] = 1.09143734899672957818500254654
-_A[10, 5] = -8.14978701074692612513997267357
-_A[10, 6] = -1.85200656599969598641566180701e1
-_A[10, 7] = 2.27394870993505042818970056734e1
-_A[10, 8] = 2.49360555267965238987089396762
-_A[10, 9] = -3.0467644718982195003823669022
-_A[11, 0] = 2.27331014751653820792359768449
-_A[11, 3] = -1.05344954667372501984066689879e1
-_A[11, 4] = -2.00087205822486249909675718444
-_A[11, 5] = -1.79589318631187989172765950534e1
-_A[11, 6] = 2.79488845294199600508499808837e1
-_A[11, 7] = -2.85899827713502369474065508674
-_A[11, 8] = -8.87285693353062954433549289258
-_A[11, 9] = 1.23605671757943030647266201528e1
-_A[11, 10] = 6.43392746015763530355970484046e-1
-_A[12, 0] = 5.42937341165687622380535766363e-2
-_A[12, 5] = 4.45031289275240888144113950566
-_A[12, 6] = 1.89151789931450038304281599044
-_A[12, 7] = -5.8012039600105847814672114227
-_A[12, 8] = 3.1116436695781989440891606237e-1
-_A[12, 9] = -1.52160949662516078556178806805e-1
-_A[12, 10] = 2.01365400804030348374776537501e-1
-_A[12, 11] = 4.47106157277725905176885569043e-2
-_A[13, 0] = 5.61675022830479523392909219681e-2
-_A[13, 6] = 2.53500210216624811088794765333e-1
-_A[13, 7] = -2.46239037470802489917441475441e-1
-_A[13, 8] = -1.24191423263816360469010140626e-1
-_A[13, 9] = 1.5329179827876569731206322685e-1
-_A[13, 10] = 8.20105229563468988491666602057e-3
-_A[13, 11] = 7.56789766054569976138603589584e-3
-_A[13, 12] = -8.298e-3
-_A[14, 0] = 3.18346481635021405060768473261e-2
-_A[14, 5] = 2.83009096723667755288322961402e-2
-_A[14, 6] = 5.35419883074385676223797384372e-2
-_A[14, 7] = -5.49237485713909884646569340306e-2
-_A[14, 10] = -1.08347328697249322858509316994e-4
-_A[14, 11] = 3.82571090835658412954920192323e-4
-_A[14, 12] = -3.40465008687404560802977114492e-4
-_A[14, 13] = 1.41312443674632500278074618366e-1
-_A[15, 0] = -4.28896301583791923408573538692e-1
-_A[15, 5] = -4.69762141536116384314449447206
-_A[15, 6] = 7.68342119606259904184240953878
-_A[15, 7] = 4.06898981839711007970213554331
-_A[15, 8] = 3.56727187455281109270669543021e-1
-_A[15, 12] = -1.39902416515901462129418009734e-3
-_A[15, 13] = 2.9475147891527723389556272149
-_A[15, 14] = -9.15095847217987001081870187138
+_A[:12, :12] = _DOP853.A
+_A[12, :12] = _DOP853.B
+_A[13:] = _DOP853.A_EXTRA
 _B = _A[12, :12]
+_C = np.concatenate([_DOP853.C, [1.0], _DOP853.C_EXTRA])
 # the 5th- and 3rd-order error estimates, weights of stages 0..12
-_E = np.zeros((2, 13))
-_E[0, 0] = 0.1312004499419488073250102996e-1
-_E[0, 5] = -0.1225156446376204440720569753e+1
-_E[0, 6] = -0.4957589496572501915214079952
-_E[0, 7] = 0.1664377182454986536961530415e+1
-_E[0, 8] = -0.3503288487499736816886487290
-_E[0, 9] = 0.3341791187130174790297318841
-_E[0, 10] = 0.8192320648511571246570742613e-1
-_E[0, 11] = -0.2235530786388629525884427845e-1
-_E[1, :12] = _B
-_E[1, 0] -= 0.244094488188976377952755905512
-_E[1, 8] -= 0.733846688281611857341361741547
-_E[1, 11] -= 0.220588235294117647058823529412e-1
+_E = np.array([_DOP853.E5, _DOP853.E3])
 # the 7th-order dense output: with x the step fraction and F_i = h G_i . k,
 # y(x) = y0 + F0 x + F1 x(1-x) + F2 x^2(1-x) + F3 x^2(1-x)^2 + ...
 #        + F6 x^4(1-x)^3, and F3..F6 taken from the 16 stages by D
@@ -147,54 +50,7 @@ _G[1, 0] += 1.0
 _G[2, :12] = 2.0 * _B
 _G[2, 0] -= 1.0
 _G[2, 12] -= 1.0
-_G[3, 0] = -0.84289382761090128651353491142e+1
-_G[3, 5] = 0.56671495351937776962531783590
-_G[3, 6] = -0.30689499459498916912797304727e+1
-_G[3, 7] = 0.23846676565120698287728149680e+1
-_G[3, 8] = 0.21170345824450282767155149946e+1
-_G[3, 9] = -0.87139158377797299206789907490
-_G[3, 10] = 0.22404374302607882758541771650e+1
-_G[3, 11] = 0.63157877876946881815570249290
-_G[3, 12] = -0.88990336451333310820698117400e-1
-_G[3, 13] = 0.18148505520854727256656404962e+2
-_G[3, 14] = -0.91946323924783554000451984436e+1
-_G[3, 15] = -0.44360363875948939664310572000e+1
-_G[4, 0] = 0.10427508642579134603413151009e+2
-_G[4, 5] = 0.24228349177525818288430175319e+3
-_G[4, 6] = 0.16520045171727028198505394887e+3
-_G[4, 7] = -0.37454675472269020279518312152e+3
-_G[4, 8] = -0.22113666853125306036270938578e+2
-_G[4, 9] = 0.77334326684722638389603898808e+1
-_G[4, 10] = -0.30674084731089398182061213626e+2
-_G[4, 11] = -0.93321305264302278729567221706e+1
-_G[4, 12] = 0.15697238121770843886131091075e+2
-_G[4, 13] = -0.31139403219565177677282850411e+2
-_G[4, 14] = -0.93529243588444783865713862664e+1
-_G[4, 15] = 0.35816841486394083752465898540e+2
-_G[5, 0] = 0.19985053242002433820987653617e+2
-_G[5, 5] = -0.38703730874935176555105901742e+3
-_G[5, 6] = -0.18917813819516756882830838328e+3
-_G[5, 7] = 0.52780815920542364900561016686e+3
-_G[5, 8] = -0.11573902539959630126141871134e+2
-_G[5, 9] = 0.68812326946963000169666922661e+1
-_G[5, 10] = -0.10006050966910838403183860980e+1
-_G[5, 11] = 0.77771377980534432092869265740
-_G[5, 12] = -0.27782057523535084065932004339e+1
-_G[5, 13] = -0.60196695231264120758267380846e+2
-_G[5, 14] = 0.84320405506677161018159903784e+2
-_G[5, 15] = 0.11992291136182789328035130030e+2
-_G[6, 0] = -0.25693933462703749003312586129e+2
-_G[6, 5] = -0.15418974869023643374053993627e+3
-_G[6, 6] = -0.23152937917604549567536039109e+3
-_G[6, 7] = 0.35763911791061412378285349910e+3
-_G[6, 8] = 0.93405324183624310003907691704e+2
-_G[6, 9] = -0.37458323136451633156875139351e+2
-_G[6, 10] = 0.10409964950896230045147246184e+3
-_G[6, 11] = 0.29840293426660503123344363579e+2
-_G[6, 12] = -0.43533456590011143754432175058e+2
-_G[6, 13] = 0.96324553959188282948394950600e+2
-_G[6, 14] = -0.39177261675615439165231486172e+2
-_G[6, 15] = -0.14972683625798562581422125276e+3
+_G[3:] = _DOP853.D
 
 # accepted-or-rejected step budget of one integrate call
 _MAX_STEPS = 200000
@@ -204,8 +60,7 @@ _MAX_STEPS = 200000
 _COLUMNWISE_BELOW = 8
 
 # the component of [r, v, angle, w] each event kind watches
-_COMPONENT = {"angle-crossing": 2, "v-zero": 1, "w-zero": 3, "r-exceeds": 0,
-              "r-below": 0}
+_COMPONENT = {"angle-crossing": 2, "v-zero": 1, "w-zero": 3, "r-exceeds": 0}
 
 
 @dataclass(frozen=True)
@@ -213,7 +68,7 @@ class EventSpec:
     """One monitored scalar condition along a trajectory.
 
     kind selects the event function; theta is the target line for
-    angle-crossing, threshold the level for r-exceeds / r-below.
+    angle-crossing, threshold the level for r-exceeds.
     direction filters by the sign of the event function's derivative at the
     crossing (0 accepts both).  action "stop" truncates the trajectory.
     """
@@ -240,10 +95,6 @@ class EventSpec:
     def r_exceeds(threshold, action="stop"):
         return EventSpec("r-exceeds", action, threshold=threshold, direction=1)
 
-    @staticmethod
-    def r_below(threshold, action="stop"):
-        return EventSpec("r-below", action, threshold=threshold, direction=-1)
-
     def _watched(self):
         """(component of [r, v, angle, w], level): the event function is
         y[component] - level."""
@@ -251,7 +102,7 @@ class EventSpec:
             raise DomainError("unknown event kind %r" % (self.kind,))
         if self.kind == "angle-crossing":
             return _COMPONENT[self.kind], self.theta
-        if self.kind in ("r-exceeds", "r-below"):
+        if self.kind == "r-exceeds":
             return _COMPONENT[self.kind], self.threshold
         return _COMPONENT[self.kind], 0.0
 
@@ -270,8 +121,8 @@ class EventHit:
 @dataclass
 class Trajectory:
     """Integration output: the sample positions s (k,) and the states there
-    as the [r, v, angle, w] columns of y (4, k), in the chart and at the
-    energy of the seed State; the localized events; and how the run ended
+    as the [r, v, angle, w] columns of y (4, k), in the chart of the seed
+    State; the localized events; and how the run ended
     (event-stop | time-limit | step-failure | crossing-cap).  Iterating
     gives (s, State) pairs, each State built when it is read."""
 
@@ -337,23 +188,13 @@ def _stages(f, s, y, h, f0):
     """The stage slopes of a step of size h from (s, y): stages 0..12 filled
     (stage 12 is the field at the new state), room left for the three
     dense-output stages; and whether every stage was finite (per lane for a
-    block).  Stops at the first non-finite stage of a flat state, or once
-    every lane of a block has one."""
+    block).  All 12 stages are computed, so those after a non-finite one
+    carry it on; such a step is discarded."""
     k = np.empty((16,) + y.shape)
     k[0] = f0
-    ok = True
     for i in range(1, 13):
         k[i] = f(s + _C[i] * h, y + h * _combine(_A[i, :i], k))
-        finite = np.isfinite(k[i]).all(axis=0)
-        if finite.ndim:
-            ok = ok & finite
-            if not ok.any():
-                break
-        else:
-            ok = finite
-            if not ok:
-                break
-    return k, ok
+    return k, np.isfinite(k[1:13]).all(axis=(0, 1))
 
 
 def _error(h, k, y, y_new, ctl):

@@ -54,6 +54,14 @@ def test_dense_sampling_grid():
 
 
 def test_dop853_tableau_is_consistent():
+    # 12 stages, the solution weights as stage 12 (FSAL) at the step end,
+    # then the three dense-output stages, each built from earlier stages
+    assert oi._A.shape == (16, 16)
+    assert not np.triu(oi._A).any()
+    assert np.array_equal(oi._A[12, :12], oi._B)
+    assert oi._C[12] == 1.0
+    assert oi._E.shape == (2, 13)
+    assert oi._G.shape == (7, 16)
     # each stage sits at its node, the solution weights sum to one and the
     # two error estimates are differences of weights that do
     assert np.max(np.abs(oi._A.sum(axis=1) - oi._C)) < 1e-14
@@ -104,13 +112,13 @@ def test_event_localization_exact():
 
 def test_event_direction_filter():
     seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
-    # r = cos(s): crosses 0.5 downward at s = pi/3, upward at 5 pi/3
-    down = oi.integrate(_circle_rhs, seed,
-                        events=[EventSpec.r_below(0.5, action="record")],
-                        controls=Controls(max_s=2.0 * math.pi))
-    hits = [h for h in down.events if h.kind == "r-below"]
-    assert len(hits) == 1
-    assert abs(hits[0].s - math.pi / 3.0) < 1e-10
+    # v = sin(s): crosses zero downward at s = pi, upward at 2 pi
+    for direction, at in ((-1, math.pi), (1, 2.0 * math.pi)):
+        traj = oi.integrate(_circle_rhs, seed,
+                            events=[EventSpec.v_zero(direction=direction)],
+                            controls=Controls(max_s=2.5 * math.pi))
+        assert len(traj.events) == 1
+        assert abs(traj.events[0].s - at) < 1e-10
 
 
 def test_stop_action_truncates():
@@ -254,7 +262,7 @@ def _lanes_rhs(s, y):
 
 
 _LANE_EVENTS = [EventSpec.angle(m * math.pi / 2.0) for m in range(-2, 4)] + [
-    EventSpec.r_below(0.5, action="record"), EventSpec.r_exceeds(5.0)]
+    EventSpec.w_zero(direction=-1), EventSpec.r_exceeds(5.0)]
 _LANE_CONTROLS = Controls(max_s=10.0, max_angle_crossings=3)
 # (r, v, theta, w) -> the termination integrate gives that seed alone
 _LANE_SEEDS = {
@@ -296,8 +304,29 @@ def test_block_lanes_match_integrate_per_termination():
     assert len(seeds) >= oi._COLUMNWISE_BELOW
     block = _assert_block_matches_integrate(seeds)
     assert [t.termination for t in block] == list(_LANE_SEEDS.values()) * 3
-    # the r-below record fires on the lane running into r = 0 only
-    assert [h.kind for h in block[3].events].count("r-below") == 1
+    # the w-zero record fires on every lane but the one that spins
+    assert [[h.kind for h in t.events].count("w-zero")
+            for t in block[:4]] == [0, 1, 1, 1]
+
+
+def test_stages_flag_the_lanes_with_a_non_finite_stage():
+    # the middle lane runs into r = 0 inside the step, where _lanes_rhs is
+    # not finite
+    y = np.array([[1.0, 0.0, 0.1, 1.0], [0.1, -1.0, 0.1, 0.01],
+                  [1.0, 1.0, 0.1, 0.01]]).T
+    s, h = np.zeros(3), np.ones(3)
+    k, ok = oi._stages(_lanes_rhs, s, y, h, _lanes_rhs(s, y))
+    assert ok.tolist() == [True, False, True]
+    for j in range(3):
+        k_j, ok_j = oi._stages(_lanes_rhs, 0.0, y[:, j], 1.0,
+                               _lanes_rhs(0.0, y[:, j]))
+        assert ok_j == ok[j]
+        if ok_j:
+            assert np.array_equal(k_j[:13], k[:13, :, j])
+        else:
+            # finite at stages 0..2, not from stage 3 on
+            assert np.isfinite(k_j[:3]).all()
+            assert not np.isfinite(k_j[3]).all()
 
 
 def test_one_lane_block_matches_integrate():
