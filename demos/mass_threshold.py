@@ -19,11 +19,19 @@ def v2_of(mu, n=2):
     return mf.landmark_values(pr.pyramidal(n, mu))["v2"]
 
 
+def step_count(text):
+    steps = int(text)
+    if steps < 2:
+        raise argparse.ArgumentTypeError("must be at least 2, got %d" % steps)
+    return steps
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lo", type=float, default=0.5)
     ap.add_argument("--hi", type=float, default=3.5)
-    ap.add_argument("--steps", type=int, default=7)
+    ap.add_argument("--steps", type=step_count, default=7,
+                    help="number of mu values, at least 2")
     args = ap.parse_args()
 
     print("mu        v2")

@@ -74,20 +74,39 @@ def _resolved_workers(cfg: RunConfig) -> int:
 
 
 def build_config(args) -> RunConfig:
-    """Layer defaults, then an optional --config JSON file, then CLI flags."""
+    """Layer defaults, then an optional --config JSON file, then CLI flags.
+
+    A file value must fit its field: an int field takes an int (not a
+    bool), a float field an int or a float, a str field a str, and null
+    is allowed only where the default is None."""
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     layers = {}
     path = getattr(args, "config", None)
     if path:
-        with open(path) as fh:
-            loaded = json.load(fh)
-        unknown = set(loaded) - {f.name for f in dataclasses.fields(RunConfig)}
+        try:
+            with open(path) as fh:
+                layers = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise DomainError("cannot read config %s: %s"
+                              % (path, err)) from None
+        if not isinstance(layers, dict):
+            raise DomainError("config %s must hold a JSON object" % (path,))
+        unknown = set(layers) - set(fields)
         if unknown:
             raise DomainError("unknown config keys: %s" % sorted(unknown))
-        layers.update(loaded)
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(args, f.name, None)
+        for key, value in layers.items():
+            want = fields[key].type
+            if value is None or isinstance(value, bool):
+                ok = value is None and fields[key].default is None
+            else:
+                ok = isinstance(value, (int, float) if want is float else want)
+            if not ok:
+                raise DomainError("config key %r must be of type %s, got %s"
+                                  % (key, want.__name__, json.dumps(value)))
+    for name in fields:
+        v = getattr(args, name, None)
         if v is not None:
-            layers[f.name] = v
+            layers[name] = v
     return RunConfig(**layers)
 
 
@@ -271,13 +290,12 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
                  "theta": seed.angle, "w": seed.w, "h": H},
         "notes": dict(orbit.notes),
     }
-    report = _json_text(_envelope("orbit", cfg, results, t0))
-    csv_text = _trajectory_csv(orbit)
-    if cfg.out is None:
-        _write(csv_text if cfg.format == "csv" else report, None)
-    else:
-        _write(report, cfg.out)
-        _write(csv_text, Path(cfg.out).with_suffix(".csv"))
+    if cfg.out is None and cfg.format == "csv":
+        _write(_trajectory_csv(orbit), None)
+        return 0
+    _write(_json_text(_envelope("orbit", cfg, results, t0)), cfg.out)
+    if cfg.out is not None:
+        _write(_trajectory_csv(orbit), Path(cfg.out).with_suffix(".csv"))
     return 0
 
 

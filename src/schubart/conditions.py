@@ -44,7 +44,7 @@ from .problems import (
     PLANAR,
     SPATIAL,
     ProblemSpec,
-    critical_points,
+    _quantities,
     csc_sum,
     potential,
     spatial,
@@ -150,8 +150,7 @@ def _g_rhs_factory(problem: ProblemSpec, kind: str):
 
     if kind == "g3" or kind == "gamma":
         def drift(phi, g, u):
-            w = potential(problem, phi, "W")
-            wp = potential(problem, phi, "W'")
+            w, wp = _quantities(problem, phi)
             return u * g * (wp / w)
     elif kind == "g2":
         def drift(phi, g, u):
@@ -187,13 +186,12 @@ def _g_initial(problem: ProblemSpec, kind: str):
         raise DomainError(
             "the branch comparison curve is defined for the half-circle "
             "chart only")
-    cps = critical_points(problem)
+    cps = problem.critical
     if cps.count != 3:
         raise DomainError("no off-midpoint critical angle for %r" % (problem,))
     phi_r = cps.phi_R
     g_star = -math.sqrt(2.0 / math.cos(phi_r))
-    w = potential(problem, phi_r, "W")
-    wp = potential(problem, phi_r, "W'")
+    w, wp = _quantities(problem, phi_r)
     slope = -(g_star / 2.0) * (wp / w)
     delta = 1e-8
     return phi_r + delta, g_star + slope * delta
@@ -304,7 +302,7 @@ def _check_N1(p: ProblemSpec) -> dict:
 
 
 def _check_N2(p: ProblemSpec) -> dict:
-    cps = critical_points(p)
+    cps = p.critical
     if cps.count != 3:
         return _entry("fail", [("critical_count", float(cps.count))],
                       "no off-midpoint critical pair")
@@ -325,7 +323,8 @@ def _check_N3(p: ProblemSpec) -> dict:
     w_arm = potential(p, math.pi / 2.0, "W")
     arm_defect = abs(w_arm - p.s_n / 4.0)
     phis = np.linspace(math.pi / 4.0, math.pi / 2.0, 100000, endpoint=False)
-    ratio = np.abs(potential(p, phis, "W'") / potential(p, phis, "W"))
+    w, wp = _quantities(p, phis)
+    ratio = np.abs(wp / w)
     worst = float(np.max(ratio))
     ok = (n1["status"] == "pass" and arm_defect <= 1e-10 and worst <= 0.8)
     return _entry("pass" if ok else "fail",

@@ -35,7 +35,6 @@ from .problems import (
     SPATIAL,
     ProblemSpec,
     _quantities,
-    critical_points,
     shape_f,
     shape_fprime,
 )
@@ -163,21 +162,13 @@ def theta_star(p: ProblemSpec) -> float:
     """Positive chart angle of the off-midpoint critical shape.
 
     The Lagrange-type equilibria sit at chart angles congruent to
-    +-theta_star; raises StructureError via critical_points when the
-    potential has no off-midpoint critical pair.
+    +-theta_star; raises StructureError when the potential has no
+    off-midpoint critical pair.
     """
-    cache = getattr(p, "_dyn_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(p, "_dyn_cache", cache)
-    if "theta_star" not in cache:
-        cps = critical_points(p)
-        if cps.count != 3:
-            raise StructureError("no off-midpoint critical pair for %r" % (p,))
-        cache["theta_star"] = float(theta_of_phi(p, cps.phi_R))
-        cache["phi_R"] = cps.phi_R
-        cache["phi_L"] = cps.phi_L
-    return cache["theta_star"]
+    cps = p.critical
+    if cps.count != 3:
+        raise StructureError("no off-midpoint critical pair for %r" % (p,))
+    return float(theta_of_phi(p, cps.phi_R))
 
 
 def _unpack(chart: str, y):

@@ -30,14 +30,13 @@ from .dynamics import NEWCOORDS, DEVANEY, State
 from .errors import DomainError, LinearizationError, OrientationError
 from .odeint import (Controls, EventSpec, Trajectory, field_for, integrate,
                      integrate_collision_manifold)
-from .problems import QUARTER_CIRCLE, ProblemSpec, critical_points, potential
+from .problems import QUARTER_CIRCLE, ProblemSpec, potential
 
 BRANCH_IDS = ("gamma", "gamma-", "gamma'", "gamma'-", "gamma''", "stable-of-L'-")
 
 # devaney-chart alias of each newcoords-chart branch, where one exists
 _DEVANEY_NAMES = {
     "gamma": "gamma''",
-    "gamma''": "gamma''",
     "gamma'": "gamma'",
     "stable-of-L'-": "stable-of-L'-",
 }
@@ -95,34 +94,24 @@ def equilibria(problem: ProblemSpec, chart: str = NEWCOORDS):
     theta = 0 and Lagrange points at theta in {theta*-pi, -theta*, +theta*}.
     devaney lists the six points at the three critical shapes.
     """
-    cps = critical_points(problem)
-    v_mid = math.sqrt(2.0 * potential(problem, cps.phi_m, "V"))
-    out = []
-    if chart == DEVANEY:
-        out.append(_make_equilibrium(problem, "Euler", "E+", chart, cps.phi_m, v_mid))
-        out.append(_make_equilibrium(problem, "Euler", "E-", chart, cps.phi_m, -v_mid))
-        if cps.count == 3:
-            v_star = math.sqrt(2.0 * potential(problem, cps.phi_R, "V"))
-            for label, phi in (("L'", cps.phi_L), ("L''", cps.phi_R)):
-                out.append(_make_equilibrium(
-                    problem, "Lagrange", label + "+", chart, phi, v_star))
-                out.append(_make_equilibrium(
-                    problem, "Lagrange", label + "-", chart, phi, -v_star))
-        return out
-    if chart != NEWCOORDS:
+    if chart not in (DEVANEY, NEWCOORDS):
         raise DomainError("unknown chart %r" % (chart,))
+    cps = problem.critical
+    v_mid = math.sqrt(2.0 * potential(problem, cps.phi_m, "V"))
     # the newcoords midpoint shape sits at theta = 0 for both chart kinds
-    out.append(_make_equilibrium(problem, "Euler", "E+", chart, 0.0, v_mid))
-    out.append(_make_equilibrium(problem, "Euler", "E-", chart, 0.0, -v_mid))
+    points = [("Euler", "E", cps.phi_m if chart == DEVANEY else 0.0, v_mid)]
     if cps.count == 3:
-        ts = dyn.theta_star(problem)
         v_star = math.sqrt(2.0 * potential(problem, cps.phi_R, "V"))
-        for label, theta in (("L", ts - math.pi), ("L'", -ts), ("L''", ts)):
-            out.append(_make_equilibrium(
-                problem, "Lagrange", label + "+", chart, theta, v_star))
-            out.append(_make_equilibrium(
-                problem, "Lagrange", label + "-", chart, theta, -v_star))
-    return out
+        if chart == DEVANEY:
+            lagrange = (("L'", cps.phi_L), ("L''", cps.phi_R))
+        else:
+            ts = dyn.theta_star(problem)
+            lagrange = (("L", ts - math.pi), ("L'", -ts), ("L''", ts))
+        points += [("Lagrange", label, angle, v_star)
+                   for label, angle in lagrange]
+    return [_make_equilibrium(problem, kind, label + sign, chart, angle,
+                              v if sign == "+" else -v)
+            for kind, label, angle, v in points for sign in "+-"]
 
 
 def equilibrium(problem: ProblemSpec, label: str, chart: str = NEWCOORDS):
@@ -238,12 +227,10 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
 
     if controls is None:
         controls = Controls(max_s=40.0)
-    stop_line = None
-    if stop_at_last_landmark:
-        chain = [t for name, t in _LANDMARK_DEFS.get(traced_as, [])
-                 if name not in ("v4", "v5") or problem.chart == QUARTER_CIRCLE]
-        if chain:
-            stop_line = chain[-1]
+    # the landmarks on the pi/2 line, v4 and v5, are planar only
+    chain = [(name, t) for name, t in _LANDMARK_DEFS.get(traced_as, [])
+             if name not in ("v4", "v5") or problem.chart == QUARTER_CIRCLE]
+    stop_line = chain[-1][1] if stop_at_last_landmark and chain else None
     events = [EventSpec.angle(t) if t != stop_line
               else EventSpec.angle(t, action="stop")
               for t in _LINE_TARGETS]
@@ -273,9 +260,7 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
     landmarks = {}
     hits = [h for h in traj.events if h.kind == "angle-crossing"]
     s_prev = -1.0
-    for name, target in _LANDMARK_DEFS.get(traced_as, []):
-        if name in ("v4", "v5") and problem.chart != QUARTER_CIRCLE:
-            continue
+    for name, target in chain:
         nxt = next((h for h in hits
                     if h.spec.theta == target and h.s > s_prev), None)
         if nxt is None:
@@ -302,8 +287,8 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
                 sign = "+" if end.v > 0 else "-"
                 termination = ("hole B_a" if d_a <= d_b else "hole B_b") + sign
     names = {"newcoords": traced_as}
-    if branch in _DEVANEY_NAMES or traced_as in _DEVANEY_NAMES:
-        names["devaney"] = _DEVANEY_NAMES.get(traced_as)
+    if traced_as in _DEVANEY_NAMES:
+        names["devaney"] = _DEVANEY_NAMES[traced_as]
     return BranchTrace(branch=branch, names=names, trajectory=traj,
                        landmarks=landmarks, termination=termination)
 
@@ -315,19 +300,18 @@ def _angle_mod_gap(theta: float, target: float) -> float:
 
 
 def landmark_values(problem: ProblemSpec, epsilon: float = None) -> dict:
-    """All available landmarks v0..v5 from the three defining traces."""
-    cache = getattr(problem, "_dyn_cache", None)
-    if cache is not None and epsilon is None and "landmarks" in cache:
-        return dict(cache["landmarks"])
+    """All available landmarks v0..v5 from the three defining traces.
+
+    The default-epsilon values are traced once per problem and kept on it.
+    """
+    if epsilon is None and hasattr(problem, "_landmarks"):
+        return dict(problem._landmarks)
     out = {}
     for branch in ("gamma", "gamma'", "stable-of-L'-"):
         out.update(trace_branch(problem, branch, epsilon=epsilon,
                                 stop_at_last_landmark=True).landmarks)
-    if cache is None:
-        cache = {}
-        setattr(problem, "_dyn_cache", cache)
     if epsilon is None:
-        cache["landmarks"] = dict(out)
+        problem._landmarks = dict(out)
     return out
 
 

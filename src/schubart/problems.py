@@ -18,6 +18,7 @@ The three problems:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -73,17 +74,18 @@ def csc_sum_asymptotic(n: int) -> float:
 class ProblemSpec:
     """One sub-problem with its derived constants.
 
-    Treat instances as immutable; everything derived is filled in
-    __post_init__.  mu is only meaningful for the pyramidal problem.
+    Treat instances as immutable; the derived fields are filled in
+    __post_init__ and the critical points on first use.  mu is only
+    meaningful for the pyramidal problem.
     """
 
     kind: str
     n: int
     mu: float = 1.0
-    phi_a: float = field(default=None)
-    phi_b: float = field(default=None)
-    chart: str = field(default=None)
-    s_n: float = field(default=None)
+    phi_a: float = field(init=False)
+    phi_b: float = field(init=False)
+    chart: str = field(init=False)
+    s_n: float = field(init=False)
 
     def __post_init__(self):
         self.kind = _KIND_ALIASES.get(self.kind, self.kind)
@@ -113,6 +115,11 @@ class ProblemSpec:
                 self._ck = np.cos(
                     np.pi * (2.0 * np.arange(1, self.n + 1) - 1.0) / (2.0 * self.n)
                 )
+
+    @cached_property
+    def critical(self) -> "CriticalPointSet":
+        """The critical points of V on the default grid, searched once."""
+        return critical_points(self)
 
     # midpoint of the shape domain (the Euler shape)
     @property

@@ -89,12 +89,24 @@ def test_config_file_and_flag_override(tmp_path):
     assert code == 2  # pyramidal n=2 fails N3/N3'
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    for loaded in ({"problem": "pyramidal", "n_bodies": 4}, {"seed": 1}):
-        path.write_text(json.dumps(loaded))
+    # unknown keys, malformed JSON, a non-object top level and values of
+    # the wrong type for their RunConfig field
+    for text in ('{"problem": "pyramidal", "n_bodies": 4}', '{"seed": 1}',
+                 '{"n": 4', '[1, 2]', '{"rtol": "1e-9"}', '{"mu": "2"}',
+                 '{"n": null}', '{"n": true}', '{"n": 4.0}',
+                 '{"problem": 3}'):
+        path.write_text(text)
         code, _ = run(["conditions", "--config", str(path)])
-        assert code == 64
+        assert code == 64, text
+        assert capsys.readouterr().err.startswith("error: "), text
+    code, _ = run(["conditions", "--config", str(tmp_path / "missing.json")])
+    assert code == 64
+    # an int where a float field is, and null where the default is None
+    path.write_text('{"mu": 2, "beta": null}')
+    code, out = run_json(["table", "sn", "--config", str(path)])
+    assert code == 0 and out["config"]["mu"] == 2
 
 
 def test_exit_64_on_flags_a_subcommand_does_not_read(capsys):
@@ -197,6 +209,22 @@ def test_orbit_report_and_trajectory(tmp_path):
     t = [r[1] for r in rows]
     assert t[0] == 0.0 and t[-1] > 0.0
     assert all(b >= a for a, b in zip(t, t[1:])), "physical time monotone"
+
+
+def test_orbit_builds_only_the_output_it_writes(monkeypatch):
+    argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
+            "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
+
+    def refuse(*args):
+        raise AssertionError("built an output that is not written")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_trajectory_csv", refuse)
+        code, out = run_json(argv)
+    assert code == 0 and out["results"]["found"] is True
+    monkeypatch.setattr(cli, "_json_text", refuse)
+    code, text = run(argv + ["--format", "csv"])
+    assert code == 0 and text.startswith("s,t,r,v,theta,w\n")
 
 
 def test_orbit_runs_the_echoed_integration_settings():

@@ -1,9 +1,11 @@
-"""The demo scripts run end to end and write their CSV exports."""
+"""The demo scripts run end to end and print or write their results."""
 
 import csv
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -37,3 +39,34 @@ def test_orbit_zoo_writes_its_members(monkeypatch, tmp_path):
     out = tmp_path / "zoo.csv"
     _run_demo(monkeypatch, "orbit_zoo.py", "--csv", out)
     _assert_csv(out, ["family", "s", "theta", "r"])
+
+
+def _last_line(capsys):
+    return capsys.readouterr().out.strip().split("\n")[-1]
+
+
+def test_condition_scan_ends_with_the_planar_row(monkeypatch, capsys):
+    _run_demo(monkeypatch, "condition_scan.py", "--n-max", 2)
+    assert _last_line(capsys).split() == [
+        "planar", "n=10", "-", "ok", "-", "-", "ok"]
+
+
+def test_elliptic_and_certificate_certifies_v2(monkeypatch, capsys):
+    _run_demo(monkeypatch, "elliptic_and_certificate.py")
+    assert _last_line(capsys) == ("beta = -0.5858: integral 1.778944, "
+                                  "lower bound +1.193158 -> v2 > 0 certified")
+
+
+def test_mass_threshold_finds_the_sign_change(monkeypatch, capsys):
+    _run_demo(monkeypatch, "mass_threshold.py", "--steps", 3)
+    line = _last_line(capsys)
+    assert line.startswith("v2 changes sign at mu = ")
+    assert float(line.split("=")[1]) == pytest.approx(2.662, abs=1e-3)
+
+
+def test_mass_threshold_rejects_fewer_than_two_steps(monkeypatch, capsys):
+    # one step used to die dividing by steps - 1
+    with pytest.raises(SystemExit) as exc:
+        _run_demo(monkeypatch, "mass_threshold.py", "--steps", 1)
+    assert exc.value.code == 2
+    assert "--steps: must be at least 2" in capsys.readouterr().err

@@ -57,6 +57,12 @@ def test_constructor_validation():
         pr.planar(2)  # planar ring needs n >= 3
 
 
+def test_derived_fields_are_not_constructor_arguments():
+    for name in ("phi_a", "phi_b", "chart", "s_n"):
+        with pytest.raises(TypeError):
+            pr.ProblemSpec("pyramidal", 2, **{name: 1.0})
+
+
 def test_chart_assignment(pyr2, spa3, pla3):
     assert pyr2.chart == pr.HALF_CIRCLE
     assert spa3.chart == pr.HALF_CIRCLE
@@ -212,6 +218,25 @@ def test_critical_point_layout(all_problems):
             want["V_mid"], rel=1e-12)
         assert pr.potential(p, cps.phi_R, "V") == pytest.approx(
             want["V_phiR"], rel=1e-12)
+
+
+def test_critical_points_searched_once_per_problem(monkeypatch):
+    from schubart import conditions, dynamics, manifolds
+
+    calls = []
+    search = pr.critical_points
+
+    def counted(p, grid=10000):
+        calls.append(grid)
+        return search(p, grid)
+
+    monkeypatch.setattr(pr, "critical_points", counted)
+    p = pr.pyramidal(2)
+    conditions.condition_report(p)
+    manifolds.landmark_values(p)
+    dynamics.theta_star(p)
+    assert calls == [10000]
+    assert p.critical.phi_R == pytest.approx(CRIT["pyr2"]["phi_R"], abs=1e-10)
 
 
 def test_phi_R_closed_form_matches_numeric():
