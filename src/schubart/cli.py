@@ -37,6 +37,10 @@ from .odeint import Controls
 
 _SIG = ".17g"
 
+# the values of the flags that take a fixed set, for argparse and config files
+_CHOICES = {"problem": ("pyramidal", "spatial", "planar"),
+            "format": ("json", "csv")}
+
 
 @dataclass
 class RunConfig:
@@ -78,7 +82,8 @@ def build_config(args) -> RunConfig:
 
     A file value must fit its field: an int field takes an int (not a
     bool), a float field an int or a float, a str field a str, and null
-    is allowed only where the default is None."""
+    is allowed only where the default is None; a field whose flag has
+    fixed choices takes only those."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     layers = {}
     path = getattr(args, "config", None)
@@ -103,6 +108,10 @@ def build_config(args) -> RunConfig:
             if not ok:
                 raise DomainError("config key %r must be of type %s, got %s"
                                   % (key, want.__name__, json.dumps(value)))
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise DomainError("config key %r must be one of %s, got %s"
+                                  % (key, ", ".join(_CHOICES[key]),
+                                     json.dumps(value)))
     for name in fields:
         v = getattr(args, name, None)
         if v is not None:
@@ -375,11 +384,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file with RunConfig fields")
-    sub.add_argument("--problem", choices=["pyramidal", "spatial", "planar"])
+    sub.add_argument("--problem", choices=_CHOICES["problem"])
     sub.add_argument("--n", type=int)
     sub.add_argument("--mu", type=float)
     sub.add_argument("--out")
-    sub.add_argument("--format", choices=["json", "csv"])
+    sub.add_argument("--format", choices=_CHOICES["format"])
 
 
 def make_parser() -> _Parser:

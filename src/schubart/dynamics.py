@@ -201,16 +201,9 @@ def devaney_rhs(p: ProblemSpec, y) -> np.ndarray:
     return np.array([dr, dv, dphi, dw])
 
 
-def newcoords_rhs(p: ProblemSpec, y) -> np.ndarray:
-    """Right-hand side in the regularized chart (partial collisions are
-    regular points; the field is polynomial in the state given the chart
-    functions).
-
-    y is a flat [r, v, theta, w] vector, a (4, N) block of such columns
-    (the result is then (4, N) too), or a newcoords State, at the energy H.
-    """
-    r, v, theta, w = _unpack(NEWCOORDS, y)
-    si, co, c, cp, wc, wcp = _terms(p, theta)
+def _field(r, v, w, terms) -> np.ndarray:
+    """The newcoords field at (r, v, w) and the chart terms of its angle."""
+    si, co, c, cp, wc, wcp = terms
     csq = co * co
     return np.array([
         r * v * csq,
@@ -221,16 +214,13 @@ def newcoords_rhs(p: ProblemSpec, y) -> np.ndarray:
     ])
 
 
-def energy_gradient(p: ProblemSpec, y):
-    """(E, dE/dy): the newcoords energy residual and its gradient over
-    [r, v, theta, w], in closed form from the field's chart terms.
+def _energy(r, v, w, terms):
+    """(E, dE/dy) at (r, v, w) and the chart terms of its angle.
 
     E = v^2 cos^2/2 + w^2 c/2 - curly W - H r cos^2, so dE/dv = v cos^2,
     dE/dw = w c and dE/dtheta = -sin cos (v^2 - 2 H r) + w^2 c'/2 - curly W'.
-    y is taken as by newcoords_rhs.
     """
-    r, v, theta, w = _unpack(NEWCOORDS, y)
-    si, co, c, cp, wc, wcp = _terms(p, theta)
+    si, co, c, cp, wc, wcp = terms
     csq = co * co
     res = 0.5 * v * v * csq + 0.5 * w * w * c - wc - H * r * csq
     grad = np.array([
@@ -240,6 +230,44 @@ def energy_gradient(p: ProblemSpec, y):
         w * c,
     ])
     return res, grad
+
+
+def newcoords_rhs(p: ProblemSpec, y) -> np.ndarray:
+    """Right-hand side in the regularized chart (partial collisions are
+    regular points; the field is polynomial in the state given the chart
+    functions).
+
+    y is a flat [r, v, theta, w] vector, a (4, N) block of such columns
+    (the result is then (4, N) too), or a newcoords State, at the energy H.
+    """
+    r, v, theta, w = _unpack(NEWCOORDS, y)
+    return _field(r, v, w, _terms(p, theta))
+
+
+def energy_gradient(p: ProblemSpec, y):
+    """(E, dE/dy): the newcoords energy residual and its gradient over
+    [r, v, theta, w], in closed form from the field's chart terms.
+    y is taken as by newcoords_rhs.
+    """
+    r, v, theta, w = _unpack(NEWCOORDS, y)
+    return _energy(r, v, w, _terms(p, theta))
+
+
+def damped_reverse_rhs(p: ProblemSpec, y, damp: float) -> np.ndarray:
+    """The time-reversed newcoords field at a flat [r, v, theta, w] vector
+    (or a newcoords State), minus damp * E grad E / |grad E|^2 with the dE/dr
+    part of grad E left out: the energy deviation decays toward the shell
+    at rate damp, within the plane of constant r.  One chart-term
+    evaluation serves both the field and the energy."""
+    r, v, theta, w = _unpack(NEWCOORDS, y)
+    terms = _terms(p, theta)
+    dy = -_field(r, v, w, terms)
+    res, grad = _energy(r, v, w, terms)
+    grad[0] = 0.0
+    n2 = float(grad @ grad)
+    if n2 > 0.0:
+        dy -= damp * res * grad / n2
+    return dy
 
 
 def energy_residual(p: ProblemSpec, s: State) -> float:

@@ -238,21 +238,13 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
         # Reversed time turns the off-manifold energy deviation into a
         # growing mode with the same rate as the branch itself, so the raw
         # backward trace never converges in epsilon.  Damp the deviation
-        # toward the energy shell; the extra term vanishes on the manifold
-        # and leaves the traced branch unchanged.  It acts within r = 0
-        # (no dE/dr part), so the run stays on the manifold like the seed.
-        damp = 20.0
-
-        def rhs(s_, y):
-            dy = -dyn.newcoords_rhs(problem, y)
-            res, grad = dyn.energy_gradient(problem, y)
-            grad[0] = 0.0
-            n2 = float(grad @ grad)
-            if n2 > 0.0:
-                dy -= damp * res * grad / n2
-            return dy
-
-        traj = integrate(rhs, seed, events=events, controls=controls)
+        # toward the energy shell at rate 20; the extra term vanishes on the
+        # manifold and leaves the traced branch unchanged.  It acts within
+        # r = 0 (no dE/dr part), so the run stays on the manifold like the
+        # seed.
+        traj = integrate(
+            lambda s_, y: dyn.damped_reverse_rhs(problem, y, 20.0), seed,
+            events=events, controls=controls)
     else:
         traj = integrate_collision_manifold(problem, seed, events=events,
                                             controls=controls)

@@ -51,6 +51,10 @@ _G[2, :12] = 2.0 * _B
 _G[2, 0] -= 1.0
 _G[2, 12] -= 1.0
 _G[3:] = _DOP853.D
+# the rows of _A as contiguous arrays and the nodes as floats, so that a
+# stage costs one matmul with the flat stage store and one update of y
+_ROWS = [_A[i, :i].copy() for i in range(16)]
+_NODES = [float(c) for c in _C]
 
 # accepted-or-rejected step budget of one integrate call
 _MAX_STEPS = 200000
@@ -184,6 +188,16 @@ def _combine(weights, k):
                                                     + k.shape[1:])
 
 
+def _fill(f, s, y, h, k, stages):
+    """Fill the given stages of the C-contiguous stage store k, each from
+    the stages before it: one matmul of its row of _A with the flat
+    (16, 4 N) view of k per stage."""
+    kf = k.reshape(16, -1)
+    for i in stages:
+        k[i] = f(s + _NODES[i] * h,
+                 y + h * (_ROWS[i] @ kf[:i]).reshape(y.shape))
+
+
 def _stages(f, s, y, h, f0):
     """The stage slopes of a step of size h from (s, y): stages 0..12 filled
     (stage 12 is the field at the new state), room left for the three
@@ -192,8 +206,7 @@ def _stages(f, s, y, h, f0):
     carry it on; such a step is discarded."""
     k = np.empty((16,) + y.shape)
     k[0] = f0
-    for i in range(1, 13):
-        k[i] = f(s + _C[i] * h, y + h * _combine(_A[i, :i], k))
+    _fill(f, s, y, h, k, range(1, 13))
     return k, np.isfinite(k[1:13]).all(axis=(0, 1))
 
 
@@ -232,9 +245,10 @@ def _dense_coeffs(f, s, y, h, k):
     step with stages k from _stages, per lane for a block: fills the three
     dense-output stages 13..15 of k (three field evaluations) and returns
     F / h of y(x) = y0 + F0 x + F1 x(1-x) + F2 x^2(1-x) + ... + F6
-    x^4(1-x)^3."""
-    for i in range(13, 16):
-        k[i] = f(s + _C[i] * h, y + h * _combine(_A[i, :i], k))
+    x^4(1-x)^3.  A k that is not C-contiguous (a lane subset of a block's
+    store) is copied first, and the copy is filled."""
+    k = np.ascontiguousarray(k)
+    _fill(f, s, y, h, k, range(13, 16))
     return _combine(_G, k)
 
 

@@ -166,8 +166,8 @@ def _spatial_quantities(p: ProblemSpec, phi):
     s4 = p.s_n / 4.0
     ck = p._ck.reshape((-1,) + (1,) * phi.ndim)
     inv = 1.0 / np.sqrt(1.0 - (ck * c) ** 2)
-    w = s4 + 0.25 * c * np.sum(inv, axis=0)
-    wp = -0.25 * s * np.sum(inv**3, axis=0)
+    w = s4 + 0.25 * c * inv.sum(axis=0)
+    wp = -0.25 * s * (inv**3).sum(axis=0)
     return w, wp
 
 
@@ -177,8 +177,8 @@ def _planar_quantities(p: ProblemSpec, phi):
     s4 = p.s_n / 4.0
     cl = p._cl.reshape((-1,) + (1,) * phi.ndim)
     d = 1.0 / np.sqrt(1.0 - 2.0 * s * c * cl)
-    t = np.sum(d, axis=0)
-    u = np.sum(cl * d**3, axis=0)
+    t = d.sum(axis=0)
+    u = (cl * d**3).sum(axis=0)
     w = s4 * (s + c) + s * c * t
     wp = s4 * (c - s) + np.cos(2.0 * phi) * (t + s * c * u)
     return w, wp

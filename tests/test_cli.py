@@ -92,11 +92,12 @@ def test_config_file_and_flag_override(tmp_path):
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     # unknown keys, malformed JSON, a non-object top level and values of
-    # the wrong type for their RunConfig field
+    # the wrong type for their RunConfig field or outside its flag's choices
     for text in ('{"problem": "pyramidal", "n_bodies": 4}', '{"seed": 1}',
                  '{"n": 4', '[1, 2]', '{"rtol": "1e-9"}', '{"mu": "2"}',
                  '{"n": null}', '{"n": true}', '{"n": 4.0}',
-                 '{"problem": 3}'):
+                 '{"problem": 3}', '{"format": "xml"}',
+                 '{"problem": "torus"}'):
         path.write_text(text)
         code, _ = run(["conditions", "--config", str(path)])
         assert code == 64, text

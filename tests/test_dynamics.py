@@ -328,3 +328,32 @@ def test_newcoords_field_broadcasts_over_columns(all_problems):
         want = np.array([dyn.newcoords_rhs(p, col) for col in block.T]).T
         assert got.shape == block.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_damped_reverse_field_fuses_field_and_energy(all_problems,
+                                                     monkeypatch):
+    # bit for bit the reversed field plus the damping built from a
+    # separate energy_gradient call, from one chart-term evaluation
+    def composed(p, y, damp):
+        dy = -dyn.newcoords_rhs(p, y)
+        res, grad = dyn.energy_gradient(p, y)
+        grad[0] = 0.0
+        n2 = float(grad @ grad)
+        if n2 > 0.0:
+            dy -= damp * res * grad / n2
+        return dy
+
+    rng = np.random.default_rng(6)
+    for p in all_problems:
+        states = (_on_shell_states(p, rng, count=20)
+                  + _off_shell_states(rng, count=20))
+        for st in states:
+            y = st.as_array()
+            assert np.array_equal(dyn.damped_reverse_rhs(p, y, 20.0),
+                                  composed(p, y, 20.0))
+    calls = []
+    terms = dyn._terms
+    monkeypatch.setattr(dyn, "_terms",
+                        lambda p, theta: calls.append(1) or terms(p, theta))
+    dyn.damped_reverse_rhs(all_problems[0], states[0].as_array(), 20.0)
+    assert len(calls) == 1

@@ -67,6 +67,12 @@ def test_dop853_tableau_is_consistent():
     assert np.max(np.abs(oi._A.sum(axis=1) - oi._C)) < 1e-14
     assert abs(oi._B.sum() - 1.0) < 1e-14
     assert np.max(np.abs(oi._E.sum(axis=1))) < 1e-14
+    # the stage rows and nodes a step reads are those of _A and _C
+    assert len(oi._ROWS) == len(oi._NODES) == 16
+    for i, row in enumerate(oi._ROWS):
+        assert row.flags.c_contiguous
+        assert np.array_equal(row, oi._A[i, :i])
+    assert np.array_equal(oi._NODES, oi._C)
 
 
 def test_interpolant_matches_the_step_ends(pyr2):
@@ -327,6 +333,28 @@ def test_stages_flag_the_lanes_with_a_non_finite_stage():
             # finite at stages 0..2, not from stage 3 on
             assert np.isfinite(k_j[:3]).all()
             assert not np.isfinite(k_j[3]).all()
+
+
+def test_dense_coeffs_of_a_lane_subset_match_the_whole_block():
+    # a lane subset of the stage store is a copy that is not C-contiguous;
+    # its dense-output stages must still feed its coefficients.  The BLAS
+    # products sum a column in an order that depends on the column count,
+    # so the subset is bit for bit its own contiguous run and agrees with
+    # the whole block's columns to rounding
+    y = np.array([st.as_array() for st in _lane_seeds(3)[:9]]).T
+    s, h = np.linspace(0.0, 0.8, 9), np.linspace(0.05, 0.2, 9)
+    k, ok = oi._stages(_lanes_rhs, s, y, h, _lanes_rhs(s, y))
+    assert y.shape == (4, 9) and ok.all()
+    sub = np.array([1, 4, 5, 8])
+    k_sub = k[..., sub]
+    assert not k_sub.flags.c_contiguous
+    args = (_lanes_rhs, s[sub], y[:, sub], h[sub])
+    q_sub = oi._dense_coeffs(*args, k_sub)
+    assert np.array_equal(q_sub,
+                          oi._dense_coeffs(*args, np.ascontiguousarray(k_sub)))
+    q = oi._dense_coeffs(_lanes_rhs, s, y, h, k)
+    size = oi._combine(np.abs(oi._G), np.abs(k[..., sub]))
+    assert (np.abs(q_sub - q[..., sub]) <= 1e-14 * size).all()
 
 
 def test_one_lane_block_matches_integrate():
