@@ -5,9 +5,9 @@ The coefficients are those of scipy.integrate.DOP853.  The stepping is
 written here so that event localization is reproducible bit-for-bit:
 events are bracketed by sign changes of the event function across each
 accepted step and refined by bisection on the step's 7th-order
-interpolant until the bracket is narrower than 1e-13 in rescaled time.
-The interpolant costs three more field evaluations, made only on steps
-that have a sign change or a dense sample.
+interpolant until the bracket is narrower than _EVENT_TOL in rescaled
+time.  The interpolant costs three more field evaluations, made only on
+steps that have a sign change or a dense sample.
 
 `integrate` runs one seed and records its samples as the columns of a
 (4, k) array; `integrate_block` runs a family of seeds in lockstep as the
@@ -58,6 +58,10 @@ _NODES = [float(c) for c in _C]
 
 # accepted-or-rejected step budget of one integrate call
 _MAX_STEPS = 200000
+
+# width in s below which an event's bisection bracket stops shrinking; a
+# located event is known to this tolerance
+_EVENT_TOL = 1e-13
 
 # below this many live lanes the block field is evaluated column by column:
 # a numpy call on a (4, 1) block costs several flat-vector calls
@@ -288,22 +292,25 @@ class _Watch:
 
     def locate(self, crossed, s0, h, g0, q):
         """Bisect every (lane, event) sign change marked in crossed (N, E)
-        on its lane's interpolant to |bracket| <= 1e-13, all pairs at once.
-        Lanes are the first axis of s0, h (N,) and g0 (N, E), the event
-        values at the step start, and the last of q (7, 4, N).  Each pair's
-        event polynomial in the step fraction is gathered once; every pair
-        takes the halvings the longest step needs.
+        on its lane's interpolant to |bracket| <= _EVENT_TOL, all pairs at
+        once.  Lanes are the first axis of s0, h (N,) and g0 (N, E), the
+        event values at the step start, and the last of q (7, 4, N).  Each
+        pair's event polynomial in the step fraction is gathered once, and
+        each pair stops halving at its own step's tolerance, so its result
+        does not depend on the other pairs.
         Returns (lane, s, event index) triples ordered by lane, s, index."""
         lane, idx = np.nonzero(crossed)
         s0, h, g0 = s0[lane], h[lane], g0[lane, idx]
         q = q[:, self.component[idx], lane]
         # the bracket is [a, a + width] in the step fraction, and the event
         # function keeps the sign of g0 at a
-        a, width, h_max = np.zeros(lane.size), 1.0, h.max()
-        while width * h_max > 1e-13:
-            width *= 0.5
+        a, width = np.zeros(lane.size), np.ones(lane.size)
+        live = width * h > _EVENT_TOL
+        while live.any():
+            width = np.where(live, 0.5 * width, width)
             m = a + width
-            a = np.where(g0 * _interpolate(g0, h, q, m) > 0.0, m, a)
+            a = np.where(live & (g0 * _interpolate(g0, h, q, m) > 0.0), m, a)
+            live = width * h > _EVENT_TOL
         s_ev = s0 + h * (a + 0.5 * width)
         return [(int(lane[i]), float(s_ev[i]), int(idx[i]))
                 for i in np.lexsort((idx, s_ev, lane))]

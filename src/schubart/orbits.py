@@ -34,8 +34,8 @@ from scipy.optimize import brentq
 from . import dynamics as dyn
 from .dynamics import NEWCOORDS, State
 from .errors import AmbiguousBracketError, DomainError, OrbitNotFoundError
-from .odeint import (Controls, EventSpec, Trajectory, field_for, integrate,
-                     integrate_block)
+from .odeint import (_EVENT_TOL, Controls, EventSpec, Trajectory, field_for,
+                     integrate, integrate_block)
 from .problems import ProblemSpec
 
 LOCUS_S = "S(-pi/2)"
@@ -118,6 +118,13 @@ class PeriodicOrbit:
     full_period_s: float
     reconstructed: Trajectory
     notes: dict = field(default_factory=dict)
+    # the root's evidence of convergence: the last sign-change bracket of
+    # the Brent search, ((param, residual), (param, residual)) with
+    # seed_parameter at one end; the noise floor of the root shot's
+    # residual; and the shots the Brent search took
+    bracket: tuple = None
+    residual_floor: float = None
+    root_shots: int = None
 
 
 def line_kind(m: int) -> str:
@@ -258,6 +265,8 @@ class _ShotRecord:
     lines: tuple
     residual: float
     terminal_s: float
+    terminal_state: State = None  # where the residual is read, when matched
+    floor: float = None  # the residual's noise floor, set by _shot
 
 
 def _full_lines(recipe: _Recipe) -> tuple:
@@ -273,6 +282,15 @@ def _shot_controls(recipe: _Recipe) -> Controls:
     cap = len(_full_lines(recipe)) + (recipe.terminal == "brake")
     return replace(_controls(recipe.controls), sample_ds=None,
                    max_angle_crossings=cap)
+
+
+def _floor(problem, recipe: _Recipe, state: State) -> float:
+    """The noise floor of a matched shot's residual (v at a line hit, w at
+    a brake), read at the located terminal event `state`: the event's s is
+    known to _EVENT_TOL, so the residual to _EVENT_TOL |d residual / ds|."""
+    slope = dyn.newcoords_rhs(problem, state)[
+        1 if recipe.terminal == "line" else 3]
+    return _EVENT_TOL * abs(float(slope))
 
 
 def _classify(recipe: _Recipe, param: float, traj: Trajectory) -> _ShotRecord:
@@ -291,6 +309,7 @@ def _classify(recipe: _Recipe, param: float, traj: Trajectory) -> _ShotRecord:
         if ms == full and traj.termination == "crossing-cap":
             rec.classification = "matched"
             rec.residual = traj.end_state.v
+            rec.terminal_state = traj.end_state
         elif ms[:len(full)] != full[:len(ms)]:
             rec.classification = "pattern-mismatch"
         return rec
@@ -316,14 +335,20 @@ def _classify(recipe: _Recipe, param: float, traj: Trajectory) -> _ShotRecord:
         return rec
     rec.classification = "matched"
     rec.residual = hit.state.w
+    rec.terminal_state = hit.state
     rec.terminal_s = hit.s
     return rec
 
 
 def _shot(problem, recipe: _Recipe, param: float) -> _ShotRecord:
+    """A single classified shot, with its residual's noise floor when it
+    matches; the scan's rows never need the floor."""
     seed = seed_state(problem, recipe.locus, param)
-    return _classify(recipe, param, _fly(problem, seed, _full_lines(recipe),
-                                         _shot_controls(recipe)))
+    rec = _classify(recipe, param, _fly(problem, seed, _full_lines(recipe),
+                                        _shot_controls(recipe)))
+    if rec.classification == "matched":
+        rec.floor = _floor(problem, recipe, rec.terminal_state)
+    return rec
 
 
 def _row(rec: _ShotRecord) -> tuple:
@@ -387,32 +412,64 @@ def _brackets(rows) -> list:
             if a[1] == b[1] == "matched" and a[3] * b[3] < 0.0]
 
 
-def _refine(problem, recipe, a, b) -> _ShotRecord:
+class _AtFloor(Exception):
+    """Stops brentq at a shot whose residual is within its noise floor."""
+
+
+def _refine(problem, recipe, a, b):
     """Brent's method on the terminal residual between the scan rows a and
-    b; raises AmbiguousBracketError if a shot inside stops matching."""
-    known = {a[0]: a[3], b[0]: b[3]}
-    best = []
+    b, stopped at the first shot whose |residual| is at or below its noise
+    floor, _EVENT_TOL |d residual / ds| at the terminal event.  Brent's
+    method keeps opposite-signed ends around its iterate at every step
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4),
+    so that shot is the root; further shots would only flip the residual's
+    sign.  The residual callback stops the search, rather than an xtol
+    from the bracket's secant slope, because each shot knows its own floor
+    exactly.  xtol=1e-15 stays as a backstop, after which the shot with
+    the smallest residual is the root.
+
+    Returns (root shot, bracket, shots): the bracket is the tightest pair
+    of evaluated parameters with opposite-signed residuals that has the
+    root at one end, ((param, residual), (param, residual)) in increasing
+    param; shots counts the Brent search's shots.  Raises
+    AmbiguousBracketError if a shot inside stops matching or none comes
+    within RESIDUAL_TOL.
+    """
+    seen = {a[0]: a[3], b[0]: b[3]}
+    shots = []
 
     def residual(param):
-        if param in known:
-            return known[param]
+        if param in seen:
+            return seen[param]
         rec = _shot(problem, recipe, param)
         if rec.classification != "matched":
             raise AmbiguousBracketError(
                 "signature %r at parameter %.17g inside the bracket"
                 % (rec.classification, param))
-        if not best or abs(rec.residual) < abs(best[0].residual):
-            best[:] = [rec]
+        shots.append(rec)
+        seen[param] = rec.residual
+        if abs(rec.residual) <= rec.floor:
+            raise _AtFloor
         return rec.residual
 
-    brentq(residual, a[0], b[0], xtol=1e-15, disp=False)
-    if not best or abs(best[0].residual) > RESIDUAL_TOL:
+    try:
+        brentq(residual, a[0], b[0], xtol=1e-15, disp=False)
+        root = min(shots, key=lambda rec: abs(rec.residual), default=None)
+    except _AtFloor:
+        root = shots[-1]
+    if root is None or abs(root.residual) > RESIDUAL_TOL:
         raise AmbiguousBracketError(
             "bracket [%r, %r] exhausted" % (a[0], b[0]))
-    return best[0]
+    other = min((p for p, f in seen.items()
+                 if p != root.param and f * root.residual <= 0.0),
+                key=lambda p: abs(p - root.param))
+    bracket = tuple(sorted([(root.param, root.residual),
+                            (other, seen[other])]))
+    return root, bracket, len(shots)
 
 
-def _reconstruct_and_wrap(problem, spec, recipe, rec) -> PeriodicOrbit:
+def _reconstruct_and_wrap(problem, spec, recipe, rec, bracket,
+                          shots) -> PeriodicOrbit:
     tau = rec.terminal_s
     seed = seed_state(problem, recipe.locus, rec.param)
     ctl = _controls(recipe.controls)
@@ -422,7 +479,8 @@ def _reconstruct_and_wrap(problem, spec, recipe, rec) -> PeriodicOrbit:
     orbit = PeriodicOrbit(family=spec, seed=seed, seed_parameter=rec.param,
                           quarter_or_half=recipe.segment, fundamental=fund,
                           residual=abs(rec.residual), full_period_s=period,
-                          reconstructed=None)
+                          reconstructed=None, bracket=bracket,
+                          residual_floor=rec.floor, root_shots=shots)
     orbit.reconstructed = reconstruct_full(orbit)
     if spec.family in ("PP", "Z2"):
         # reported, never asserted: an orthogonal central-line crossing
@@ -440,7 +498,8 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
                controls: Controls = None, exhaustive: bool = False):
     """Scan the seed parameter, bracket the sign change of the terminal
     residual under the family's prescribed signature, and refine each
-    bracket by Brent's method.
+    bracket by Brent's method down to the residual's noise floor (see
+    _refine).
 
     The scan flies every seed in one lockstep block; root refinement and
     reconstruction fly single shots.  controls sets rtol and atol of every
@@ -477,7 +536,7 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     found = []
     for a, b in brackets:
         try:
-            rec = _refine(problem, recipe, a, b)
+            root = _refine(problem, recipe, a, b)
         except AmbiguousBracketError:
             # scan the bracket once more with the locus midpoint added and
             # refine its first clean sub-bracket
@@ -486,8 +545,8 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
             sub = _brackets([a] + mids + [b])
             if not sub:
                 raise
-            rec = _refine(problem, recipe, *sub[0])
-        found.append(_reconstruct_and_wrap(problem, family, recipe, rec))
+            root = _refine(problem, recipe, *sub[0])
+        found.append(_reconstruct_and_wrap(problem, family, recipe, *root))
         if not exhaustive:
             return found[0]
     return found

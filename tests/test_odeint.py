@@ -148,6 +148,30 @@ def test_simultaneous_events_ordered_by_spec_index():
     assert traj.events[1].spec is evs[1]
 
 
+def test_locate_gives_each_pair_its_own_halvings():
+    # pairs with step sizes five decades apart, located together, give bit
+    # for bit what each gives located alone
+    rng = np.random.default_rng(11)
+    watch = oi._Watch([EventSpec.v_zero(), EventSpec.w_zero()])
+    h = np.array([2.7, 0.013, 0.4, 1e-5])
+    s0 = np.array([0.0, 3.1, 17.25, 40.0])
+    g0 = rng.uniform(0.1, 1.0, (4, 2)) * rng.choice([-1.0, 1.0], (4, 2))
+    # each event polynomial g0 + h x (q0 + ...) in the step fraction x
+    # falls through zero near x = 1/2
+    q = 0.05 * rng.standard_normal((7, 4, 4))
+    q[0] = -2.0
+    q[:, watch.component] *= (g0 / h[:, None]).T
+    crossed = np.ones((4, 2), dtype=bool)
+    together = watch.locate(crossed, s0, h, g0, q)
+    alone = []
+    for j in range(4):
+        got = watch.locate(crossed[j:j + 1], s0[j:j + 1], h[j:j + 1],
+                           g0[j:j + 1], q[..., j:j + 1])
+        alone += [(j, t, e) for _, t, e in got]
+    assert len(together) == 8
+    assert together == alone
+
+
 def test_nan_seed_raises():
     bad = State(NEWCOORDS, float("nan"), 0.0, 0.0, 0.0)
     with pytest.raises(EvaluationError):

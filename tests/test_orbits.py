@@ -164,6 +164,9 @@ def test_family_roots(request, which, spec, lo, hi, segment):
     orb = _found(problem, key, spec, lo, hi)
     assert abs(orb.seed_parameter - ROOTS[key]) < 1e-8
     assert orb.residual <= 1e-8
+    # a shot within its floor ends the Brent search, so the floor must sit
+    # far below the residual bound or it would loosen the root
+    assert 0.0 < orb.residual_floor <= 1e-12
     assert orb.quarter_or_half == segment
     factor = 4.0 if segment == "quarter" else 2.0
     assert abs(orb.full_period_s
@@ -267,6 +270,32 @@ def test_monotone_residual_across_final_bracket(pyr2, b0):
     assert all(v is not None for v in vals)
     diffs = np.diff(vals)
     assert np.all(diffs > 0) or np.all(diffs < 0)
+
+
+@pytest.mark.parametrize("spec,lo,hi", [(ob.FamilySpec("B", 2), 1.3, 1.5),
+                                        (ob.FamilySpec("B", 0), 0.4, 0.7)],
+                         ids=lambda v: str(v))
+def test_brent_stops_at_the_first_shot_within_its_floor(pyr2, monkeypatch,
+                                                        spec, lo, hi):
+    shot, recs = ob._shot, []
+
+    def recorded(problem, recipe, param):
+        recs.append(shot(problem, recipe, param))
+        return recs[-1]
+
+    monkeypatch.setattr(ob, "_shot", recorded)
+    orb = ob.find_orbit(pyr2, spec,
+                        {"param_lo": lo, "param_hi": hi, "grid_points": 9})
+    within = [abs(rec.residual) <= rec.floor for rec in recs]
+    assert within.index(True) == len(recs) - 1
+    assert orb.root_shots == len(recs)
+    assert orb.seed_parameter == recs[-1].param
+    assert orb.residual_floor == recs[-1].floor
+    # the last sign-change bracket, with the root at one end
+    (p_lo, r_lo), (p_hi, r_hi) = orb.bracket
+    assert r_lo * r_hi < 0.0
+    assert p_lo < p_hi
+    assert orb.seed_parameter in (p_lo, p_hi)
 
 
 def test_perturbed_seed_breaks_closure(pyr2, b0):
