@@ -58,6 +58,7 @@ class BranchTrace:
     trajectory: Trajectory
     landmarks: dict  # subset of v0..v5
     termination: str  # hole B_a+ | hole B_b+ | equilibrium | cap
+    damping: float  # energy-damping rate of a backward trace; None forward
 
 
 def _jacobian(problem: ProblemSpec, st: State) -> np.ndarray:
@@ -87,13 +88,9 @@ def _make_equilibrium(problem, kind, label, chart, angle, v) -> Equilibrium:
                        eigenvalues=vals, eigenvectors=vecs)
 
 
-def equilibria(problem: ProblemSpec, chart: str = NEWCOORDS):
-    """All equilibria of the chart's field, on the energy level h = -1.
-
-    newcoords lists the principal-window representatives: Euler points at
-    theta = 0 and Lagrange points at theta in {theta*-pi, -theta*, +theta*}.
-    devaney lists the six points at the three critical shapes.
-    """
+def _candidates(problem: ProblemSpec, chart: str):
+    """(kind, label, angle, v) of every equilibrium of the chart's field, in
+    the order equilibria() lists them; nothing is linearized here."""
     if chart not in (DEVANEY, NEWCOORDS):
         raise DomainError("unknown chart %r" % (chart,))
     cps = problem.critical
@@ -109,15 +106,26 @@ def equilibria(problem: ProblemSpec, chart: str = NEWCOORDS):
             lagrange = (("L", ts - math.pi), ("L'", -ts), ("L''", ts))
         points += [("Lagrange", label, angle, v_star)
                    for label, angle in lagrange]
-    return [_make_equilibrium(problem, kind, label + sign, chart, angle,
-                              v if sign == "+" else -v)
+    return [(kind, label + sign, angle, v if sign == "+" else -v)
             for kind, label, angle, v in points for sign in "+-"]
 
 
+def equilibria(problem: ProblemSpec, chart: str = NEWCOORDS):
+    """All equilibria of the chart's field, on the energy level h = -1.
+
+    newcoords lists the principal-window representatives: Euler points at
+    theta = 0 and Lagrange points at theta in {theta*-pi, -theta*, +theta*}.
+    devaney lists the six points at the three critical shapes.
+    """
+    return [_make_equilibrium(problem, kind, label, chart, angle, v)
+            for kind, label, angle, v in _candidates(problem, chart)]
+
+
 def equilibrium(problem: ProblemSpec, label: str, chart: str = NEWCOORDS):
-    for eq in equilibria(problem, chart):
-        if eq.label == label:
-            return eq
+    """The one labelled equilibrium of equilibria(), linearized alone."""
+    for kind, name, angle, v in _candidates(problem, chart):
+        if name == label:
+            return _make_equilibrium(problem, kind, name, chart, angle, v)
     raise DomainError("no equilibrium labeled %r" % (label,))
 
 
@@ -180,6 +188,12 @@ _LANDMARK_DEFS = {
 }
 
 
+# Backward traces damp their energy deviation at this multiple of the base
+# saddle's fastest rate, max |Re lambda|: the margin over the deviation's own
+# growth (see trace_branch for why the rate is not fixed).
+_DAMPING_FACTOR = 2.0
+
+
 def default_epsilon(eq: Equilibrium) -> float:
     return 1e-7 * max(1.0, abs(eq.state.v))
 
@@ -194,6 +208,15 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
     the branch's sign.  Unstable branches run forward, the stable branch of
     L'_- runs backward.  Crossings of theta in {-pi/2, 0, pi/2} are recorded
     and turned into landmark values.
+
+    The backward run damps its energy deviation toward the shell at rate
+    damping = 2 max |Re lambda| over the base saddle's spectrum (kept on
+    the result; None forward).  The rate only has to beat the deviation's
+    own growth, which that spectrum bounds.  A fixed rate is either below
+    a fast saddle's (planar n=10's reaches 10.9) or needlessly stiff for a
+    slow one: at rate 20, DOP853's step on pyramidal n=2 is held by its
+    stability limit, and the trace takes 3.7x the field evaluations and ends
+    with a 200x larger energy residual.
 
     stop_at_last_landmark cuts the integration at the final line of the
     branch's landmark chain (the termination field then reports "cap");
@@ -234,16 +257,19 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
     events = [EventSpec.angle(t) if t != stop_line
               else EventSpec.angle(t, action="stop")
               for t in _LINE_TARGETS]
+    damping = None
     if backward:
-        # Reversed time turns the off-manifold energy deviation into a
-        # growing mode with the same rate as the branch itself, so the raw
-        # backward trace never converges in epsilon.  Damp the deviation
-        # toward the energy shell at rate 20; the extra term vanishes on the
-        # manifold and leaves the traced branch unchanged.  It acts within
+        # The raw reversed field lets an off-shell energy deviation grow,
+        # so the raw backward trace never converges in epsilon.  Damp the
+        # deviation toward the energy shell; the extra term vanishes on the
+        # shell and leaves the traced branch unchanged.  It acts within
         # r = 0 (no dE/dr part), so the run stays on the manifold like the
-        # seed.
+        # seed.  The deviation can grow at any rate of the saddle's
+        # spectrum, not only at the branch's reduced one (1.389 against
+        # 0.786 on pyramidal n=2), so the damping follows the fastest.
+        damping = _DAMPING_FACTOR * float(np.max(np.abs(eq.eigenvalues.real)))
         traj = integrate(
-            lambda s_, y: dyn.damped_reverse_rhs(problem, y, 20.0), seed,
+            lambda s_, y: dyn.damped_reverse_rhs(problem, y, damping), seed,
             events=events, controls=controls)
     else:
         traj = integrate_collision_manifold(problem, seed, events=events,
@@ -282,7 +308,8 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
     if traced_as in _DEVANEY_NAMES:
         names["devaney"] = _DEVANEY_NAMES[traced_as]
     return BranchTrace(branch=branch, names=names, trajectory=traj,
-                       landmarks=landmarks, termination=termination)
+                       landmarks=landmarks, termination=termination,
+                       damping=damping)
 
 
 def _angle_mod_gap(theta: float, target: float) -> float:

@@ -95,6 +95,23 @@ def test_lagrange_minus_spectrum(pyr2):
     assert pos[0].real == pytest.approx(1.389246, abs=1e-4)
 
 
+def test_equilibrium_lookup_matches_the_list(all_problems, monkeypatch):
+    calls = []
+    jacobian = mf._jacobian
+    monkeypatch.setattr(mf, "_jacobian",
+                        lambda *a: calls.append(a) or jacobian(*a))
+    for p in all_problems:
+        for chart in (NEWCOORDS, DEVANEY):
+            for eq in mf.equilibria(p, chart):
+                del calls[:]
+                one = mf.equilibrium(p, eq.label, chart)
+                assert len(calls) == 1
+                assert (one.kind, one.label) == (eq.kind, eq.label)
+                assert one.state == eq.state
+                assert np.array_equal(one.eigenvalues, eq.eigenvalues)
+                assert np.array_equal(one.eigenvectors, eq.eigenvectors)
+
+
 def test_equilibrium_lookup_unknown_label(pyr2):
     with pytest.raises(DomainError):
         mf.equilibrium(pyr2, "X+")
@@ -184,6 +201,28 @@ def test_trace_stays_on_collision_manifold(pyr2):
     # on-manifold energy relation holds throughout
     for _, st in list(tr.trajectory)[::5]:
         assert abs(dyn.energy_residual(pyr2, st)) < 1e-8
+
+
+def test_backward_trace_is_not_stiffness_limited(pyr2, spa3, pla3,
+                                                 monkeypatch):
+    # the damping rate follows the saddle, so the step follows the branch
+    calls = []
+    damped = dyn.damped_reverse_rhs
+    monkeypatch.setattr(dyn, "damped_reverse_rhs",
+                        lambda *a: calls.append(a[2]) or damped(*a))
+    for p in (pyr2, spa3):
+        del calls[:]
+        tr = mf.trace_branch(p, "stable-of-L'-", stop_at_last_landmark=True)
+        assert "v0" in tr.landmarks
+        rate = np.max(np.abs(mf.equilibrium(p, "L'-").eigenvalues.real))
+        assert tr.damping == 2.0 * rate
+        assert set(calls) == {tr.damping}
+        assert len(calls) <= 800
+        res, _ = dyn.energy_gradient(p, tr.trajectory.y)
+        assert np.max(np.abs(res)) <= 1e-10
+    assert mf.trace_branch(pla3, "stable-of-L'-").termination == "equilibrium"
+    assert mf.trace_branch(pyr2, "gamma",
+                           stop_at_last_landmark=True).damping is None
 
 
 def test_check_N4(pyr2, pla10):
