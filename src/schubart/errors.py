@@ -58,6 +58,8 @@ class OrbitNotFoundError(SchubartError):
         self.scan = scan if scan is not None else []
 
 
-class AmbiguousBracketError(SchubartError):
-    """The crossing signature changed inside a root bracket even after one
-    local re-scan of that bracket."""
+class AmbiguousBracketError(OrbitNotFoundError):
+    """A root bracket gave no orbit even after one local re-scan of it: the
+    crossing signature changed inside it, or no shot in it came within the
+    residual tolerance.  Carries the scan table, as OrbitNotFoundError
+    does."""

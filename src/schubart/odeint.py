@@ -4,10 +4,12 @@ and events.
 The coefficients are those of scipy.integrate.DOP853.  The stepping is
 written here so that event localization is reproducible bit-for-bit:
 events are bracketed by sign changes of the event function across each
-accepted step and refined by bisection on the step's 7th-order
-interpolant until the bracket is narrower than _EVENT_TOL in rescaled
-time.  The interpolant costs three more field evaluations, made only on
-steps that have a sign change or a dense sample.
+accepted step and located by safeguarded Newton steps on the step's
+7th-order interpolant (Shampine & Thompson, Comput. Math. Appl. 39, 2000)
+until a Newton correction or the sign bracket is narrower than
+_EVENT_TOL in rescaled time.  The interpolant costs three more field
+evaluations, made only on steps that have a sign change or a dense
+sample.
 
 `integrate` runs one seed and records its samples as the columns of a
 (4, k) array; `integrate_block` runs a family of seeds in lockstep as the
@@ -59,8 +61,9 @@ _NODES = [float(c) for c in _C]
 # accepted-or-rejected step budget of one integrate call
 _MAX_STEPS = 200000
 
-# width in s below which an event's bisection bracket stops shrinking; a
-# located event is known to this tolerance
+# an event's location stops when its last Newton correction, or its sign
+# bracket, is at most this wide in s; a located event is known to this
+# tolerance
 _EVENT_TOL = 1e-13
 
 # below this many live lanes the block field is evaluated column by column:
@@ -266,6 +269,20 @@ def _interpolate(y0, h, q, x):
     return y0 + h * x * acc
 
 
+def _event_poly(g0, h, q, x):
+    """An event function g on a step's interpolant at the step fraction x,
+    and dg/dx: g = g0 + h x P(x) with P nested in x and 1 - x as in
+    _interpolate (so g is bit for bit its value there), P' carried along
+    the same Horner pass."""
+    u = 1.0 - x
+    acc, dacc = q[6], 0.0
+    for qi, t, dt in zip(q[5::-1], (x, u, x, u, x, u),
+                         (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)):
+        dacc = t * dacc + dt * acc
+        acc = qi + t * acc
+    return g0 + h * x * acc, h * (acc + x * dacc)
+
+
 class _Watch:
     """The event functions of a list of EventSpec, evaluated together."""
 
@@ -291,27 +308,54 @@ class _Watch:
         return change if change.any() else None
 
     def locate(self, crossed, s0, h, g0, q):
-        """Bisect every (lane, event) sign change marked in crossed (N, E)
-        on its lane's interpolant to |bracket| <= _EVENT_TOL, all pairs at
-        once.  Lanes are the first axis of s0, h (N,) and g0 (N, E), the
-        event values at the step start, and the last of q (7, 4, N).  Each
-        pair's event polynomial in the step fraction is gathered once, and
-        each pair stops halving at its own step's tolerance, so its result
-        does not depend on the other pairs.
+        """Locate every (lane, event) sign change marked in crossed (N, E)
+        on its lane's interpolant, all pairs at once.  Lanes are the first
+        axis of s0, h (N,) and g0 (N, E), the event values at the step
+        start, and the last of q (7, 4, N).
+
+        Each pair runs a safeguarded Newton iteration on its degree-8
+        event polynomial in the step fraction x (rtsafe, Press et al.,
+        Numerical Recipes, 9.4), from the secant point of the polynomial's
+        end values.  Every iterate narrows the pair's sign bracket; a
+        bisection step replaces a Newton step that leaves the bracket,
+        has g' = 0, or is not under half the previous step.  A pair stops
+        once its Newton correction, or its bracket, times h is at most
+        _EVENT_TOL, so its s is within _EVENT_TOL of the interpolant's
+        root.  Every operation is elementwise over the pairs, so a pair's
+        result does not depend on the other pairs.
         Returns (lane, s, event index) triples ordered by lane, s, index."""
         lane, idx = np.nonzero(crossed)
         s0, h, g0 = s0[lane], h[lane], g0[lane, idx]
         q = q[:, self.component[idx], lane]
-        # the bracket is [a, a + width] in the step fraction, and the event
-        # function keeps the sign of g0 at a
-        a, width = np.zeros(lane.size), np.ones(lane.size)
-        live = width * h > _EVENT_TOL
+        # the sign bracket [lo, hi] in the step fraction: g has the sign of
+        # g0 at lo and not at hi.  The start is the secant point of g0 and
+        # g1, the interpolant's own value at x = 1
+        lo, hi = np.zeros(lane.size), np.ones(lane.size)
+        g1 = g0 + h * q[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = g0 / (g0 - g1)
+        x = np.where((x > 0.0) & (x < 1.0), x, 0.5)
+        last = np.ones(lane.size)  # the previous step; the bracket at first
+        live = np.ones(lane.size, dtype=bool)
         while live.any():
-            width = np.where(live, 0.5 * width, width)
-            m = a + width
-            a = np.where(live & (g0 * _interpolate(g0, h, q, m) > 0.0), m, a)
-            live = width * h > _EVENT_TOL
-        s_ev = s0 + h * (a + 0.5 * width)
+            g, dg = _event_poly(g0, h, q, x)
+            side = g0 * g > 0.0
+            lo = np.where(live & side, x, lo)
+            hi = np.where(live & ~side, x, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(g == 0.0, 0.0, g / dg)
+            newton = x - step
+            # a Newton correction within the tolerance locates the pair (its
+            # point kept in the bracket); otherwise Newton steps inside the
+            # bracket while it converges, and bisection does the rest
+            close = np.abs(step) * h <= _EVENT_TOL
+            keep = (newton > lo) & (newton < hi) & (np.abs(step) <= 0.5 * last)
+            x_new = np.where(close, np.minimum(np.maximum(newton, lo), hi),
+                             np.where(keep, newton, 0.5 * (lo + hi)))
+            last = np.where(live, np.abs(x_new - x), last)
+            x = np.where(live, x_new, x)
+            live &= ~close & ((hi - lo) * h > _EVENT_TOL)
+        s_ev = s0 + h * x
         return [(int(lane[i]), float(s_ev[i]), int(idx[i]))
                 for i in np.lexsort((idx, s_ev, lane))]
 

@@ -26,6 +26,7 @@ mirror or retrace once.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 import math
 
 import numpy as np
@@ -109,14 +110,18 @@ class CrossingSignature:
 
 @dataclass
 class PeriodicOrbit:
+    """A found orbit.  Its sampled fundamental segment and the full period
+    reconstructed from it are flown on first read: `flight` holds the
+    problem, the recipe's prescribed lines and the controls of that
+    flight."""
+
     family: FamilySpec
     seed: State
     seed_parameter: float
     quarter_or_half: str
-    fundamental: Trajectory
     residual: float
     full_period_s: float
-    reconstructed: Trajectory
+    flight: tuple
     notes: dict = field(default_factory=dict)
     # the root's evidence of convergence: the last sign-change bracket of
     # the Brent search, ((param, residual), (param, residual)) with
@@ -125,6 +130,17 @@ class PeriodicOrbit:
     bracket: tuple = None
     residual_floor: float = None
     root_shots: int = None
+
+    @cached_property
+    def fundamental(self) -> Trajectory:
+        """The fundamental segment from the seed, sampled at 1/512 of it."""
+        problem, lines, controls = self.flight
+        return _fly(problem, self.seed, lines, controls)
+
+    @cached_property
+    def reconstructed(self) -> Trajectory:
+        """The full period, reconstructed from the fundamental segment."""
+        return reconstruct_full(self)
 
 
 def line_kind(m: int) -> str:
@@ -459,7 +475,8 @@ def _refine(problem, recipe, a, b):
         root = shots[-1]
     if root is None or abs(root.residual) > RESIDUAL_TOL:
         raise AmbiguousBracketError(
-            "bracket [%r, %r] exhausted" % (a[0], b[0]))
+            "bracket [%r, %r] exhausted: no shot's residual within %g"
+            % (a[0], b[0], RESIDUAL_TOL))
     other = min((p for p, f in seen.items()
                  if p != root.param and f * root.residual <= 0.0),
                 key=lambda p: abs(p - root.param))
@@ -468,24 +485,38 @@ def _refine(problem, recipe, a, b):
     return root, bracket, len(shots)
 
 
+def _root_in(problem, recipe, a, b):
+    """_refine on the bracket of scan rows a and b; if that bracket is
+    ambiguous, scan it once more with the locus midpoint added and refine
+    its first clean sub-bracket."""
+    try:
+        return _refine(problem, recipe, a, b)
+    except AmbiguousBracketError:
+        mids = [_row(_shot(problem, recipe, float(p)))
+                for p in _grid(recipe, a[0], b[0], 3)[1:-1]]
+        sub = _brackets([a] + mids + [b])
+        if not sub:
+            raise
+        return _refine(problem, recipe, *sub[0])
+
+
 def _reconstruct_and_wrap(problem, spec, recipe, rec, bracket,
                           shots) -> PeriodicOrbit:
     tau = rec.terminal_s
-    seed = seed_state(problem, recipe.locus, rec.param)
     ctl = _controls(recipe.controls)
-    fund = _fly(problem, seed, recipe.lines, Controls(
-        rtol=ctl.rtol, atol=ctl.atol, max_s=tau, sample_ds=tau / 512.0))
     period = 4.0 * tau if recipe.segment == "quarter" else 2.0 * tau
-    orbit = PeriodicOrbit(family=spec, seed=seed, seed_parameter=rec.param,
-                          quarter_or_half=recipe.segment, fundamental=fund,
-                          residual=abs(rec.residual), full_period_s=period,
-                          reconstructed=None, bracket=bracket,
-                          residual_floor=rec.floor, root_shots=shots)
-    orbit.reconstructed = reconstruct_full(orbit)
+    orbit = PeriodicOrbit(
+        family=spec, seed=seed_state(problem, recipe.locus, rec.param),
+        seed_parameter=rec.param, quarter_or_half=recipe.segment,
+        residual=abs(rec.residual), full_period_s=period,
+        flight=(problem, recipe.lines, Controls(
+            rtol=ctl.rtol, atol=ctl.atol, max_s=tau, sample_ds=tau / 512.0)),
+        bracket=bracket, residual_floor=rec.floor, root_shots=shots)
     if spec.family in ("PP", "Z2"):
         # reported, never asserted: an orthogonal central-line crossing
-        # means the segment is half of a B-family orbit
-        vals = [abs(h.state.v) for h in fund.events
+        # means the segment is half of a B-family orbit; the only notes
+        # that need the segment flown here
+        vals = [abs(h.state.v) for h in orbit.fundamental.events
                 if h.kind == "angle-crossing"
                 and _line_of(h.state.angle) % 2 == 0]
         closest = min(vals) if vals else math.inf
@@ -501,17 +532,19 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     bracket by Brent's method down to the residual's noise floor (see
     _refine).
 
-    The scan flies every seed in one lockstep block; root refinement and
-    reconstruction fly single shots.  controls sets rtol and atol of every
-    integration and max_s of the shots (default: rtol 1e-11, atol 1e-12,
-    max_s SHOT_MAX_S); reconstruction runs to the found segment's end.
+    The scan flies every seed in one lockstep block; root refinement flies
+    single shots, and so does the orbit's sampled fundamental segment, on
+    first read of PeriodicOrbit.fundamental or .reconstructed.  controls
+    sets rtol and atol of every integration and max_s of the shots
+    (default: rtol 1e-11, atol 1e-12, max_s SHOT_MAX_S); the segment runs
+    to the found terminal's s.
 
     Returns the first orbit found, or every bracket's orbit as a list when
     exhaustive is set.  Raises DomainError for an empty search window, a
     non-positive S-locus size or fewer than two grid points,
     OrbitNotFoundError (carrying the scan table) when no bracket matches,
-    AmbiguousBracketError when the signature is unstable inside a bracket
-    even after one local re-scan.
+    and its subclass AmbiguousBracketError (carrying the scan table too)
+    when a bracket gives no root even after one local re-scan.
     """
     recipe = replace(_recipe_for(family), controls=_controls(controls))
     cfg = dict(_default_search(problem, recipe))
@@ -536,16 +569,10 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     found = []
     for a, b in brackets:
         try:
-            root = _refine(problem, recipe, a, b)
-        except AmbiguousBracketError:
-            # scan the bracket once more with the locus midpoint added and
-            # refine its first clean sub-bracket
-            mids = [_row(_shot(problem, recipe, float(p)))
-                    for p in _grid(recipe, a[0], b[0], 3)[1:-1]]
-            sub = _brackets([a] + mids + [b])
-            if not sub:
-                raise
-            root = _refine(problem, recipe, *sub[0])
+            root = _root_in(problem, recipe, a, b)
+        except AmbiguousBracketError as err:
+            err.scan = rows
+            raise
         found.append(_reconstruct_and_wrap(problem, family, recipe, *root))
         if not exhaustive:
             return found[0]

@@ -248,6 +248,21 @@ def test_orbit_runs_the_echoed_integration_settings():
         "no-terminal"}
 
 
+def test_orbit_reports_an_ambiguous_bracket():
+    # at rtol 1e-6 the B(0) residual carries about 3e-7 of integration
+    # noise, above RESIDUAL_TOL: the bracket is found but gives no root, and
+    # the report says so with its scan table
+    code, out = run_json(["orbit", "--family", "B", "--k", "0",
+                          "--param-lo", "0.4", "--param-hi", "0.7",
+                          "--grid-points", "9", "--rtol", "1e-6"])
+    assert code == 3
+    res = out["results"]
+    assert res["found"] is False
+    assert "exhausted" in res["error"]
+    assert len(res["scan"]) == 9
+    assert {r["classification"] for r in res["scan"]} == {"matched"}
+
+
 def test_exit_64_on_bad_search_window(capsys):
     # an empty window, a window reaching r <= 0 on the S locus, and grids
     # too coarse to bracket a root

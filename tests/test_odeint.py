@@ -172,6 +172,82 @@ def test_locate_gives_each_pair_its_own_halvings():
     assert together == alone
 
 
+def _counting_event_poly(monkeypatch):
+    """Route oi._event_poly through a counter: one call per locate
+    iteration.  Returns the one-element count list."""
+    poly, calls = oi._event_poly, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return poly(*args)
+
+    monkeypatch.setattr(oi, "_event_poly", counted)
+    return calls
+
+
+def _one_pair(g0, q, h, s0=0.0):
+    """locate on a single v-zero pair: g0 and the v row of q (7,)."""
+    watch = oi._Watch([EventSpec.v_zero()])
+    qq = np.zeros((7, 4, 1))
+    qq[:, 1, 0] = q
+    (_, s, _), = watch.locate(np.ones((1, 1), dtype=bool), np.array([s0]),
+                              np.array([h]), np.array([[g0]]), qq)
+    return s
+
+
+def test_locate_finds_an_interior_root_to_rounding():
+    # g0 + h x P(x) with random higher terms and q0 set so that g(r) = 0:
+    # the root is known to rounding, and Newton converges onto it
+    rng = np.random.default_rng(5)
+    for r, h in ((0.23, 0.7), (0.61, 3.0), (0.88, 1e-3)):
+        g0 = -0.4
+        q = 0.3 * rng.standard_normal(7) / h
+        q[0] = 0.0
+        q[0] = -g0 / (h * r) - oi._interpolate(0.0, 1.0, q, r) / r
+        s = _one_pair(g0, q, h)
+        assert abs(s - r * h) <= 1e-15 * h
+
+
+def test_locate_takes_few_newton_steps_on_a_transversal_crossing(
+        monkeypatch):
+    # v = sin(s) crosses zero at every multiple of pi, one step at a time
+    calls = _counting_event_poly(monkeypatch)
+    locate, per_call = oi._Watch.locate, []
+
+    def counted(self, *args):
+        calls[0] = 0
+        out = locate(self, *args)
+        per_call.append(calls[0])
+        return out
+
+    monkeypatch.setattr(oi._Watch, "locate", counted)
+    seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
+    for rtol in (1e-6, 1e-9, 1e-11):
+        traj = oi.integrate(_circle_rhs, seed, [EventSpec.v_zero()],
+                            Controls(rtol=rtol, atol=0.1 * rtol, max_s=20.0))
+        assert len(traj.events) == 6
+    assert len(per_call) == 18
+    assert max(per_call) <= 6
+
+
+def test_locate_converges_inside_a_near_tangent_bracket(monkeypatch):
+    # g = c (x - r)^3 has g' = 0 at its root: Newton alone converges only
+    # linearly there, and the bisection safeguard keeps the count bounded
+    calls = _counting_event_poly(monkeypatch)
+    r, c = 0.37, 2.0
+    for h in (1e-5, 0.7, 30.0):
+        calls[0] = 0
+        # c (x - r)^3 = -c r^3 + h x P(x), P = (c / h)(x^2 - 3 r x + 3 r^2)
+        # in the basis 1, (1 - x), x (1 - x) of the interpolant
+        q = np.zeros(7)
+        q[:3] = np.array([3 * r * r - 3 * r + 1, 3 * r - 1, -1.0]) * c / h
+        s = _one_pair(-c * r ** 3, q, h, s0=5.0)
+        assert 5.0 < s < 5.0 + h
+        # the cube flattens g to rounding within about 1e-5 of the root
+        assert abs((s - 5.0) / h - r) <= 1e-4
+        assert calls[0] <= 100
+
+
 def test_nan_seed_raises():
     bad = State(NEWCOORDS, float("nan"), 0.0, 0.0, 0.0)
     with pytest.raises(EvaluationError):

@@ -298,6 +298,45 @@ def test_brent_stops_at_the_first_shot_within_its_floor(pyr2, monkeypatch,
     assert orb.seed_parameter in (p_lo, p_hi)
 
 
+def test_fundamental_segment_is_flown_on_first_read(pyr2, monkeypatch):
+    sample_ds = []
+
+    def recorded(rhs, seed, events=(), controls=None):
+        sample_ds.append(controls.sample_ds)
+        return integrate(rhs, seed, events, controls)
+
+    monkeypatch.setattr(ob, "integrate", recorded)
+    orb = ob.find_orbit(pyr2, ob.FamilySpec("B", 0),
+                        {"param_lo": 0.4, "param_hi": 0.7, "grid_points": 9})
+    # the root shots flew, and nothing sampled
+    assert sample_ds and not any(sample_ds)
+    n = len(sample_ds)
+    tau = orb.full_period_s / 4.0
+    assert orb.fundamental.end_s == tau
+    assert sample_ds[n:] == [tau / 512.0]
+    # flown once: the reconstruction and later reads reuse it
+    assert orb.reconstructed.end_s > orb.fundamental.end_s
+    assert len(sample_ds) == n + 1
+
+
+def test_lazy_segment_equals_an_eager_flight(pyr2, b0):
+    recipe = ob._recipe_for(b0.family)
+    tau = b0.full_period_s / 4.0
+    eager = ob._fly(pyr2, b0.seed, recipe.lines, Controls(
+        rtol=1e-11, atol=1e-12, max_s=tau, sample_ds=tau / 512.0))
+    fund = b0.fundamental
+    assert np.array_equal(fund.s, eager.s)
+    assert np.array_equal(fund.y, eager.y)
+    assert [(h.s, h.spec) for h in fund.events] == [
+        (h.s, h.spec) for h in eager.events]
+    assert fund.termination == eager.termination
+    s, y = eager.s, eager.y
+    for closure in recipe.closure.split("-"):
+        s, y = ob._extend(s, y, closure)
+    assert np.array_equal(b0.reconstructed.s, s)
+    assert np.array_equal(b0.reconstructed.y, y)
+
+
 def test_perturbed_seed_breaks_closure(pyr2, b0):
     fake = replace(
         b0, seed=ob.seed_state(pyr2, ob.LOCUS_S, b0.seed_parameter + 1e-3))
