@@ -160,7 +160,8 @@ def _g_rhs_factory(problem: ProblemSpec, kind: str):
             return 0.0
 
     def rhs(u, y):
-        g = y[0]
+        # on Python floats: the drift's potential then runs on math
+        u, g = float(u), float(y[0])
         usq = u * u
         phi = half_pi - usq
         arg = 2.0 * _tt_over_sin(usq) - usq * g * g

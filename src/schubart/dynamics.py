@@ -35,6 +35,7 @@ from .problems import (
     SPATIAL,
     ProblemSpec,
     _quantities,
+    _xp,
     shape_f,
     shape_fprime,
 )
@@ -73,15 +74,15 @@ class ChartData:
     c: float
 
 
-def _chart(kind: str, si, co):
+def _chart(kind: str, si, co, xp=np):
     """(cos phi, sin phi, c, c'/(sin theta cos theta)) from the sine and
-    cosine of the chart angle theta."""
+    cosine of the chart angle theta, in the namespace xp."""
     if kind == HALF_CIRCLE:
         q = 1.0 + si * si
         return (1.0 - si * si) / q, 2.0 * si / q, 0.25 * q * q, q
     if kind == QUARTER_CIRCLE:
         c = 1.0 + co * co
-        a = np.sqrt(c)
+        a = xp.sqrt(c)
         return 0.5 * (a - si), 0.5 * (a + si), c, -2.0
     raise DomainError("unknown chart kind %r" % (kind,))
 
@@ -113,7 +114,10 @@ def c_quotient(kind: str, theta):
 
 def _phi(kind: str, si, c1, c2):
     """Shape angle phi from sin theta and the chart point (cos phi, sin phi);
-    the half circle has the cheaper closed form 2 arctan(sin theta)."""
+    the half circle has the cheaper closed form 2 arctan(sin theta).  Both
+    stay numpy's on floats too: math.atan and math.atan2 round differently
+    from numpy's vectorized arctan and arctan2 on some arguments, and a flat
+    evaluation must give the bits of a block column."""
     if kind == HALF_CIRCLE:
         return 2.0 * np.arctan(si)
     return np.arctan2(c2, c1)
@@ -136,14 +140,15 @@ def theta_of_phi(p: ProblemSpec, phi):
 def _terms(p: ProblemSpec, theta):
     """sin theta, cos theta, c, c', curly W and curly W' at chart angle
     theta: every chart term of the newcoords field and its energy.
-    Broadcasts over arrays."""
-    si, co = np.sin(theta), np.cos(theta)
-    c1, c2, c, cq = _chart(p.chart, si, co)
+    Broadcasts over arrays; Python floats for a float theta."""
+    xp = _xp(theta)
+    si, co = xp.sin(theta), xp.cos(theta)
+    c1, c2, c, cq = _chart(p.chart, si, co, xp)
     w, wp = _quantities(p, _phi(p.chart, si, c1, c2))
     if p.chart == HALF_CIRCLE:
         wc, wcp = (1.0 + si * si) * w, 2.0 * co * (si * w + wp)
     else:
-        wc, wcp = 2.0 * w, 2.0 * co * wp / np.sqrt(c)
+        wc, wcp = 2.0 * w, 2.0 * co * wp / xp.sqrt(c)
     return si, co, c, cq * si * co, wc, wcp
 
 
@@ -173,12 +178,15 @@ def theta_star(p: ProblemSpec) -> float:
 
 def _unpack(chart: str, y):
     """(r, v, angle, w) of a State in the given chart, or of a flat
-    [r, v, angle, w] vector (or a (4, N) block of them)."""
+    [r, v, angle, w] vector as Python floats (or the rows of a (4, N)
+    block of them)."""
     if isinstance(y, State):
         if y.chart != chart:
             raise DomainError("a %s-chart state given where the %s chart is"
                               " needed" % (y.chart, chart))
         return y.r, y.v, y.angle, y.w
+    if isinstance(y, np.ndarray) and y.ndim == 1:
+        return y.tolist()
     return y[0], y[1], y[2], y[3]
 
 

@@ -21,6 +21,7 @@ helpers and return the same Trajectory.
 
 from dataclasses import dataclass
 import itertools
+import math
 
 import numpy as np
 from scipy.integrate import DOP853 as _DOP853
@@ -66,8 +67,12 @@ _MAX_STEPS = 200000
 # tolerance
 _EVENT_TOL = 1e-13
 
-# below this many live lanes the block field is evaluated column by column:
-# a numpy call on a (4, 1) block costs several flat-vector calls
+# below this many live lanes the block field is evaluated column by column.
+# One (4, N) block call costs as much as N flat calls at N = 9-10 on
+# pyramidal n=2, at N = 3-4 on spatial n=3 and at N = 2 on planar n=10,
+# whose flat calls still pay numpy's array calls for their interaction
+# sums (2-vCPU Xeon, Python 3.11, numpy 2.4); 8 is near the crossover of
+# pyramidal, which flies most shots
 _COLUMNWISE_BELOW = 8
 
 # the component of [r, v, angle, w] each event kind watches
@@ -134,14 +139,19 @@ class Trajectory:
     """Integration output: the sample positions s (k,) and the states there
     as the [r, v, angle, w] columns of y (4, k), in the chart of the seed
     State; the localized events; and how the run ended
-    (event-stop | time-limit | step-failure | crossing-cap).  Iterating
-    gives (s, State) pairs, each State built when it is read."""
+    (event-stop | time-limit | step-failure | crossing-cap); the field
+    evaluations it took, its accepted steps and its rejected ones (a step
+    with a non-finite stage counts as rejected).  Iterating gives
+    (s, State) pairs, each State built when it is read."""
 
     s: np.ndarray
     y: np.ndarray
     events: list
     termination: str
     seed: State
+    nfev: int = 0
+    n_accept: int = 0
+    n_reject: int = 0
 
     @property
     def end_state(self) -> State:
@@ -163,6 +173,13 @@ class Controls:
     max_s: float = 1e3
     sample_ds: float = None  # uniform dense sampling when set
     max_angle_crossings: int = None  # truncate at the Nth angle-crossing hit
+
+    def __post_init__(self):
+        for name in ("rtol", "atol", "max_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError("%s must be finite and greater than 0, got"
+                                  " %r" % (name, value))
 
 
 def _rms_norm(x, scale):
@@ -218,28 +235,35 @@ def _stages(f, s, y, h, f0):
 
 
 def _error(h, k, y, y_new, ctl):
-    """The DOP853 error norm, per lane for a block: the 5th-order estimate
-    e5 damped by the 3rd-order e3, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n)
-    in scaled RMS terms; inf where not finite."""
+    """The DOP853 error norm, per lane for a block and a Python float for a
+    flat state: the 5th-order estimate e5 damped by the 3rd-order e3,
+    |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n) in scaled RMS terms; 0 where
+    e5 is, inf where not finite."""
     scale = ctl.atol + ctl.rtol * np.maximum(np.abs(y), np.abs(y_new))
-    e5, e3 = ((_combine(_E, k) / scale) ** 2).sum(axis=1)
+    sums = ((_combine(_E, k) / scale) ** 2).sum(axis=1)
+    if y.ndim == 1:
+        e5, e3 = sums.tolist()
+        err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 else 0.0
+        return err if err <= math.inf else math.inf  # nan -> inf
+    e5, e3 = sums
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(y))
     return np.fmin(np.where(e5 == 0.0, 0.0, err), np.inf)
 
 
-def _shrink(err):
-    """Step factor after a rejected step (err > 1)."""
-    return np.maximum(0.2, 0.9 * np.maximum(err, 1.0) ** -0.125)
+def _shrink(err, maximum=np.maximum):
+    """Step factor after a rejected step (err > 1); per lane, or a Python
+    float with maximum=max."""
+    return maximum(0.2, 0.9 * maximum(err, 1.0) ** -0.125)
 
 
-def _grow(err, err_prev):
+def _grow(err, err_prev, maximum=np.maximum, minimum=np.minimum):
     """Step factor after an accepted step: the PI controller at the
     exponents of an order-8 step (0.7/8, 0.4/8), clipped to [0.2, 10] (the
     floor on err only keeps the power finite at err = 0, which gets the
-    full 10)."""
-    factor = 0.9 * np.maximum(err, 1e-300) ** -0.0875 * err_prev**0.05
-    return np.minimum(10.0, np.maximum(0.2, factor))
+    full 10); per lane, or a Python float with maximum=max, minimum=min."""
+    factor = 0.9 * maximum(err, 1e-300) ** -0.0875 * err_prev**0.05
+    return minimum(10.0, maximum(0.2, factor))
 
 
 def _underflow(h, s):
@@ -404,7 +428,7 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
     n_cross = 0
     g_prev = watch.values(y)
 
-    steps = 0
+    steps = n_accept = n_dense = 0
     while s < ctl.max_s:
         if steps >= _MAX_STEPS:
             termination = "time-limit"
@@ -428,13 +452,14 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
             raise EvaluationError("non-finite state at s=%.17g" % (s,))
         err = _error(h, k, y, y_new, ctl)
         if err > 1.0:
-            h *= _shrink(err)
+            h *= _shrink(err, max)
             if _underflow(h, s):
                 termination = "step-failure"
                 break
             continue
 
         # accepted; the interpolant only for a sign change or a sample
+        n_accept += 1
         s_new = s + h
         stop_at = crossed = None
         if watch.specs:
@@ -443,6 +468,7 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
         if crossed is not None or (next_sample is not None
                                    and next_sample <= s_new):
             q = _dense_coeffs(rhs, s, y, h, k)
+            n_dense += 1
         if crossed is not None:
             located = watch.locate(crossed[None], np.array([s]),
                                    np.array([h]), g_old[None], q[..., None])
@@ -471,7 +497,7 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
             s_out.append(s_new)
             y_out.append(y_new[:, None])
 
-        h *= _grow(err, err_prev)
+        h *= _grow(err, err_prev, max, min)
         s, y = s_new, y_new
         f0 = k[12]  # FSAL
         err_prev = max(err, 1e-10)
@@ -482,8 +508,10 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
     if termination != "event-stop" and s_out[-1] < s:
         s_out.append(s)
         y_out.append(y[:, None])
+    # the seed, the initial step's trial and the stages of every attempt
+    nfev = 2 + 12 * steps + 3 * n_dense
     return Trajectory(np.array(s_out), np.concatenate(y_out, axis=1), hits,
-                      termination, seed)
+                      termination, seed, nfev, n_accept, steps - n_accept)
 
 
 def _columnwise(rhs):
@@ -523,14 +551,15 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
         raise EvaluationError("non-finite field at a seed state")
     h = _initial_step(f, s, y, f0, ctl.rtol, ctl.atol, ctl.max_s)
     err_prev = np.full(lane.size, 1e-4)
-    steps = np.zeros(lane.size, dtype=int)
+    # attempted and accepted steps and interpolant fills, per seed
+    steps, accepted, dense = np.zeros((3, lane.size), dtype=int)
     n_cross = np.zeros(lane.size, dtype=int)
     g_prev = watch.values(y)
     hits = [[] for _ in seeds]
     ends = [None] * len(seeds)  # (termination, s, [r, v, angle, w])
 
     while lane.size:
-        steps += 1
+        steps[lane] += 1
         h = np.where(s + h > ctl.max_s, ctl.max_s - s, h)
         k, ok = _stages(f, s, y, h, f0)
         y_new = y + h * _combine(_B, k)
@@ -539,6 +568,7 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
             raise EvaluationError("non-finite state at s=%.17g" % (s[bad][0],))
         err = _error(h, k, y, y_new, ctl)
         accept = ok & (err <= 1.0)
+        accepted[lane[accept]] += 1
         stopped = np.zeros(lane.size, dtype=bool)
 
         if watch.specs:
@@ -549,6 +579,7 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
                    if crossed is not None else ())
             if len(sub):
                 q = _dense_coeffs(f, s[sub], y[:, sub], h[sub], k[..., sub])
+                dense[lane[sub]] += 1
                 located = watch.locate(crossed[sub], s[sub], h[sub],
                                        g_prev[sub], q)
                 for jq, group in itertools.groupby(located, lambda t: t[0]):
@@ -578,7 +609,7 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
 
         failure = ~accept & _underflow(h, s)
         limit = ~stopped & ~failure & (
-            (advance & (s >= ctl.max_s)) | (steps >= _MAX_STEPS))
+            (advance & (s >= ctl.max_s)) | (steps[lane] >= _MAX_STEPS))
         retired = stopped | failure | limit
         if retired.any():
             for j in np.flatnonzero(failure | limit):
@@ -586,16 +617,19 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
                 ends[i] = ("step-failure" if failure[j] else "time-limit",
                            float(s[j]), y[:, j])
             keep = ~retired
-            lane, s, h, err_prev, steps, n_cross, g_prev = (a[keep] for a in (
-                lane, s, h, err_prev, steps, n_cross, g_prev))
+            lane, s, h, err_prev, n_cross, g_prev = (a[keep] for a in (
+                lane, s, h, err_prev, n_cross, g_prev))
             y, f0 = y[:, keep], f0[:, keep]
 
     out = []
-    for seed, lane_hits, (termination, s_end, end) in zip(seeds, hits, ends):
+    nfev = 2 + 12 * steps + 3 * dense  # as in integrate
+    for seed, lane_hits, (termination, s_end, end), *counts in zip(
+            seeds, hits, ends, nfev.tolist(), accepted.tolist(),
+            (steps - accepted).tolist()):
         k = 2 if s_end > 0.0 else 1
         out.append(Trajectory(np.array([0.0, s_end])[:k],
                               np.column_stack([seed.as_array(), end])[:, :k],
-                              lane_hits, termination, seed))
+                              lane_hits, termination, seed, *counts))
     return out
 
 

@@ -148,39 +148,61 @@ def planar(n: int) -> ProblemSpec:
 #
 # Every evaluator accepts scalar or ndarray phi and returns the same shape.
 # The _quantities functions give the regularized W and W'; V and V' follow
-# from W = f V in potential.
+# from W = f V in potential.  A finite Python float phi is evaluated on
+# Python floats with math's sin, cos and sqrt, which give the bits of
+# numpy's float64 loops at a fraction of numpy's per-call cost; the
+# interaction sums over the n polygon terms stay numpy sums, in numpy's
+# summation order.
+
+
+def _xp(x):
+    """The namespace that evaluates at x: math for a finite float, numpy
+    for anything else (an array, or an inf or nan, which math rejects)."""
+    return math if isinstance(x, float) and math.isfinite(x) else np
+
+
+def _sum0(a, xp):
+    """Sum over the leading (interaction) axis of a, as a Python float when
+    xp is math."""
+    total = a.sum(axis=0)
+    return float(total) if xp is math else total
 
 
 def _pyramidal_quantities(p: ProblemSpec, phi):
-    s, c = np.sin(phi), np.cos(phi)
+    xp = _xp(phi)
+    s, c = xp.sin(phi), xp.cos(phi)
     d = 1.0 + (p.n / p.mu) * s * s
-    dm12 = 1.0 / np.sqrt(d)
+    dm12 = 1.0 / xp.sqrt(d)
     w = p.s_n / 4.0 + p.mu * c * dm12
     wp = -(p.n + p.mu) * s * dm12 / d
     return w, wp
 
 
 def _spatial_quantities(p: ProblemSpec, phi):
-    phi = np.asarray(phi, dtype=float)
-    s, c = np.sin(phi), np.cos(phi)
+    xp = _xp(phi)
+    if xp is np:
+        phi = np.asarray(phi, dtype=float)
+    s, c = xp.sin(phi), xp.cos(phi)
     s4 = p.s_n / 4.0
-    ck = p._ck.reshape((-1,) + (1,) * phi.ndim)
+    ck = p._ck.reshape((-1,) + (1,) * getattr(phi, "ndim", 0))
     inv = 1.0 / np.sqrt(1.0 - (ck * c) ** 2)
-    w = s4 + 0.25 * c * inv.sum(axis=0)
-    wp = -0.25 * s * (inv**3).sum(axis=0)
+    w = s4 + 0.25 * c * _sum0(inv, xp)
+    wp = -0.25 * s * _sum0(inv**3, xp)
     return w, wp
 
 
 def _planar_quantities(p: ProblemSpec, phi):
-    phi = np.asarray(phi, dtype=float)
-    s, c = np.sin(phi), np.cos(phi)
+    xp = _xp(phi)
+    if xp is np:
+        phi = np.asarray(phi, dtype=float)
+    s, c = xp.sin(phi), xp.cos(phi)
     s4 = p.s_n / 4.0
-    cl = p._cl.reshape((-1,) + (1,) * phi.ndim)
+    cl = p._cl.reshape((-1,) + (1,) * getattr(phi, "ndim", 0))
     d = 1.0 / np.sqrt(1.0 - 2.0 * s * c * cl)
-    t = d.sum(axis=0)
-    u = (cl * d**3).sum(axis=0)
+    t = _sum0(d, xp)
+    u = _sum0(cl * d**3, xp)
     w = s4 * (s + c) + s * c * t
-    wp = s4 * (c - s) + np.cos(2.0 * phi) * (t + s * c * u)
+    wp = s4 * (c - s) + xp.cos(2.0 * phi) * (t + s * c * u)
     return w, wp
 
 

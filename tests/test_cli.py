@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -120,6 +121,26 @@ def test_exit_64_on_flags_a_subcommand_does_not_read(capsys):
         code, _ = run(argv)
         assert code == 64, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_exit_64_on_unusable_integration_settings(tmp_path, capsys):
+    # rtol, atol and max_s must be finite and greater than 0, from a flag
+    # or a config file; atol 0 used to spend a shot's whole step budget
+    base = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.5",
+            "--param-hi", "0.6", "--grid-points", "3"]
+    path = tmp_path / "cfg.json"
+    cases = [["--atol", "0"], ["--rtol", "-1"], ["--max-s", "-5"],
+             ["--rtol", "nan"], ["--atol", "inf"], ["--max-s", "0"]]
+    for text in ('{"atol": 0}', '{"rtol": -1e-9}', '{"max_s": 0.0}'):
+        path.write_text(text)
+        cases.append(["--config", str(path)])
+    for extra in cases:
+        t0 = time.perf_counter()
+        code, out = run(base + extra)
+        assert code == 64, extra
+        assert out == ""
+        assert "finite and greater than 0" in capsys.readouterr().err, extra
+        assert time.perf_counter() - t0 < 5.0, extra
 
 
 def test_workers_resolution(monkeypatch):

@@ -357,3 +357,53 @@ def test_damped_reverse_field_fuses_field_and_energy(all_problems,
                         lambda p, theta: calls.append(1) or terms(p, theta))
     dyn.damped_reverse_rhs(all_problems[0], states[0].as_array(), 20.0)
     assert len(calls) == 1
+
+
+def _assert_flat_array(a):
+    assert isinstance(a, np.ndarray)
+    assert a.dtype == np.float64 and a.shape == (4,)
+
+
+def test_flat_evaluations_equal_state_and_block_calls(all_problems):
+    # a flat vector runs on Python floats; it must give the bits of the
+    # State-input call and of a (4, 1) block column.  With n >= 8
+    # interaction terms numpy may sum a flat vector's terms pairwise and a
+    # block's row by row, so there the two agree to rounding only
+    rng = np.random.default_rng(8)
+    for p in all_problems:
+        states = (_on_shell_states(p, rng, count=20)
+                  + _off_shell_states(rng, count=20))
+        for st in states:
+            y = st.as_array()
+            col = y[:, None]
+            field = dyn.newcoords_rhs(p, y)
+            res, grad = dyn.energy_gradient(p, y)
+            damped = dyn.damped_reverse_rhs(p, y, 20.0)
+            for a in (field, grad, damped):
+                _assert_flat_array(a)
+            assert np.array_equal(field, dyn.newcoords_rhs(p, st))
+            res_st, grad_st = dyn.energy_gradient(p, st)
+            assert res == res_st and np.array_equal(grad, grad_st)
+            assert np.array_equal(damped, dyn.damped_reverse_rhs(p, st, 20.0))
+            res_col, grad_col = dyn.energy_gradient(p, col)
+            pairs = [(field, dyn.newcoords_rhs(p, col)[:, 0]),
+                     (grad, grad_col[:, 0]),
+                     (np.array([res]), res_col)]
+            for got, want in pairs:
+                if p.n < 8:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-15 * np.abs(want).max())
+
+
+def test_flat_chart_terms_are_python_floats(pyr2, monkeypatch):
+    # the float path must not fall back to numpy scalars
+    seen = []
+    terms = dyn._terms
+    monkeypatch.setattr(dyn, "_terms",
+                        lambda p, theta: seen.append(terms(p, theta))
+                        or seen[-1])
+    dyn.newcoords_rhs(pyr2, np.array([0.1, 0.2, -0.4, 0.3]))
+    assert len(seen) == 1 and len(seen[0]) == 6
+    assert [type(t) for t in seen[0]] == [float] * 6

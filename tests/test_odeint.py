@@ -473,3 +473,55 @@ def test_block_takes_no_dense_sampling():
     with pytest.raises(DomainError):
         oi.integrate_block(_lanes_rhs, _lane_seeds(1),
                            controls=Controls(sample_ds=0.1))
+
+
+def _counting(rhs):
+    """rhs and a one-item list that tallies its evaluations (one per column
+    of a block)."""
+    calls = [0]
+
+    def f(s, y):
+        calls[0] += 1 if y.ndim == 1 else y.shape[1]
+        return rhs(s, y)
+    return f, calls
+
+
+def test_step_counts_match_a_counting_field_on_a_pinned_shot(pyr2):
+    # a pyramidal B(1)-window shot: its steps locate crossings, and at each
+    # sampled run the dense fills cost three more evaluations; both runs
+    # reject a few steps
+    from schubart import orbits as ob
+    seed = ob.seed_state(pyr2, ob.LOCUS_S, 1.1)
+    events = [EventSpec.angle(m * math.pi / 2.0) for m in range(-3, 4)] + [
+        EventSpec.v_zero(), EventSpec.w_zero()]
+    for ctl in (Controls(max_s=30.0, max_angle_crossings=6),
+                Controls(max_s=30.0, sample_ds=0.5)):
+        f, calls = _counting(oi.field_for(pyr2, NEWCOORDS))
+        traj = oi.integrate(f, seed, events, ctl)
+        assert traj.nfev == calls[0]
+        assert traj.n_accept > 100 and traj.n_reject > 0
+        for count in (traj.nfev, traj.n_accept, traj.n_reject):
+            assert type(count) is int
+
+
+def test_step_counts_match_a_counting_field_on_a_block():
+    # three lanes (below the column-wise size, so one call per column):
+    # the event stop, the time limit, and the step failure, whose steps
+    # with a non-finite stage count as rejected
+    seeds = _lane_seeds(1)[1:]
+    f, calls = _counting(_lanes_rhs)
+    block = oi.integrate_block(f, seeds, _LANE_EVENTS, _LANE_CONTROLS)
+    assert [t.termination for t in block] == ["event-stop", "time-limit",
+                                              "step-failure"]
+    assert sum(t.nfev for t in block) == calls[0]
+    assert block[2].n_reject > 0
+    for traj in block:
+        for count in (traj.nfev, traj.n_accept, traj.n_reject):
+            assert type(count) is int
+    # each lane counts what its own run takes
+    for seed, lane in zip(seeds, block):
+        f, calls = _counting(_lanes_rhs)
+        alone = oi.integrate_block(f, [seed], _LANE_EVENTS, _LANE_CONTROLS)[0]
+        assert (lane.nfev, lane.n_accept, lane.n_reject) == (
+            alone.nfev, alone.n_accept, alone.n_reject)
+        assert alone.nfev == calls[0]
