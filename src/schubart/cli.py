@@ -170,15 +170,21 @@ def _csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def _envelope(command: str, cfg: RunConfig, results, t0: float) -> dict:
-    return {
+def _envelope(command: str, cfg: RunConfig, results, t0: float,
+              diagnostics=None) -> dict:
+    """The report: results, preceded by how the run went (its runtime and
+    any diagnostics), which results leave out so that they reproduce."""
+    out = {
         "tool": "schubart",
         "version": __version__,
         "command": command,
         "config": dataclasses.asdict(cfg),
         "runtime_seconds": time.perf_counter() - t0,
-        "results": results,
     }
+    if diagnostics is not None:
+        out["diagnostics"] = diagnostics
+    out["results"] = results
+    return out
 
 
 def _write(text: str, path) -> None:
@@ -302,7 +308,14 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
     if cfg.out is None and cfg.format == "csv":
         _write(_trajectory_csv(orbit), None)
         return 0
-    _write(_json_text(_envelope("orbit", cfg, results, t0)), cfg.out)
+    # the root's evidence of convergence
+    diagnostics = {
+        "bracket": [{"param": p, "residual": f} for p, f in orbit.bracket],
+        "residual_floor": orbit.residual_floor,
+        "root_shots": orbit.root_shots,
+    }
+    _write(_json_text(_envelope("orbit", cfg, results, t0, diagnostics)),
+           cfg.out)
     if cfg.out is not None:
         _write(_trajectory_csv(orbit), Path(cfg.out).with_suffix(".csv"))
     return 0

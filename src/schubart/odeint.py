@@ -68,11 +68,10 @@ _MAX_STEPS = 200000
 _EVENT_TOL = 1e-13
 
 # below this many live lanes the block field is evaluated column by column.
-# One (4, N) block call costs as much as N flat calls at N = 9-10 on
-# pyramidal n=2, at N = 3-4 on spatial n=3 and at N = 2 on planar n=10,
-# whose flat calls still pay numpy's array calls for their interaction
-# sums (2-vCPU Xeon, Python 3.11, numpy 2.4); 8 is near the crossover of
-# pyramidal, which flies most shots
+# One (4, N) block call costs as much as the N flat calls of the column loop
+# at N = 9-10 on pyramidal n=2 and spatial n=3 and at N = 8 on planar n=10
+# (2-vCPU Xeon, Python 3.11, numpy 2.4).  A flat call gives the bits of a
+# block column, so the switch changes the cost of a step, not its values
 _COLUMNWISE_BELOW = 8
 
 # the component of [r, v, angle, w] each event kind watches

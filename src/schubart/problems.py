@@ -105,16 +105,17 @@ class ProblemSpec:
         if self.kind == PLANAR:
             self.phi_a, self.phi_b = 0.0, math.pi / 2.0
             self.chart = QUARTER_CIRCLE
-            # ring-ring interaction angles pi(2k-1)/n, k = 1..n
-            self._cl = np.cos(np.pi * (2.0 * np.arange(1, self.n + 1) - 1.0) / self.n)
         else:
             self.phi_a, self.phi_b = -math.pi / 2.0, math.pi / 2.0
             self.chart = HALF_CIRCLE
-            if self.kind == SPATIAL:
-                # polygon-polygon interaction angles pi(2k-1)/(2n), k = 1..n
-                self._ck = np.cos(
-                    np.pi * (2.0 * np.arange(1, self.n + 1) - 1.0) / (2.0 * self.n)
-                )
+        if self.kind != PYRAMIDAL:
+            # cosines of the ring-ring interaction angles, k = 1..n:
+            # pi(2k-1)/(2n) for the spatial problem, pi(2k-1)/n for the planar
+            per = self.n if self.kind == PLANAR else 2.0 * self.n
+            self._ring_cos = np.cos(
+                np.pi * (2.0 * np.arange(1, self.n + 1) - 1.0) / per
+            )
+            self._ring_cos_list = self._ring_cos.tolist()
 
     @cached_property
     def critical(self) -> "CriticalPointSet":
@@ -150,9 +151,11 @@ def planar(n: int) -> ProblemSpec:
 # The _quantities functions give the regularized W and W'; V and V' follow
 # from W = f V in potential.  A finite Python float phi is evaluated on
 # Python floats with math's sin, cos and sqrt, which give the bits of
-# numpy's float64 loops at a fraction of numpy's per-call cost; the
-# interaction sums over the n polygon terms stay numpy sums, in numpy's
-# summation order.
+# numpy's float64 loops at a fraction of numpy's per-call cost.  The sums
+# over the n ring-ring interaction terms run left to right, in a += loop on
+# floats and row after row over an (n, ...) array (never numpy's pairwise
+# sum), and cubes are products (numpy's array power rounds differently from
+# x * x * x), so a flat evaluation gives the bits of every block column.
 
 
 def _xp(x):
@@ -161,11 +164,27 @@ def _xp(x):
     return math if isinstance(x, float) and math.isfinite(x) else np
 
 
-def _sum0(a, xp):
-    """Sum over the leading (interaction) axis of a, as a Python float when
-    xp is math."""
-    total = a.sum(axis=0)
-    return float(total) if xp is math else total
+def _rows(a):
+    """Sum of a over its leading axis, row after row from the first."""
+    total = a[0] + a[1]
+    for row in a[2:]:
+        total += row
+    return total
+
+
+def _ring_sums(p: ProblemSpec, x, terms, xp):
+    """(sum_k d_k, sum_k e_k) with (d_k, e_k) = terms(a_k, x, sqrt) over the
+    ring-ring interaction cosines a_k, summed left to right; Python floats
+    when xp is math."""
+    if xp is math:
+        t = u = 0.0
+        for a in p._ring_cos_list:
+            d, e = terms(a, x, math.sqrt)
+            t += d
+            u += e
+        return t, u
+    d, e = terms(p._ring_cos.reshape((-1,) + (1,) * np.ndim(x)), x, np.sqrt)
+    return _rows(d), _rows(e)
 
 
 def _pyramidal_quantities(p: ProblemSpec, phi):
@@ -178,17 +197,27 @@ def _pyramidal_quantities(p: ProblemSpec, phi):
     return w, wp
 
 
+def _spatial_terms(a, c, sqrt):
+    # the ring-ring terms of the spatial sums at cos(phi) = c
+    d = 1.0 / sqrt(1.0 - (a * c) * (a * c))
+    return d, d * d * d
+
+
 def _spatial_quantities(p: ProblemSpec, phi):
     xp = _xp(phi)
     if xp is np:
         phi = np.asarray(phi, dtype=float)
     s, c = xp.sin(phi), xp.cos(phi)
-    s4 = p.s_n / 4.0
-    ck = p._ck.reshape((-1,) + (1,) * getattr(phi, "ndim", 0))
-    inv = 1.0 / np.sqrt(1.0 - (ck * c) ** 2)
-    w = s4 + 0.25 * c * _sum0(inv, xp)
-    wp = -0.25 * s * _sum0(inv**3, xp)
+    t, u = _ring_sums(p, c, _spatial_terms, xp)
+    w = p.s_n / 4.0 + 0.25 * c * t
+    wp = -0.25 * s * u
     return w, wp
+
+
+def _planar_terms(a, sc2, sqrt):
+    # the ring-ring terms of the planar sums at 2 sin(phi) cos(phi) = sc2
+    d = 1.0 / sqrt(1.0 - sc2 * a)
+    return d, a * (d * d * d)
 
 
 def _planar_quantities(p: ProblemSpec, phi):
@@ -197,10 +226,7 @@ def _planar_quantities(p: ProblemSpec, phi):
         phi = np.asarray(phi, dtype=float)
     s, c = xp.sin(phi), xp.cos(phi)
     s4 = p.s_n / 4.0
-    cl = p._cl.reshape((-1,) + (1,) * getattr(phi, "ndim", 0))
-    d = 1.0 / np.sqrt(1.0 - 2.0 * s * c * cl)
-    t = _sum0(d, xp)
-    u = _sum0(cl * d**3, xp)
+    t, u = _ring_sums(p, 2.0 * s * c, _planar_terms, xp)
     w = s4 * (s + c) + s * c * t
     wp = s4 * (c - s) + xp.cos(2.0 * phi) * (t + s * c * u)
     return w, wp

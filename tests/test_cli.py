@@ -233,6 +233,28 @@ def test_orbit_report_and_trajectory(tmp_path):
     assert all(b >= a for a, b in zip(t, t[1:])), "physical time monotone"
 
 
+def test_orbit_diagnostics_carry_the_root_evidence():
+    # the root's bracket, noise floor and Brent shots sit next to
+    # runtime_seconds, outside results, and reproduce like results do
+    argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
+            "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
+    _, a = run(argv)
+    _, b = run(argv)
+    strip = lambda s: re.sub(r'"runtime_seconds": [^,]+,', "", s)
+    assert strip(a) == strip(b)
+    report = json.loads(a)
+    assert list(report)[-3:] == ["runtime_seconds", "diagnostics", "results"]
+    diag, res = report["diagnostics"], report["results"]
+    assert set(diag) == {"bracket", "residual_floor", "root_shots"}
+    lo, hi = diag["bracket"]
+    assert 0.4 <= lo["param"] < hi["param"] <= 0.7
+    assert lo["residual"] * hi["residual"] <= 0.0
+    assert res["seed_parameter"] in (lo["param"], hi["param"])
+    assert res["residual"] in (lo["residual"], hi["residual"])
+    assert 0.0 < diag["residual_floor"] < 1e-8
+    assert isinstance(diag["root_shots"], int) and diag["root_shots"] >= 1
+
+
 def test_orbit_builds_only_the_output_it_writes(monkeypatch):
     argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
             "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
@@ -303,6 +325,7 @@ def test_orbit_not_found_exits_3_with_scan():
     assert code == 3
     assert out["results"]["found"] is False
     assert len(out["results"]["scan"]) == 25
+    assert "diagnostics" not in out
 
 
 # -- tables -------------------------------------------------------------------

@@ -9,6 +9,7 @@ from schubart import dynamics as dyn
 from schubart import problems as pr
 from schubart.dynamics import DEVANEY, NEWCOORDS, State
 from schubart.errors import DomainError, TotalCollisionError
+from schubart.odeint import _COLUMNWISE_BELOW, _columnwise
 
 THETA_STAR = {
     "pyr2": 0.4270785863924761,
@@ -366,9 +367,7 @@ def _assert_flat_array(a):
 
 def test_flat_evaluations_equal_state_and_block_calls(all_problems):
     # a flat vector runs on Python floats; it must give the bits of the
-    # State-input call and of a (4, 1) block column.  With n >= 8
-    # interaction terms numpy may sum a flat vector's terms pairwise and a
-    # block's row by row, so there the two agree to rounding only
+    # State-input call and of a (4, 1) block column
     rng = np.random.default_rng(8)
     for p in all_problems:
         states = (_on_shell_states(p, rng, count=20)
@@ -386,24 +385,59 @@ def test_flat_evaluations_equal_state_and_block_calls(all_problems):
             assert res == res_st and np.array_equal(grad, grad_st)
             assert np.array_equal(damped, dyn.damped_reverse_rhs(p, st, 20.0))
             res_col, grad_col = dyn.energy_gradient(p, col)
-            pairs = [(field, dyn.newcoords_rhs(p, col)[:, 0]),
-                     (grad, grad_col[:, 0]),
-                     (np.array([res]), res_col)]
-            for got, want in pairs:
-                if p.n < 8:
-                    assert np.array_equal(got, want)
-                else:
-                    assert np.all(np.abs(got - want)
-                                  <= 1e-15 * np.abs(want).max())
+            assert np.array_equal(field, dyn.newcoords_rhs(p, col)[:, 0])
+            assert np.array_equal(grad, grad_col[:, 0])
+            assert np.array_equal(np.array([res]), res_col)
 
 
-def test_flat_chart_terms_are_python_floats(pyr2, monkeypatch):
+def test_field_is_lane_invariant(all_problems):
+    # a block column must give the bits of its flat call whatever the
+    # number of columns, also past 8 interaction terms, where numpy's own
+    # sums would switch between pairwise and row-by-row order
+    rng = np.random.default_rng(15)
+    for p in all_problems + [pr.spatial(9), pr.planar(17)]:
+        for count in (1, 2, 3, 7, 8, 9, 400):
+            block = np.array([st.as_array()
+                              for st in _off_shell_states(rng, count)]).T
+            field = dyn.newcoords_rhs(p, block)
+            res, grad = dyn.energy_gradient(p, block)
+            for j in range(count):
+                y = block[:, j]
+                assert np.array_equal(field[:, j], dyn.newcoords_rhs(p, y))
+                res_j, grad_j = dyn.energy_gradient(p, y)
+                assert res[j] == res_j and np.array_equal(grad[:, j], grad_j)
+        below = block[:, :_COLUMNWISE_BELOW - 1]
+        rhs = _columnwise(lambda s, y: dyn.newcoords_rhs(p, y))
+        assert np.array_equal(rhs(np.zeros(below.shape[1]), below),
+                              dyn.newcoords_rhs(p, below))
+
+
+def test_flat_chart_terms_are_python_floats(all_problems, monkeypatch):
     # the float path must not fall back to numpy scalars
     seen = []
     terms = dyn._terms
     monkeypatch.setattr(dyn, "_terms",
                         lambda p, theta: seen.append(terms(p, theta))
                         or seen[-1])
-    dyn.newcoords_rhs(pyr2, np.array([0.1, 0.2, -0.4, 0.3]))
-    assert len(seen) == 1 and len(seen[0]) == 6
-    assert [type(t) for t in seen[0]] == [float] * 6
+    for p in all_problems:
+        seen.clear()
+        dyn.newcoords_rhs(p, np.array([0.1, 0.2, -0.4, 0.3]))
+        assert len(seen) == 1 and len(seen[0]) == 6
+        assert [type(t) for t in seen[0]] == [float] * 6
+
+
+def test_float_interaction_sums_run_no_numpy(all_problems, monkeypatch):
+    # no numpy function and no array of interaction cosines on the float
+    # path: the sums must run over the Python floats of _ring_cos_list
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy ufunc on the float path")
+
+    problems = all_problems + [pr.spatial(3), pr.planar(10)]
+    for p in problems:
+        if p.kind != pr.PYRAMIDAL:
+            monkeypatch.setattr(p, "_ring_cos", None)
+    for name in ("sqrt", "sin", "cos", "add", "multiply"):
+        monkeypatch.setattr(np, name, refuse)
+    for p in problems:
+        w, wp = pr._quantities(p, 0.3)
+        assert type(w) is float and type(wp) is float
