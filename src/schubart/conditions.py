@@ -14,6 +14,12 @@ curves:
     g2: drift replaced by the constant bound 4/5, seeded at pi/4;
     g3: true (W'/W), seeded at pi/4 with the same corner value.
 
+Each curve is integrated in u = sqrt(pi/2 - phi), which keeps the arm
+endpoint regular, by the toolkit's own DOP853 (`odeint.integrate` on a
+one-component state, rtol 1e-12, atol 1e-14).  It runs in s = u0 - u
+from s = 0 at the seed to s = u0 at the arm, and is stored at the 513
+points s = k u0 / 512.
+
 The conditions verified here:
 
     N1  W' <= 0 on [0, pi/2)                      (grid evidence)
@@ -30,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 from . import manifolds as mf
 from .errors import (
@@ -39,6 +45,7 @@ from .errors import (
     DomainError,
     ManifoldDepartureError,
 )
+from .odeint import Controls, integrate
 from .problems import (
     HALF_CIRCLE,
     PLANAR,
@@ -143,9 +150,10 @@ def _tt_over_sin(x: float) -> float:
     return x / math.sin(x)
 
 
-def _g_rhs_factory(problem: ProblemSpec, kind: str):
-    """dg/du with u = sqrt(pi/2 - phi); the 2u Jacobian folded into the
-    square root keeps the arm endpoint regular."""
+def _g_rhs_factory(problem: ProblemSpec, kind: str, u0: float):
+    """dg/ds = -dg/du with u = sqrt(pi/2 - phi) = u0 - s, so s runs
+    forward from 0 at the seed to u0 at the arm; the 2u Jacobian folded
+    into the square root keeps the arm endpoint regular."""
     half_pi = math.pi / 2.0
 
     if kind == "g3" or kind == "gamma":
@@ -159,9 +167,9 @@ def _g_rhs_factory(problem: ProblemSpec, kind: str):
         def drift(phi, g, u):
             return 0.0
 
-    def rhs(u, y):
+    def rhs(s, y):
         # on Python floats: the drift's potential then runs on math
-        u, g = float(u), float(y[0])
+        u, g = u0 - float(s), float(y[0])
         usq = u * u
         phi = half_pi - usq
         arg = 2.0 * _tt_over_sin(usq) - usq * g * g
@@ -169,7 +177,7 @@ def _g_rhs_factory(problem: ProblemSpec, kind: str):
             raise ManifoldDepartureError(
                 "square-root argument %r at phi=%r: the comparison state "
                 "left the collision-manifold chart" % (arg, phi))
-        return [-math.sqrt(max(arg, 0.0)) + drift(phi, g, u)]
+        return [math.sqrt(max(arg, 0.0)) - drift(phi, g, u)]
 
     return rhs
 
@@ -199,20 +207,22 @@ def _g_initial(problem: ProblemSpec, kind: str):
 
 
 def integrate_g(problem: ProblemSpec, kind: str) -> GComparisonResult:
-    """Integrate one comparison curve from its seed to phi = pi/2."""
+    """Integrate one comparison curve from its seed to phi = pi/2, on the
+    toolkit's DOP853 at rtol 1e-12 and atol 1e-14, sampled at 513 points
+    evenly spaced in u."""
     if kind not in G_KINDS:
         raise DomainError("unknown comparison kind %r" % (kind,))
     phi0, g0 = _g_initial(problem, kind)
     u0 = math.sqrt(math.pi / 2.0 - phi0)
-    rhs = _g_rhs_factory(problem, kind)
-    grid = np.linspace(u0, 0.0, 513)
-    sol = solve_ivp(rhs, (u0, 0.0), [g0], t_eval=grid, rtol=1e-12,
-                    atol=1e-14, method="RK45")
-    if not sol.success:
+    traj = integrate(_g_rhs_factory(problem, kind, u0), [g0],
+                     controls=Controls(rtol=1e-12, atol=1e-14, max_s=u0,
+                                       sample_ds=u0 / 512.0))
+    if traj.termination != "time-limit":
         raise ManifoldDepartureError(
-            "comparison integration failed: %s" % (sol.message,))
-    phis = math.pi / 2.0 - sol.t**2
-    gs = sol.y[0]
+            "comparison integration ended by %s at phi=%r"
+            % (traj.termination, math.pi / 2.0 - (u0 - traj.end_s) ** 2))
+    phis = math.pi / 2.0 - (u0 - traj.s) ** 2
+    gs = traj.y[0]
     return GComparisonResult(kind=kind, endpoint_phi=float(phis[-1]),
                              endpoint_g=float(gs[-1]), phis=phis, gs=gs)
 

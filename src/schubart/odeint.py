@@ -11,8 +11,9 @@ _EVENT_TOL in rescaled time.  The interpolant costs three more field
 evaluations, made only on steps that have a sign change or a dense
 sample.
 
-`integrate` runs one seed and records its samples as the columns of a
-(4, k) array; `integrate_block` runs a family of seeds in lockstep as the
+`integrate` runs one seed, a State or a flat array, and records its
+samples as the columns of a (4, k) array ((d, k) for a flat seed of
+length d); `integrate_block` runs a family of seeds in lockstep as the
 columns of a (4, N) block, each lane with its own step size, controller
 memory, events and termination, and records only where each lane started
 and ended.  Both call the same step, controller and event-location
@@ -136,12 +137,14 @@ class EventHit:
 @dataclass
 class Trajectory:
     """Integration output: the sample positions s (k,) and the states there
-    as the [r, v, angle, w] columns of y (4, k), in the chart of the seed
-    State; the localized events; and how the run ended
-    (event-stop | time-limit | step-failure | crossing-cap); the field
-    evaluations it took, its accepted steps and its rejected ones (a step
-    with a non-finite stage counts as rejected).  Iterating gives
-    (s, State) pairs, each State built when it is read."""
+    as the columns of y (d, k), [r, v, angle, w] in the chart of a State
+    seed; the localized events; and how the run ended
+    (event-stop | time-limit | step-failure | crossing-cap); the seed, a
+    State or the flat array it was given as; the field evaluations the run
+    took, its accepted steps and its rejected ones (a step with a
+    non-finite stage counts as rejected).  For a State seed, iterating
+    gives (s, State) pairs, each State built when it is read, and
+    end_state the last one."""
 
     s: np.ndarray
     y: np.ndarray
@@ -399,27 +402,34 @@ def _record(specs, located, state_at, hits, n_cross, cap):
     return None, None, n_cross
 
 
-def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
-    """Integrate dy/ds = rhs(s, y) from the seed state.
+def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
+    """Integrate dy/ds = rhs(s, y) from s = 0 at the seed.
 
-    rhs operates on the flat vector [r, v, angle, w].  Events are localized
-    on the dense interpolant of each accepted step; a stop event truncates.
-    Termination is "time-limit" when max_s (or the step budget) is reached,
-    "step-failure" when the step size underflows, "crossing-cap" when
-    max_angle_crossings angle events have fired, "event-stop" otherwise.
+    The seed is a State, and rhs operates on its flat vector [r, v, angle,
+    w]; or a flat (d,) array of any length d, which runs without events.
+    Events are localized on the dense interpolant of each accepted step; a
+    stop event truncates.  With sample_ds set, the samples are the seed,
+    the interpolant at every k sample_ds (k = 1, 2, ...) strictly before
+    the run's end, and the end state; without it, the seed and every
+    accepted step's end state.  Termination is "time-limit" when max_s (or
+    the step budget) is reached, "step-failure" when the step size
+    underflows, "crossing-cap" when max_angle_crossings angle events have
+    fired, "event-stop" otherwise.
     """
     ctl = controls or Controls()
     watch = _Watch(events)
-    y = seed.as_array()
+    y = (seed.as_array() if isinstance(seed, State)
+         else np.array(seed, dtype=float))
     s = 0.0
     f0 = np.asarray(rhs(s, y), dtype=float)
     if not np.all(np.isfinite(f0)):
         raise EvaluationError("non-finite field at the seed state")
 
-    # the sample positions, and the states there as (4, m) column blocks
+    # the sample positions, and the states there as (d, m) column blocks
     s_out, y_out = [0.0], [y[:, None]]
     hits = []
-    next_sample = ctl.sample_ds if ctl.sample_ds else None
+    # the index k of the next grid point k sample_ds
+    k_sample = 1 if ctl.sample_ds else None
 
     h = float(_initial_step(rhs, s, y, f0, ctl.rtol, ctl.atol, ctl.max_s))
     err_prev = 1e-4
@@ -460,12 +470,15 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
         # accepted; the interpolant only for a sign change or a sample
         n_accept += 1
         s_new = s + h
+        # grid points lie strictly before the step's end (and max_s), so
+        # the run's last column is a step's own end state
+        reach = min(s_new, ctl.max_s)
         stop_at = crossed = None
         if watch.specs:
             g_old, g_prev = g_prev, watch.values(y_new)
             crossed = watch.crossed(g_old, g_prev)
-        if crossed is not None or (next_sample is not None
-                                   and next_sample <= s_new):
+        if crossed is not None or (k_sample is not None
+                                   and k_sample * ctl.sample_ds < reach):
             q = _dense_coeffs(rhs, s, y, h, k)
             n_dense += 1
         if crossed is not None:
@@ -476,13 +489,14 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
                 lambda t: seed.with_array(_interpolate(y, h, q, (t - s) / h)),
                 hits, n_cross, ctl.max_angle_crossings)
 
-        if next_sample is not None:
+        if k_sample is not None:
             # the grid points of this step, short of a stop
+            if stop_at is not None:
+                reach = min(reach, stop_at)
             grid = []
-            while next_sample <= s_new and (stop_at is None
-                                            or next_sample < stop_at):
-                grid.append(next_sample)
-                next_sample += ctl.sample_ds
+            while k_sample * ctl.sample_ds < reach:
+                grid.append(k_sample * ctl.sample_ds)
+                k_sample += 1
             if grid:
                 s_out += grid
                 y_out.append(_interpolate(y[:, None], h, q[..., None],
@@ -492,7 +506,7 @@ def integrate(rhs, seed: State, events=(), controls=None) -> Trajectory:
             y_out.append(hits[-1].state.as_array()[:, None])
             termination = stop_kind
             break
-        if next_sample is None:
+        if k_sample is None:
             s_out.append(s_new)
             y_out.append(y_new[:, None])
 

@@ -47,7 +47,7 @@ def test_g3_endpoints_frozen(kind, n):
     res = cond.integrate_g(_make(kind, n), "g3")
     assert res.kind == "g3"
     assert abs(res.endpoint_phi - math.pi / 2.0) < 1e-12
-    assert abs(res.endpoint_g - G3_ENDPOINTS[kind, n]) < 1e-8
+    assert abs(res.endpoint_g - G3_ENDPOINTS[kind, n]) < 2.5e-10
 
 
 def test_g1_matches_exact_solution(pyr2):
@@ -129,11 +129,16 @@ def test_unknown_kind_rejected(pyr2):
         cond.integrate_g(pyr2, "g4")
 
 
-def test_curve_is_stored(pyr2):
-    res = cond.integrate_g(pyr2, "g3")
+@pytest.mark.parametrize("kind", cond.G_KINDS)
+def test_curve_is_stored(pyr2, kind):
+    # 513 samples from the seed angle up to the arm, the last one its end
+    res = cond.integrate_g(pyr2, kind)
     assert res.phis.shape == res.gs.shape
     assert len(res.phis) == 513
     assert np.all(np.diff(res.phis) > 0)
+    seed_phi, _ = cond._g_initial(pyr2, kind)
+    assert abs(res.phis[0] - seed_phi) < 1e-12
+    assert abs(res.phis[-1] - math.pi / 2.0) < 1e-12
 
 
 # -- elliptic integrals --------------------------------------------------------

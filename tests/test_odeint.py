@@ -53,6 +53,25 @@ def test_dense_sampling_grid():
     assert np.array_equal(traj.end_state.as_array(), y[:, -1])
 
 
+def test_flat_seed_samples_on_an_exact_grid():
+    # a flat (2,) seed; samples at k sample_ds for k < 512, then the end
+    # state, which is the end state of the same run without samples
+    def rhs(s, y):
+        return np.array([-y[1], y[0]])
+
+    end = 2.0 * math.pi
+    bare = oi.integrate(rhs, np.array([1.0, 0.0]),
+                        controls=Controls(rtol=1e-10, atol=1e-14, max_s=end))
+    traj = oi.integrate(rhs, [1.0, 0.0], controls=Controls(
+        rtol=1e-10, atol=1e-14, max_s=end, sample_ds=end / 512.0))
+    assert traj.y.shape == (2, 513)
+    assert np.array_equal(traj.s[:-1], np.arange(512) * (end / 512.0))
+    assert traj.s[-1] == bare.s[-1] == end
+    assert np.array_equal(traj.y[:, -1], bare.y[:, -1])
+    assert (traj.termination, traj.n_accept) == ("time-limit", bare.n_accept)
+    assert np.max(np.abs(traj.y[0] - np.cos(traj.s))) < 1e-9
+
+
 def test_dop853_tableau_is_consistent():
     # 12 stages, the solution weights as stage 12 (FSAL) at the step end,
     # then the three dense-output stages, each built from earlier stages

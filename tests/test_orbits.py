@@ -319,6 +319,18 @@ def test_fundamental_segment_is_flown_on_first_read(pyr2, monkeypatch):
     assert len(sample_ds) == n + 1
 
 
+@pytest.mark.parametrize("key,spec,lo,hi", [
+    (("pyr", "B", 0), ob.FamilySpec("B", 0), 0.4, 0.7),
+    (("pyr", "Z1", 1), ob.FamilySpec("Z1", 1), -2.66, -2.56)],
+    ids=["B0", "Z1_1"])
+def test_fundamental_samples_lie_on_an_exact_grid(pyr2, key, spec, lo, hi):
+    # 511 interior samples at k tau/512 and the end state at tau: no
+    # near-duplicate of the end for the reconstruction to mirror
+    fund = _found(pyr2, key, spec, lo, hi).fundamental
+    assert len(fund.s) == 513
+    assert np.all(np.abs(np.diff(fund.s) - fund.end_s / 512.0) <= 1e-12)
+
+
 def test_lazy_segment_equals_an_eager_flight(pyr2, b0):
     recipe = ob._recipe_for(b0.family)
     tau = b0.full_period_s / 4.0
