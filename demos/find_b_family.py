@@ -35,7 +35,7 @@ def main():
             lo, hi = WINDOWS[k]
             search = {"param_lo": lo, "param_hi": hi, "grid_points": 9}
         orbit = ob.find_orbit(problem, spec, search)
-        checks = ob.verify_periodicity(problem, orbit)
+        checks = ob.verify_periodicity(orbit)
         print("%-6s r0 = %.12f  period(s) = %.6f  residual %.1e  "
               "closure %.1e"
               % (spec, orbit.seed_parameter, orbit.full_period_s,

@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -57,24 +56,10 @@ class RunConfig:
     grid_points: int = None
     param_lo: float = None
     param_hi: float = None
-    workers: int = None
     # condition comparison level (None -> module default)
     beta: float = None
     out: str = None
     format: str = "json"
-
-
-def _resolved_workers(cfg: RunConfig) -> int:
-    """The validated worker count.  The scan runs as one lockstep block, so
-    nothing reads it; it is kept so existing configs and scripts run."""
-    raw = cfg.workers
-    if raw is None:
-        raw = os.environ.get("SCHUBART_WORKERS") or os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except (TypeError, ValueError):
-        raise DomainError("workers (--workers, config or SCHUBART_WORKERS) "
-                          "must be an integer, got %r" % (raw,)) from None
 
 
 def build_config(args) -> RunConfig:
@@ -273,7 +258,6 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     spec = _family_spec(args)
     problem = _problem(cfg)
-    _resolved_workers(cfg)
     controls = Controls(rtol=cfg.rtol, atol=cfg.atol, max_s=cfg.max_s)
     try:
         orbit = orbits.find_orbit(problem, spec, _search_overrides(cfg),
@@ -289,7 +273,7 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
         }
         _write(_json_text(_envelope("orbit", cfg, results, t0)), cfg.out)
         return 3
-    checks = orbits.verify_periodicity(problem, orbit, controls)
+    checks = orbits.verify_periodicity(orbit)
     seed = orbit.seed
     results = {
         "family": str(spec),
@@ -330,14 +314,12 @@ def _table_g3(cfg):
 
 
 def _table_sn(cfg):
-    rows = []
-    for n in sorted({cfg.n}):
-        s_n = problems.csc_sum(n)
-        approx = problems.csc_sum_asymptotic(n)
-        rows.append({"n": n, "S_n": s_n, "S_n_over_4": s_n / 4.0,
-                     "asymptotic": approx,
-                     "rel_error": abs(approx - s_n / 4.0) / (s_n / 4.0)})
-    return rows, ["n", "S_n", "S_n_over_4", "asymptotic", "rel_error"]
+    s_n = problems.csc_sum(cfg.n)
+    approx = problems.csc_sum_asymptotic(cfg.n)
+    row = {"n": cfg.n, "S_n": s_n, "S_n_over_4": s_n / 4.0,
+           "asymptotic": approx,
+           "rel_error": abs(approx - s_n / 4.0) / (s_n / 4.0)}
+    return [row], ["n", "S_n", "S_n_over_4", "asymptotic", "rel_error"]
 
 
 def _table_sweep(cfg, args):
@@ -434,9 +416,8 @@ def make_parser() -> _Parser:
     p.add_argument("--param-lo", dest="param_lo", type=float)
     p.add_argument("--param-hi", dest="param_hi", type=float)
     p.add_argument("--workers", type=int,
-                   help="accepted and checked for compatibility; the scan "
-                   "runs as one lockstep block (default: SCHUBART_WORKERS "
-                   "or cores)")
+                   help="accepted and ignored; the scan runs as one "
+                   "lockstep block")
     p.set_defaults(func=cmd_orbit)
 
     p = subs.add_parser("table", help="reference tables")

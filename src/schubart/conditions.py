@@ -380,13 +380,9 @@ def check_condition(problem: ProblemSpec, which: str,
     raise DomainError("unknown condition %r" % (which,))
 
 
-def condition_report(problem: ProblemSpec, beta: float = None,
-                     skip: tuple = ()) -> ConditionReport:
-    """All five condition entries; skip names to avoid their cost."""
-    entries = {}
-    for name in CONDITION_NAMES:
-        if name in skip:
-            entries[name] = _entry("not-applicable", [], "skipped by request")
-            continue
-        entries[name] = check_condition(problem, name, beta=beta)
+def condition_report(problem: ProblemSpec,
+                     beta: float = None) -> ConditionReport:
+    """All five condition entries."""
+    entries = {name: check_condition(problem, name, beta=beta)
+               for name in CONDITION_NAMES}
     return ConditionReport(problem=problem, entries=entries)

@@ -113,7 +113,7 @@ class PeriodicOrbit:
     """A found orbit.  Its sampled fundamental segment and the full period
     reconstructed from it are flown on first read: `flight` holds the
     problem, the recipe's prescribed lines and the controls of that
-    flight."""
+    flight, whose problem, rtol and atol verify_periodicity reuses."""
 
     family: FamilySpec
     seed: State
@@ -526,9 +526,9 @@ def _reconstruct_and_wrap(problem, spec, recipe, rec, bracket,
 
 
 def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
-               controls: Controls = None, exhaustive: bool = False):
+               controls: Controls = None) -> PeriodicOrbit:
     """Scan the seed parameter, bracket the sign change of the terminal
-    residual under the family's prescribed signature, and refine each
+    residual under the family's prescribed signature, and refine the first
     bracket by Brent's method down to the residual's noise floor (see
     _refine).
 
@@ -539,12 +539,11 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     (default: rtol 1e-11, atol 1e-12, max_s SHOT_MAX_S); the segment runs
     to the found terminal's s.
 
-    Returns the first orbit found, or every bracket's orbit as a list when
-    exhaustive is set.  Raises DomainError for an empty search window, a
-    non-positive S-locus size or fewer than two grid points,
-    OrbitNotFoundError (carrying the scan table) when no bracket matches,
-    and its subclass AmbiguousBracketError (carrying the scan table too)
-    when a bracket gives no root even after one local re-scan.
+    Returns the orbit of the first bracket.  Raises DomainError for an
+    empty search window, a non-positive S-locus size or fewer than two grid
+    points, OrbitNotFoundError (carrying the scan table) when no bracket
+    matches, and its subclass AmbiguousBracketError (carrying the scan
+    table too) when the bracket gives no root even after one local re-scan.
     """
     recipe = replace(_recipe_for(family), controls=_controls(controls))
     cfg = dict(_default_search(problem, recipe))
@@ -566,17 +565,12 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
             "no %s bracket for %s in [%g, %g] over %d seeds"
             % (family, problem.kind, lo, hi, len(params)), scan=rows)
 
-    found = []
-    for a, b in brackets:
-        try:
-            root = _root_in(problem, recipe, a, b)
-        except AmbiguousBracketError as err:
-            err.scan = rows
-            raise
-        found.append(_reconstruct_and_wrap(problem, family, recipe, *root))
-        if not exhaustive:
-            return found[0]
-    return found
+    try:
+        root = _root_in(problem, recipe, *brackets[0])
+    except AmbiguousBracketError as err:
+        err.scan = rows
+        raise
+    return _reconstruct_and_wrap(problem, family, recipe, *root)
 
 
 # -- reconstruction and verification -------------------------------------------
@@ -612,17 +606,17 @@ def reconstruct_full(orbit: PeriodicOrbit) -> Trajectory:
     return Trajectory(s, y, [], "reconstructed", fund.seed)
 
 
-def verify_periodicity(problem: ProblemSpec, orbit: PeriodicOrbit,
-                       controls: Controls = None) -> dict:
-    """Re-integrate the seed over one full period in a single pass, at the
-    rtol and atol of controls (default 1e-11, 1e-12).
+def verify_periodicity(orbit: PeriodicOrbit) -> dict:
+    """Re-integrate the seed over one full period in a single pass, on the
+    problem and at the rtol and atol of the search that found the orbit
+    (its flight).
 
     closure_error is the largest coordinate gap to the seed, with theta
     compared modulo the 2 pi cover period; energy_drift is the largest
     energy residual over the run's samples, taken as one array.
     """
+    problem, _, ctl = orbit.flight
     period = orbit.full_period_s
-    ctl = _controls(controls)
     ctl = Controls(rtol=ctl.rtol, atol=ctl.atol, max_s=period,
                    sample_ds=period / 1024.0)
     traj = integrate(field_for(problem, NEWCOORDS), orbit.seed, (), ctl)

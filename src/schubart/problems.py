@@ -253,27 +253,22 @@ def shape_fprime(p: ProblemSpec, phi):
     return np.cos(2.0 * phi)
 
 
-_QUANTITY_ALIASES = {
-    "V": "V", "V'": "V'", "Vp": "V'", "V′": "V'",
-    "W": "W", "W'": "W'", "Wp": "W'", "W′": "W'",
-    "f": "f", "F": "F",
-}
+_QUANTITIES = ("V", "V'", "W", "W'", "f", "F")
 
 
 def potential(p: ProblemSpec, phi, quantity: str):
     """Evaluate one of V, V', f, W, W', F = f/sqrt(W) at shape angle phi."""
-    q = _QUANTITY_ALIASES.get(quantity)
-    if q is None:
+    if quantity not in _QUANTITIES:
         raise DomainError("unknown potential quantity %r" % (quantity,))
-    if q == "f":
+    if quantity == "f":
         out = shape_f(p, phi)
     else:
         w, wp = _quantities(p, phi)
-        if q == "W":
+        if quantity == "W":
             out = w
-        elif q == "W'":
+        elif quantity == "W'":
             out = wp
-        elif q == "F":
+        elif quantity == "F":
             out = shape_f(p, phi) / np.sqrt(w)
         else:
             # V = W / f and V' = (W' - f' V) / f blow up at the arms, where
@@ -281,7 +276,7 @@ def potential(p: ProblemSpec, phi, quantity: str):
             f = shape_f(p, phi)
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = w / f
-                if q == "V'":
+                if quantity == "V'":
                     out = (wp - shape_fprime(p, phi) * out) / f
     if np.ndim(phi) == 0:
         return float(out)

@@ -81,10 +81,14 @@ def test_criterion_03_g2_endpoint(report):
 
 def test_criterion_04_g1_against_closed_form(report):
     res = cond.integrate_g(pr.pyramidal(2), "g1")
-    exact = -np.sqrt(2.0 * np.clip(np.cos(res.phis), 0.0, None))
+    # the closed form -sqrt(2 cos phi) in u = sqrt(pi/2 - phi): at the arm
+    # sample phi = fl(pi/2) it reads 0, where cos reads 6.1e-17
+    u = np.sqrt(np.pi / 2.0 - res.phis)
+    exact = -np.sqrt(2.0 * np.sin(u ** 2))
     sup = float(np.max(np.abs(res.gs - exact)))
     ok = sup <= 1e-6
-    detail = "g1 sup-error vs -sqrt(2 cos phi) = %.3g (tol 1e-6)" % sup
+    detail = ("g1 sup-error vs -sqrt(2 sin u^2), u = sqrt(pi/2 - phi): "
+              "%.3g (tol 1e-6)" % sup)
     assert report(4, ok, detail), detail
 
 
@@ -206,7 +210,7 @@ def test_criterion_11_orbit_existence(report):
                          % (tag, len(matched), len(err.scan)))
             ok = False
             continue
-        checks = ob.verify_periodicity(problem, orbit)
+        checks = ob.verify_periodicity(orbit)
         good = (orbit.residual <= 1e-8
                 and checks["closure_error"] <= 1e-6
                 and checks["energy_drift"] <= 1e-8)

@@ -10,7 +10,6 @@ import pytest
 
 import schubart.cli as cli
 from schubart import __version__
-from schubart.errors import DomainError
 
 
 def run(argv):
@@ -92,13 +91,14 @@ def test_config_file_and_flag_override(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    # unknown keys, malformed JSON, a non-object top level and values of
-    # the wrong type for their RunConfig field or outside its flag's choices
+    # unknown keys (workers is an orbit flag only, not a RunConfig field),
+    # malformed JSON, a non-object top level and values of the wrong type
+    # for their RunConfig field or outside its flag's choices
     for text in ('{"problem": "pyramidal", "n_bodies": 4}', '{"seed": 1}',
                  '{"n": 4', '[1, 2]', '{"rtol": "1e-9"}', '{"mu": "2"}',
                  '{"n": null}', '{"n": true}', '{"n": 4.0}',
                  '{"problem": 3}', '{"format": "xml"}',
-                 '{"problem": "torus"}'):
+                 '{"problem": "torus"}', '{"workers": 1}'):
         path.write_text(text)
         code, _ = run(["conditions", "--config", str(path)])
         assert code == 64, text
@@ -141,19 +141,6 @@ def test_exit_64_on_unusable_integration_settings(tmp_path, capsys):
         assert out == ""
         assert "finite and greater than 0" in capsys.readouterr().err, extra
         assert time.perf_counter() - t0 < 5.0, extra
-
-
-def test_workers_resolution(monkeypatch):
-    monkeypatch.setenv("SCHUBART_WORKERS", "3")
-    assert cli._resolved_workers(cli.RunConfig()) == 3
-    assert cli._resolved_workers(cli.RunConfig(workers=2)) == 2
-    monkeypatch.delenv("SCHUBART_WORKERS")
-    assert cli._resolved_workers(cli.RunConfig()) >= 1
-    monkeypatch.setenv("SCHUBART_WORKERS", "two")
-    with pytest.raises(DomainError):
-        cli._resolved_workers(cli.RunConfig())
-    code, _ = run(["orbit", "--family", "B", "--k", "0"])
-    assert code == 64
 
 
 # -- determinism --------------------------------------------------------------
@@ -214,8 +201,7 @@ def test_orbit_report_and_trajectory(tmp_path):
     out = tmp_path / "b0.json"
     code, _ = run(["orbit", "--family", "B", "--k", "0",
                    "--param-lo", "0.4", "--param-hi", "0.7",
-                   "--grid-points", "9", "--workers", "1",
-                   "--out", str(out)])
+                   "--grid-points", "9", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     res = report["results"]
@@ -237,7 +223,7 @@ def test_orbit_diagnostics_carry_the_root_evidence():
     # the root's bracket, noise floor and Brent shots sit next to
     # runtime_seconds, outside results, and reproduce like results do
     argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
-            "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
+            "--param-hi", "0.7", "--grid-points", "9"]
     _, a = run(argv)
     _, b = run(argv)
     strip = lambda s: re.sub(r'"runtime_seconds": [^,]+,', "", s)
@@ -257,7 +243,7 @@ def test_orbit_diagnostics_carry_the_root_evidence():
 
 def test_orbit_builds_only_the_output_it_writes(monkeypatch):
     argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
-            "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
+            "--param-hi", "0.7", "--grid-points", "9"]
 
     def refuse(*args):
         raise AssertionError("built an output that is not written")
@@ -271,11 +257,25 @@ def test_orbit_builds_only_the_output_it_writes(monkeypatch):
     assert code == 0 and text.startswith("s,t,r,v,theta,w\n")
 
 
+def test_orbit_accepts_and_ignores_workers(monkeypatch):
+    # --workers stays an orbit flag for existing command lines; neither it
+    # nor SCHUBART_WORKERS changes a byte of the report outside its runtime
+    argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
+            "--param-hi", "0.7", "--grid-points", "9"]
+    monkeypatch.setenv("SCHUBART_WORKERS", "two")
+    code, a = run(argv)
+    code2, b = run(argv + ["--workers", "2"])
+    assert code == code2 == 0
+    strip = lambda s: re.sub(r'"runtime_seconds": [^,]+,', "", s)
+    assert strip(a) == strip(b)
+    assert "workers" not in json.loads(b)["config"]
+
+
 def test_orbit_runs_the_echoed_integration_settings():
     # --rtol, --atol and --max-s are echoed in config; each must also change
     # what the search computes
     base = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
-            "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
+            "--param-hi", "0.7", "--grid-points", "9"]
     code, ref = run_json(base)
     assert code == 0
     for flag, value, key in (("--rtol", "1e-6", "rtol"),
@@ -312,8 +312,7 @@ def test_exit_64_on_bad_search_window(capsys):
     for window in (["--param-lo", "0.7", "--param-hi", "0.4"],
                    ["--param-lo", "0"], ["--grid-points", "-3"],
                    ["--grid-points", "0"], ["--grid-points", "1"]):
-        code, _ = run(["orbit", "--family", "B", "--k", "0",
-                       "--workers", "1"] + window)
+        code, _ = run(["orbit", "--family", "B", "--k", "0"] + window)
         assert code == 64
         assert capsys.readouterr().err.startswith("error: search window")
 
@@ -321,7 +320,7 @@ def test_exit_64_on_bad_search_window(capsys):
 def test_orbit_not_found_exits_3_with_scan():
     code, out = run_json(["orbit", "--problem", "planar", "--n", "10",
                           "--family", "Z1", "--k", "0",
-                          "--grid-points", "25", "--workers", "1"])
+                          "--grid-points", "25"])
     assert code == 3
     assert out["results"]["found"] is False
     assert len(out["results"]["scan"]) == 25

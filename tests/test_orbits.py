@@ -171,7 +171,7 @@ def test_family_roots(request, which, spec, lo, hi, segment):
     factor = 4.0 if segment == "quarter" else 2.0
     assert abs(orb.full_period_s
                - factor * orb.fundamental.end_s) < 1e-12
-    got = ob.verify_periodicity(problem, orb)
+    got = ob.verify_periodicity(orb)
     max_r = orb.reconstructed.y[0].max()
     assert got["closure_error"] <= 1e-6
     assert got["energy_drift"] <= 1e-8 * (1.0 + max_r)
@@ -184,7 +184,7 @@ def test_energy_drift_is_the_largest_sample_residual(b0, pyr2):
     traj = integrate(field_for(pyr2, NEWCOORDS), b0.seed, (), Controls(
         max_s=period, sample_ds=period / 1024.0))
     want = max(abs(dyn.energy_residual(pyr2, st)) for _, st in traj)
-    got = ob.verify_periodicity(pyr2, b0)["energy_drift"]
+    got = ob.verify_periodicity(b0)["energy_drift"]
     assert abs(got - want) <= 1e-15
 
 
@@ -352,7 +352,7 @@ def test_lazy_segment_equals_an_eager_flight(pyr2, b0):
 def test_perturbed_seed_breaks_closure(pyr2, b0):
     fake = replace(
         b0, seed=ob.seed_state(pyr2, ob.LOCUS_S, b0.seed_parameter + 1e-3))
-    got = ob.verify_periodicity(pyr2, fake)
+    got = ob.verify_periodicity(fake)
     assert got["closure_error"] > 1e-4
 
 
@@ -369,14 +369,6 @@ def test_Z1_0_not_found_for_pyr2(pyr2):
     matched = [r for r in rows if r[1] == "matched"]
     assert matched, "scan should reach the brake line somewhere"
     assert all(r[3] < 0.0 for r in matched)
-
-
-def test_exhaustive_returns_list(pyr2):
-    got = ob.find_orbit(pyr2, ob.FamilySpec("B", 0),
-                        {"param_lo": 0.4, "param_hi": 0.7, "grid_points": 9},
-                        exhaustive=True)
-    assert isinstance(got, list) and len(got) >= 1
-    assert abs(got[0].seed_parameter - ROOTS[("pyr", "B", 0)]) < 1e-8
 
 
 def _misclassify(monkeypatch, faulty):
