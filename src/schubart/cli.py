@@ -409,8 +409,9 @@ def make_parser() -> _Parser:
     p.add_argument("--rtol", type=float)
     p.add_argument("--atol", type=float)
     p.add_argument("--max-s", dest="max_s", type=float)
-    p.add_argument("--k", type=int, help="index for B/Z1")
-    p.add_argument("--i", type=int)
+    index = p.add_mutually_exclusive_group()
+    index.add_argument("--k", type=int, help="index for B/Z1")
+    index.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--grid-points", dest="grid_points", type=int)
     p.add_argument("--param-lo", dest="param_lo", type=float)

@@ -280,7 +280,7 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
     s_prev = -1.0
     for name, target in chain:
         nxt = next((h for h in hits
-                    if h.spec.theta == target and h.s > s_prev), None)
+                    if h.spec.level == target and h.s > s_prev), None)
         if nxt is None:
             break
         landmarks[name] = nxt.state.v

@@ -83,21 +83,21 @@ _COMPONENT = {"angle-crossing": 2, "v-zero": 1, "w-zero": 3, "r-exceeds": 0}
 class EventSpec:
     """One monitored scalar condition along a trajectory.
 
-    kind selects the event function; theta is the target line for
-    angle-crossing, threshold the level for r-exceeds.
-    direction filters by the sign of the event function's derivative at the
-    crossing (0 accepts both).  action "stop" truncates the trajectory.
+    kind selects the watched component; level is the value it crosses:
+    the target line for angle-crossing, the size for r-exceeds, 0 for the
+    v and w zeros.  direction filters by the sign of the event function's
+    derivative at the crossing (0 accepts both).  action "stop" truncates
+    the trajectory.
     """
 
     kind: str
     action: str = "record"
-    theta: float = 0.0
+    level: float = 0.0
     direction: int = 0
-    threshold: float = 0.0
 
     @staticmethod
     def angle(theta, direction=0, action="record"):
-        return EventSpec("angle-crossing", action, theta=theta, direction=direction)
+        return EventSpec("angle-crossing", action, level=theta, direction=direction)
 
     @staticmethod
     def v_zero(action="record", direction=0):
@@ -109,18 +109,14 @@ class EventSpec:
 
     @staticmethod
     def r_exceeds(threshold, action="stop"):
-        return EventSpec("r-exceeds", action, threshold=threshold, direction=1)
+        return EventSpec("r-exceeds", action, level=threshold, direction=1)
 
     def _watched(self):
         """(component of [r, v, angle, w], level): the event function is
         y[component] - level."""
         if self.kind not in _COMPONENT:
             raise DomainError("unknown event kind %r" % (self.kind,))
-        if self.kind == "angle-crossing":
-            return _COMPONENT[self.kind], self.theta
-        if self.kind == "r-exceeds":
-            return _COMPONENT[self.kind], self.threshold
-        return _COMPONENT[self.kind], 0.0
+        return _COMPONENT[self.kind], self.level
 
 
 @dataclass
@@ -177,11 +173,18 @@ class Controls:
     max_angle_crossings: int = None  # truncate at the Nth angle-crossing hit
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "max_s"):
+        for name in ("rtol", "atol", "max_s", "sample_ds"):
             value = getattr(self, name)
+            if name == "sample_ds" and value is None:
+                continue
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError("%s must be finite and greater than 0, got"
                                   " %r" % (name, value))
+        cap = self.max_angle_crossings
+        if cap is not None and (isinstance(cap, bool)
+                                or not isinstance(cap, int) or cap < 1):
+            raise DomainError("max_angle_crossings must be an int >= 1, got"
+                              " %r" % (cap,))
 
 
 def _rms_norm(x, scale):

@@ -84,30 +84,6 @@ class FamilySpec:
         return "%s(%d,%d)" % (self.family, self.i, self.j)
 
 
-@dataclass(frozen=True)
-class CrossingSignature:
-    """Ordered crossing record: ("euler"|"partial", m) for the line at
-    theta = m pi/2, and ("v-zero", None) entries interleaved."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        ms = self.lines()
-        for a, b in zip(ms, ms[1:]):
-            if abs(b - a) > 1:
-                raise DomainError(
-                    "crossing sequence %r skips a line" % (ms,))
-
-    def lines(self) -> tuple:
-        return tuple(m for kind, m in self.entries if kind != "v-zero")
-
-    def __str__(self):
-        out = []
-        for kind, m in self.entries:
-            out.append("v=0" if kind == "v-zero" else "%s(%d)" % (kind, m))
-        return " ".join(out)
-
-
 @dataclass
 class PeriodicOrbit:
     """A found orbit.  Its sampled fundamental segment and the full period
@@ -175,44 +151,52 @@ def seed_state(problem: ProblemSpec, locus: str, param: float) -> State:
 
 @dataclass(frozen=True)
 class _Recipe:
+    """How a family is sought.  closure names the reversing reflections
+    that close the fundamental segment into a full period: a segment
+    closed by two of them is a quarter of the period, by one a half."""
+
     locus: str
     lines: tuple  # prescribed crossings (as m integers) before the terminal
     terminal: str  # "line" | "brake"
     terminal_m: int
-    segment: str  # "quarter" | "half"
     closure: str  # "mirror-mirror" | "mirror-retrace" | "mirror" | "retrace"
     # rtol, atol and max_s of the shots; rtol and atol also of the
-    # reconstruction (None: the defaults, see _controls)
-    controls: Controls = None
+    # reconstruction (default rtol 1e-11, atol 1e-12, max_s SHOT_MAX_S)
+    controls: Controls = field(
+        default_factory=lambda: Controls(max_s=SHOT_MAX_S))
+
+    @property
+    def segment(self) -> str:
+        """"quarter" | "half"."""
+        return "quarter" if "-" in self.closure else "half"
 
 
 def _recipe_for(spec: FamilySpec) -> _Recipe:
     f, i, j = spec.family, spec.i, spec.j
     if f == "B":
         return _Recipe(LOCUS_S, (-1,) * i, "line", 0 if i % 2 == 0 else -2,
-                       "quarter", "mirror-mirror")
+                       "mirror-mirror")
     if f == "Z1":
-        return _Recipe(LOCUS_Z, (-1,) * i, "line", 0, "quarter",
-                       "mirror-retrace")
+        return _Recipe(LOCUS_Z, (-1,) * i, "line", 0, "mirror-retrace")
     if f == "ZB":
         return _Recipe(LOCUS_Z, (-1,) * i + (0,) + (1,) * j, "line", 1,
-                       "quarter", "mirror-retrace")
+                       "mirror-retrace")
     if f == "LessSymB":
         if i % 2 == 0:
             return _Recipe(LOCUS_S, (-1,) * i + (0,) + (1,) * j, "line", 1,
-                           "half", "mirror")
+                           "mirror")
         return _Recipe(LOCUS_S, (-1,) * i + (-2,) + (-3,) * j, "line", -3,
-                       "half", "mirror")
+                       "mirror")
     if f == "Z5":
         return _Recipe(LOCUS_Z, (-1,) * i + (0,) + (1,) * j, "brake", 0,
-                       "half", "retrace")
+                       "retrace")
     if f == "PP":
         return _Recipe(LOCUS_S, (-1,) * (i - 1) + (0,) * j, "line", 1,
-                       "half", "mirror")
+                       "mirror")
     # Z2: the planar search suggested by the sign pattern of the last two
     # branch landmarks; an orthogonal hit on theta = +pi/2 after one
     # central-line crossing
-    return _Recipe(LOCUS_S, (0,), "line", 1, "half", "mirror")
+    return _Recipe(LOCUS_S, (0,), "line", 1, "mirror")
 
 
 def prescribed_signature(spec: FamilySpec) -> tuple:
@@ -234,24 +218,16 @@ def _line_of(angle: float) -> int:
     return int(round(angle / _HALF_PI))
 
 
-def _controls(controls) -> Controls:
-    """The search's integration controls: rtol 1e-11, atol 1e-12 and
-    max_s SHOT_MAX_S unless given."""
-    return controls if controls is not None else Controls(max_s=SHOT_MAX_S)
-
-
-def _fly(problem, seeds, ms, controls: Controls, stop=None):
+def _fly(problem, seeds, ms, controls: Controls):
     """Integrate one shot from a seed State, or a lockstep block of shots
     from a list of seeds, watching every line within three of the lines ms
-    and of theta = 0, the v and w zeros, escape, and an optional stop.
-    Returns the Trajectory, or the list of them."""
+    and of theta = 0, the v and w zeros, and escape.  Returns the
+    Trajectory, or the list of them."""
     ms = tuple(ms) + (0,)
     events = [EventSpec.angle(m * _HALF_PI)
               for m in range(min(ms) - 3, max(ms) + 4)]
     events += [EventSpec.v_zero(), EventSpec.w_zero(),
                EventSpec.r_exceeds(R_ESCAPE)]
-    if stop is not None:
-        events.append(stop)
     rhs = field_for(problem, NEWCOORDS)
     if isinstance(seeds, State):
         return integrate(rhs, seeds, events, controls)
@@ -296,8 +272,7 @@ def _shot_controls(recipe: _Recipe) -> Controls:
     """The recipe's controls, capped at the crossings a classification
     reads: the full pattern, plus one past a brake terminal."""
     cap = len(_full_lines(recipe)) + (recipe.terminal == "brake")
-    return replace(_controls(recipe.controls), sample_ds=None,
-                   max_angle_crossings=cap)
+    return replace(recipe.controls, sample_ds=None, max_angle_crossings=cap)
 
 
 def _floor(problem, recipe: _Recipe, state: State) -> float:
@@ -377,27 +352,6 @@ def _scan(problem, recipe: _Recipe, params) -> list:
     seeds = [seed_state(problem, recipe.locus, p) for p in params]
     trajs = _fly(problem, seeds, _full_lines(recipe), _shot_controls(recipe))
     return [_row(_classify(recipe, p, t)) for p, t in zip(params, trajs)]
-
-
-def shoot(problem: ProblemSpec, seed: State, stop: EventSpec = None,
-          max_crossings: int = 24):
-    """One classified shot: every line crossing and v/w zero is recorded.
-
-    Returns (CrossingSignature, terminal) where terminal is the end State,
-    or "escape" / "collision-asymptotic" when the run left the bounded
-    region or stalled against the total collision.
-    """
-    # lines -12..12
-    traj = _fly(problem, seed, (-9, 9), Controls(
-        max_s=SHOT_MAX_S, max_angle_crossings=max_crossings), stop)
-    entries = []
-    for h in traj.events:
-        if h.kind == "angle-crossing":
-            m = _line_of(h.state.angle)
-            entries.append((line_kind(m), m))
-        elif h.kind == "v-zero":
-            entries.append(("v-zero", None))
-    return CrossingSignature(tuple(entries)), _fate(traj) or traj.end_state
 
 
 # -- search --------------------------------------------------------------------
@@ -503,7 +457,7 @@ def _root_in(problem, recipe, a, b):
 def _reconstruct_and_wrap(problem, spec, recipe, rec, bracket,
                           shots) -> PeriodicOrbit:
     tau = rec.terminal_s
-    ctl = _controls(recipe.controls)
+    ctl = recipe.controls
     period = 4.0 * tau if recipe.segment == "quarter" else 2.0 * tau
     orbit = PeriodicOrbit(
         family=spec, seed=seed_state(problem, recipe.locus, rec.param),
@@ -545,7 +499,9 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     matches, and its subclass AmbiguousBracketError (carrying the scan
     table too) when the bracket gives no root even after one local re-scan.
     """
-    recipe = replace(_recipe_for(family), controls=_controls(controls))
+    recipe = _recipe_for(family)
+    if controls is not None:
+        recipe = replace(recipe, controls=controls)
     cfg = dict(_default_search(problem, recipe))
     if search:
         cfg.update(search)

@@ -123,6 +123,15 @@ def test_exit_64_on_flags_a_subcommand_does_not_read(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_exit_64_on_both_k_and_i(capsys):
+    # --k and --i both name the first index; one of them would go unread
+    for argv in (["orbit", "--family", "B", "--k", "0", "--i", "1"],
+                 ["orbit", "--family", "B", "--i", "1", "--k", "0"]):
+        code, out = run(argv)
+        assert code == 64 and out == "", argv
+        assert "not allowed with" in capsys.readouterr().err
+
+
 def test_exit_64_on_unusable_integration_settings(tmp_path, capsys):
     # rtol, atol and max_s must be finite and greater than 0, from a flag
     # or a config file; atol 0 used to spend a shot's whole step budget

@@ -494,6 +494,20 @@ def test_block_takes_no_dense_sampling():
                            controls=Controls(sample_ds=0.1))
 
 
+def test_controls_reject_unusable_sampling_and_cap():
+    # a negative sample_ds grew the sample grid without end; 0, nan and inf
+    # gave an unsampled run without a word
+    from schubart.errors import DomainError
+    for bad in ({"sample_ds": -0.1}, {"sample_ds": 0.0},
+                {"sample_ds": float("nan")}, {"sample_ds": float("inf")},
+                {"max_angle_crossings": 0}, {"max_angle_crossings": -3},
+                {"max_angle_crossings": 2.0}, {"max_angle_crossings": True}):
+        with pytest.raises(DomainError):
+            Controls(**bad)
+    ok = Controls(sample_ds=1e-3, max_angle_crossings=1)
+    assert (ok.sample_ds, ok.max_angle_crossings) == (1e-3, 1)
+
+
 def _counting(rhs):
     """rhs and a one-item list that tallies its evaluations (one per column
     of a block)."""

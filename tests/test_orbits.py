@@ -66,18 +66,9 @@ def test_family_spec_str():
     assert str(ob.FamilySpec("Z2")) == "Z2"
 
 
-def test_signature_continuity_enforced():
-    ob.CrossingSignature((("partial", -1), ("euler", 0), ("partial", 1)))
-    ob.CrossingSignature((("partial", -1), ("v-zero", None), ("partial", -1)))
-    with pytest.raises(DomainError):
-        ob.CrossingSignature((("partial", -1), ("partial", 1)))
-
-
-def test_signature_lines_and_str():
-    sig = ob.CrossingSignature(
-        (("partial", -1), ("v-zero", None), ("euler", 0)))
-    assert sig.lines() == (-1, 0)
-    assert "v=0" in str(sig)
+def _assert_no_line_skipped(lines):
+    # a continuous shot crosses the same line again or a neighbouring one
+    assert all(abs(b - a) <= 1 for a, b in zip(lines, lines[1:])), lines
 
 
 def test_line_kind():
@@ -216,11 +207,13 @@ def test_orthogonal_hit_simultaneity(b0):
 
 
 def test_signature_reproduced_at_root(pyr2, b0):
-    seed = ob.seed_state(pyr2, ob.LOCUS_S, b0.seed_parameter)
-    sig, term = ob.shoot(pyr2, seed, max_crossings=1)
-    assert sig.lines() == (0,)
-    assert isinstance(term, State)
-    assert abs(term.v) < 1e-8
+    rec = ob._shot(pyr2, ob._recipe_for(ob.FamilySpec("B", 0)),
+                   b0.seed_parameter)
+    assert rec.lines == (0,)
+    _assert_no_line_skipped(rec.lines)
+    assert isinstance(rec.terminal_state, State)
+    assert abs(rec.residual) < 1e-8
+    assert abs(rec.terminal_state.angle) < 1e-9
 
 
 def test_reconstruction_symmetry(b0):
@@ -445,11 +438,12 @@ def test_block_scan_matches_scalar_shots(request, pyr2):
 def test_small_r_shots_open_out_on_the_central_line(pyr2):
     # the r -> 0 end of the S locus: the shot reaches the central line
     # still expanding (v > 0), so no orthogonal hit is possible there
-    seed = ob.seed_state(pyr2, ob.LOCUS_S, 1e-3)
-    sig, term = ob.shoot(pyr2, seed, stop=EventSpec.angle(0.0, action="stop"))
-    assert isinstance(term, State)
-    assert abs(term.angle) < 1e-9
-    assert term.v > 1.0
+    rec = ob._shot(pyr2, ob._recipe_for(ob.FamilySpec("B", 0)), 1e-3)
+    assert rec.lines == (0,)
+    _assert_no_line_skipped(rec.lines)
+    assert isinstance(rec.terminal_state, State)
+    assert abs(rec.terminal_state.angle) < 1e-9
+    assert rec.residual > 1.0
 
 
 def test_large_r_shots_stay_bound_near_the_arm(pyr2):
@@ -464,10 +458,12 @@ def test_shoot_escape_classification(pla10):
     # a radially energetic interior state rides out along an arm; given
     # enough crossing budget the size threshold fires
     w = dyn.solve_w(pla10, 0.1, 0.0, -0.35)
-    sig, term = ob.shoot(pla10, State(NEWCOORDS, 0.1, 0.0, -0.35, w),
-                         max_crossings=600)
-    assert term == "escape"
-    assert len(sig.entries) > 100
+    traj = ob._fly(pla10, State(NEWCOORDS, 0.1, 0.0, -0.35, w), (-9, 9),
+                   Controls(max_s=ob.SHOT_MAX_S, max_angle_crossings=600))
+    assert ob._fate(traj) == "escape"
+    assert len([h for h in traj.events
+                if h.kind in ("angle-crossing", "v-zero")]) > 100
+    _assert_no_line_skipped([m for _, m in ob._crossings(traj)])
 
 
 def test_experimental_pp_reports_b_coincidence(pyr2):
