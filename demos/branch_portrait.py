@@ -18,11 +18,7 @@ BRANCHES = ("gamma", "gamma'", "stable-of-L'-")
 
 
 def make_problem(args):
-    if args.problem == "pyramidal":
-        return pr.pyramidal(args.n, args.mu)
-    if args.problem == "spatial":
-        return pr.spatial(args.n)
-    return pr.planar(args.n)
+    return pr.ProblemSpec(args.problem, args.n, args.mu)
 
 
 def main():

@@ -105,13 +105,7 @@ def build_config(args) -> RunConfig:
 
 
 def _problem(cfg: RunConfig):
-    if cfg.problem == "pyramidal":
-        return problems.pyramidal(cfg.n, cfg.mu)
-    if cfg.problem == "spatial":
-        return problems.spatial(cfg.n)
-    if cfg.problem == "planar":
-        return problems.planar(cfg.n)
-    raise DomainError("unknown problem kind %r" % cfg.problem)
+    return problems.ProblemSpec(cfg.problem, cfg.n, cfg.mu)
 
 
 # -- deterministic serialization ------------------------------------------------
@@ -329,14 +323,23 @@ def _table_sweep(cfg, args):
         if args.steps < 1:
             raise DomainError("--steps must be at least 1, got %d"
                               % (args.steps,))
-        values = np.linspace(args.lo, args.hi, args.steps)
+        lo = 0.5 if args.lo is None else args.lo
+        hi = 3.5 if args.hi is None else args.hi
+        values = np.linspace(lo, hi, args.steps)
         mk = lambda v: problems.pyramidal(cfg.n, float(v))
         key = "mu"
     else:
-        if int(args.lo) > int(args.hi):
+        for flag, bound in (("--lo", args.lo), ("--hi", args.hi)):
+            if bound is None:
+                raise DomainError("%s is required on the n sweep" % (flag,))
+            if not bound.is_integer():
+                raise DomainError("%s must be a whole number on the n sweep,"
+                                  " got %r" % (flag, bound))
+        lo, hi = int(args.lo), int(args.hi)
+        if lo > hi:
             raise DomainError("--lo must not exceed --hi on the n sweep, got "
-                              "%d > %d" % (int(args.lo), int(args.hi)))
-        values = range(int(args.lo), int(args.hi) + 1)
+                              "%d > %d" % (lo, hi))
+        values = range(lo, hi + 1)
         mk = lambda v: _problem(dataclasses.replace(cfg, n=int(v)))
         key = "n"
     cols = [key] + ["v%d" % k for k in range(6)]
@@ -425,8 +428,10 @@ def make_parser() -> _Parser:
     _add_common(p)
     p.add_argument("which", choices=["g3", "sn", "landmarks-sweep"])
     p.add_argument("--sweep", choices=["mu", "n"], default="mu")
-    p.add_argument("--lo", type=float, default=0.5)
-    p.add_argument("--hi", type=float, default=3.5)
+    p.add_argument("--lo", type=float,
+                   help="first mu (default 0.5), or first whole n (required)")
+    p.add_argument("--hi", type=float,
+                   help="last mu (default 3.5), or last whole n (required)")
     p.add_argument("--steps", type=int, default=7,
                    help="number of mu values (mu sweep only)")
     p.set_defaults(func=cmd_table)

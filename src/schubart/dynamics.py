@@ -93,16 +93,11 @@ def chart_eval(kind: str, theta) -> ChartData:
     return ChartData(c1=c1, c2=c2, c=c)
 
 
-def _chart_derivs(kind: str, theta):
-    """d(c1)/d(theta), d(c2)/d(theta), closed forms."""
-    s, co = np.sin(theta), np.cos(theta)
-    if kind == HALF_CIRCLE:
-        den = (1.0 + s * s) ** 2
-        return -2.0 * np.sin(2.0 * theta) / den, 2.0 * co**3 / den
-    if kind == QUARTER_CIRCLE:
-        a = np.sqrt(1.0 + co * co)
-        return -co * (a + s) / (2.0 * a), co * (a - s) / (2.0 * a)
-    raise DomainError("unknown chart kind %r" % (kind,))
+def _dphi_dtheta(kind: str, theta: float) -> float:
+    """dphi/dtheta at chart angle theta: cos theta / sqrt(c) on both charts,
+    since c1'^2 + c2'^2 = cos^2(theta) / c and phi grows with theta where
+    cos theta > 0."""
+    return math.cos(theta) / math.sqrt(chart_eval(kind, theta).c)
 
 
 def c_quotient(kind: str, theta):
@@ -389,30 +384,27 @@ def to_configuration(p: ProblemSpec, s: State):
     """
     if s.r == 0.0:
         raise TotalCollisionError("no configuration velocities at r = 0")
-    k2 = _mass_scale(p)
-    sqr = math.sqrt(s.r)
+    # (c1, c2) = (cos phi, sin phi) and r^{3/2} phidot; on newcoords
+    # r^{3/2} thetadot = w c / cos^2 theta
     if s.chart == NEWCOORDS:
         cd = chart_eval(p.chart, s.angle)
-        c1p, c2p = _chart_derivs(p.chart, s.angle)
-        csq = math.cos(s.angle) ** 2
-        thetadot_r32 = s.w * cd.c / csq  # r^{3/2} * thetadot
-        q1 = s.r * cd.c1
-        q2 = s.r * k2 * cd.c2
-        qd1 = s.v * cd.c1 / sqr + c1p * thetadot_r32 / sqr
-        qd2 = k2 * (s.v * cd.c2 / sqr + c2p * thetadot_r32 / sqr)
-        return q1, q2, qd1, qd2
-    if s.chart == DEVANEY:
-        phi = s.angle
-        wq, _ = _quantities(p, phi)
-        f = shape_f(p, phi)
-        phidot_r32 = s.w * math.sqrt(wq) / f  # r^{3/2} * phidot
-        c1, c2 = math.cos(phi), math.sin(phi)
-        q1 = s.r * c1
-        q2 = s.r * k2 * c2
-        qd1 = s.v * c1 / sqr - c2 * phidot_r32 / sqr
-        qd2 = k2 * (s.v * c2 / sqr + c1 * phidot_r32 / sqr)
-        return q1, q2, qd1, qd2
-    raise DomainError("unknown chart %r" % (s.chart,))
+        c1, c2 = cd.c1, cd.c2
+        phidot_r32 = (s.w * cd.c / math.cos(s.angle) ** 2
+                      * _dphi_dtheta(p.chart, s.angle))
+    elif s.chart == DEVANEY:
+        wq, _ = _quantities(p, s.angle)
+        c1, c2 = math.cos(s.angle), math.sin(s.angle)
+        phidot_r32 = s.w * math.sqrt(wq) / shape_f(p, s.angle)
+    else:
+        raise DomainError("unknown chart %r" % (s.chart,))
+    # the chart derivatives are c1' = -c2 phi' and c2' = c1 phi'
+    k2 = _mass_scale(p)
+    sqr = math.sqrt(s.r)
+    q1 = s.r * c1
+    q2 = s.r * k2 * c2
+    qd1 = s.v * c1 / sqr - c2 * phidot_r32 / sqr
+    qd2 = k2 * (s.v * c2 / sqr + c1 * phidot_r32 / sqr)
+    return q1, q2, qd1, qd2
 
 
 def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2,
@@ -437,11 +429,7 @@ def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2,
         return State(DEVANEY, r, v, phi, w)
     theta = float(theta_of_phi(p, phi))
     co = math.cos(theta)
-    if p.chart == HALF_CIRCLE:
-        dphi_dtheta = 2.0 * co / (1.0 + math.sin(theta) ** 2)
-    else:
-        dphi_dtheta = co / math.sqrt(1.0 + co * co)
-    thetadot = phidot / dphi_dtheta
+    thetadot = phidot / _dphi_dtheta(p.chart, theta)
     c = chart_eval(p.chart, theta).c
     w = thetadot * r**1.5 * co * co / c
     return State(NEWCOORDS, r, v, theta, w)

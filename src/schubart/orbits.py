@@ -88,8 +88,9 @@ class FamilySpec:
 class PeriodicOrbit:
     """A found orbit.  Its sampled fundamental segment and the full period
     reconstructed from it are flown on first read: `flight` holds the
-    problem, the recipe's prescribed lines and the controls of that
-    flight, whose problem, rtol and atol verify_periodicity reuses."""
+    problem, the family's recipe and the controls of that flight.  The
+    recipe says what the flight watches and how reconstruct_full closes
+    the segment; verify_periodicity reuses the problem, rtol and atol."""
 
     family: FamilySpec
     seed: State
@@ -110,8 +111,8 @@ class PeriodicOrbit:
     @cached_property
     def fundamental(self) -> Trajectory:
         """The fundamental segment from the seed, sampled at 1/512 of it."""
-        problem, lines, controls = self.flight
-        return _fly(problem, self.seed, lines, controls)
+        problem, recipe, controls = self.flight
+        return _fly(problem, self.seed, recipe, controls)
 
     @cached_property
     def reconstructed(self) -> Trajectory:
@@ -218,16 +219,25 @@ def _line_of(angle: float) -> int:
     return int(round(angle / _HALF_PI))
 
 
-def _fly(problem, seeds, ms, controls: Controls):
+def _full_lines(recipe: _Recipe) -> tuple:
+    """The prescribed crossings, with the terminal line if there is one."""
+    if recipe.terminal == "line":
+        return recipe.lines + (recipe.terminal_m,)
+    return recipe.lines
+
+
+def _fly(problem, seeds, recipe: _Recipe, controls: Controls):
     """Integrate one shot from a seed State, or a lockstep block of shots
-    from a list of seeds, watching every line within three of the lines ms
-    and of theta = 0, the v and w zeros, and escape.  Returns the
-    Trajectory, or the list of them."""
-    ms = tuple(ms) + (0,)
+    from a list of seeds, watching what _classify reads: every line within
+    three of the recipe's full lines and of theta = 0, the v zeros when the
+    recipe ends in a brake, and escape.  Returns the Trajectory, or the
+    list of them."""
+    ms = _full_lines(recipe) + (0,)
     events = [EventSpec.angle(m * _HALF_PI)
               for m in range(min(ms) - 3, max(ms) + 4)]
-    events += [EventSpec.v_zero(), EventSpec.w_zero(),
-               EventSpec.r_exceeds(R_ESCAPE)]
+    if recipe.terminal == "brake":
+        events.append(EventSpec.v_zero())
+    events.append(EventSpec.r_exceeds(R_ESCAPE))
     rhs = field_for(problem, NEWCOORDS)
     if isinstance(seeds, State):
         return integrate(rhs, seeds, events, controls)
@@ -259,13 +269,6 @@ class _ShotRecord:
     terminal_s: float
     terminal_state: State = None  # where the residual is read, when matched
     floor: float = None  # the residual's noise floor, set by _shot
-
-
-def _full_lines(recipe: _Recipe) -> tuple:
-    """The prescribed crossings, with the terminal line if there is one."""
-    if recipe.terminal == "line":
-        return recipe.lines + (recipe.terminal_m,)
-    return recipe.lines
 
 
 def _shot_controls(recipe: _Recipe) -> Controls:
@@ -335,8 +338,8 @@ def _shot(problem, recipe: _Recipe, param: float) -> _ShotRecord:
     """A single classified shot, with its residual's noise floor when it
     matches; the scan's rows never need the floor."""
     seed = seed_state(problem, recipe.locus, param)
-    rec = _classify(recipe, param, _fly(problem, seed, _full_lines(recipe),
-                                        _shot_controls(recipe)))
+    rec = _classify(recipe, param,
+                    _fly(problem, seed, recipe, _shot_controls(recipe)))
     if rec.classification == "matched":
         rec.floor = _floor(problem, recipe, rec.terminal_state)
     return rec
@@ -350,7 +353,7 @@ def _row(rec: _ShotRecord) -> tuple:
 def _scan(problem, recipe: _Recipe, params) -> list:
     """The scan-table rows of the seeds at params, flown as one block."""
     seeds = [seed_state(problem, recipe.locus, p) for p in params]
-    trajs = _fly(problem, seeds, _full_lines(recipe), _shot_controls(recipe))
+    trajs = _fly(problem, seeds, recipe, _shot_controls(recipe))
     return [_row(_classify(recipe, p, t)) for p, t in zip(params, trajs)]
 
 
@@ -463,7 +466,7 @@ def _reconstruct_and_wrap(problem, spec, recipe, rec, bracket,
         family=spec, seed=seed_state(problem, recipe.locus, rec.param),
         seed_parameter=rec.param, quarter_or_half=recipe.segment,
         residual=abs(rec.residual), full_period_s=period,
-        flight=(problem, recipe.lines, Controls(
+        flight=(problem, recipe, Controls(
             rtol=ctl.rtol, atol=ctl.atol, max_s=tau, sample_ds=tau / 512.0)),
         bracket=bracket, residual_floor=rec.floor, root_shots=shots)
     if spec.family in ("PP", "Z2"):
@@ -557,7 +560,8 @@ def reconstruct_full(orbit: PeriodicOrbit) -> Trajectory:
     """
     fund = orbit.fundamental
     s, y = fund.s, fund.y
-    for closure in _recipe_for(orbit.family).closure.split("-"):
+    _, recipe, _ = orbit.flight
+    for closure in recipe.closure.split("-"):
         s, y = _extend(s, y, closure)
     return Trajectory(s, y, [], "reconstructed", fund.seed)
 

@@ -390,3 +390,19 @@ def test_table_n_sweep_rejects_an_empty_range(capsys):
     assert code == 64
     assert text == ""
     assert capsys.readouterr().err.startswith("error: --lo")
+
+
+@pytest.mark.parametrize("bounds,flag", [
+    ([], "--lo"),
+    (["--lo", "2"], "--hi"),
+    (["--hi", "4"], "--lo"),
+    (["--lo", "2.7", "--hi", "4"], "--lo"),
+    (["--lo", "2", "--hi", "3.5"], "--hi"),
+], ids=["no-bounds", "no-hi", "no-lo", "fractional-lo", "fractional-hi"])
+def test_table_n_sweep_needs_whole_bounds(capsys, bounds, flag):
+    # without bounds the n sweep used to read the mu defaults 0.5/3.5 and
+    # fail on n = 0; a fractional bound was truncated without a word
+    code, text = run(["table", "landmarks-sweep", "--sweep", "n"] + bounds)
+    assert code == 64
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: " + flag)

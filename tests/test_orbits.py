@@ -327,7 +327,7 @@ def test_fundamental_samples_lie_on_an_exact_grid(pyr2, key, spec, lo, hi):
 def test_lazy_segment_equals_an_eager_flight(pyr2, b0):
     recipe = ob._recipe_for(b0.family)
     tau = b0.full_period_s / 4.0
-    eager = ob._fly(pyr2, b0.seed, recipe.lines, Controls(
+    eager = ob._fly(pyr2, b0.seed, recipe, Controls(
         rtol=1e-11, atol=1e-12, max_s=tau, sample_ds=tau / 512.0))
     fund = b0.fundamental
     assert np.array_equal(fund.s, eager.s)
@@ -458,12 +458,35 @@ def test_shoot_escape_classification(pla10):
     # a radially energetic interior state rides out along an arm; given
     # enough crossing budget the size threshold fires
     w = dyn.solve_w(pla10, 0.1, 0.0, -0.35)
-    traj = ob._fly(pla10, State(NEWCOORDS, 0.1, 0.0, -0.35, w), (-9, 9),
+    # full lines (-9, 9): the watched window is the lines -12..12
+    recipe = ob._Recipe(ob.LOCUS_S, (-9,), "line", 9, "mirror")
+    traj = ob._fly(pla10, State(NEWCOORDS, 0.1, 0.0, -0.35, w), recipe,
                    Controls(max_s=ob.SHOT_MAX_S, max_angle_crossings=600))
     assert ob._fate(traj) == "escape"
     assert len([h for h in traj.events
                 if h.kind in ("angle-crossing", "v-zero")]) > 100
     _assert_no_line_skipped([m for _, m in ob._crossings(traj)])
+
+
+@pytest.mark.parametrize("spec,param", [
+    (ob.FamilySpec("B", 0), 5.0),
+    (ob.FamilySpec("Z5", 1, 1), ROOTS[("pyr", "Z5", (1, 1))])],
+    ids=["B0", "Z5_1_1"])
+def test_shots_watch_only_what_the_classifier_reads(pyr2, spec, param):
+    # line crossings and escape, and the v zeros only for a brake terminal;
+    # both shots pass w zeros, and the B(0) one v zeros, that no
+    # classification reads
+    recipe = ob._recipe_for(spec)
+    traj = ob._fly(pyr2, ob.seed_state(pyr2, recipe.locus, param), recipe,
+                   ob._shot_controls(recipe))
+    kinds = {h.kind for h in traj.events}
+    allowed = {"angle-crossing", "r-exceeds"}
+    if recipe.terminal == "brake":
+        allowed.add("v-zero")
+        assert "v-zero" in kinds
+    assert "angle-crossing" in kinds
+    assert kinds <= allowed
+    assert "w-zero" not in kinds
 
 
 def test_experimental_pp_reports_b_coincidence(pyr2):
