@@ -173,8 +173,10 @@ def theta_star(p: ProblemSpec) -> float:
 
 def _unpack(chart: str, y):
     """(r, v, angle, w) of a State in the given chart, or of a flat
-    [r, v, angle, w] vector as Python floats (or the rows of a (4, N)
-    block of them)."""
+    [r, v, angle, w] tuple or vector as Python floats (or the rows of a
+    (4, N) block of them)."""
+    if isinstance(y, tuple):
+        return y
     if isinstance(y, State):
         if y.chart != chart:
             raise DomainError("a %s-chart state given where the %s chart is"
@@ -185,13 +187,15 @@ def _unpack(chart: str, y):
     return y[0], y[1], y[2], y[3]
 
 
-def devaney_rhs(p: ProblemSpec, y) -> np.ndarray:
+def devaney_rhs(p: ProblemSpec, y):
     """Right-hand side of the blown-up system in the devaney chart, at a
-    flat [r, v, phi, w] vector or a devaney State, at the energy H."""
+    flat [r, v, phi, w] tuple or vector or a devaney State, at the energy
+    H: a tuple of floats for a tuple, else the float64 (4,) array of the
+    same values."""
     r, v, phi, w = _unpack(DEVANEY, y)
     wq, wqp = _quantities(p, phi)
-    f = shape_f(p, phi)
-    fp = shape_fprime(p, phi)
+    f = float(shape_f(p, phi))
+    fp = float(shape_fprime(p, phi))
     bigf = f / math.sqrt(wq)
     dr = r * v * bigf
     dv = bigf * (2.0 * H * r - 0.5 * v * v) + math.sqrt(wq)
@@ -201,20 +205,22 @@ def devaney_rhs(p: ProblemSpec, y) -> np.ndarray:
         + (wqp / wq) * (f - 0.5 * w * w)
         + fp * (1.0 + (f / wq) * (2.0 * H * r - v * v))
     )
-    return np.array([dr, dv, dphi, dw])
+    dy = (dr, dv, dphi, dw)
+    return dy if isinstance(y, tuple) else np.array(dy)
 
 
-def _field(r, v, w, terms) -> np.ndarray:
-    """The newcoords field at (r, v, w) and the chart terms of its angle."""
+def _field(r, v, w, terms):
+    """The newcoords field at (r, v, w) and the chart terms of its angle,
+    as a tuple of its four components."""
     si, co, c, cp, wc, wcp = terms
     csq = co * co
-    return np.array([
+    return (
         r * v * csq,
         0.5 * v * v * csq + w * w * c - wc,
         w * c,
         wcp - 0.5 * v * w * csq + si * co * (v * v - 2.0 * H * r)
         - 0.5 * w * w * cp,
-    ])
+    )
 
 
 def _energy(r, v, w, terms):
@@ -226,25 +232,28 @@ def _energy(r, v, w, terms):
     si, co, c, cp, wc, wcp = terms
     csq = co * co
     res = 0.5 * v * v * csq + 0.5 * w * w * c - wc - H * r * csq
-    grad = np.array([
+    grad = (
         -H * csq,
         v * csq,
         -si * co * (v * v - 2.0 * H * r) + 0.5 * w * w * cp - wcp,
         w * c,
-    ])
+    )
     return res, grad
 
 
-def newcoords_rhs(p: ProblemSpec, y) -> np.ndarray:
+def newcoords_rhs(p: ProblemSpec, y):
     """Right-hand side in the regularized chart (partial collisions are
     regular points; the field is polynomial in the state given the chart
     functions).
 
-    y is a flat [r, v, theta, w] vector, a (4, N) block of such columns
-    (the result is then (4, N) too), or a newcoords State, at the energy H.
+    y is a flat [r, v, theta, w] tuple or vector, a (4, N) block of such
+    columns (the result is then (4, N) too), or a newcoords State, at the
+    energy H.  A tuple gives a tuple of floats, anything else an array; a
+    flat vector gives the bits of the tuple call.
     """
     r, v, theta, w = _unpack(NEWCOORDS, y)
-    return _field(r, v, w, _terms(p, theta))
+    dy = _field(r, v, w, _terms(p, theta))
+    return dy if isinstance(y, tuple) else np.array(dy)
 
 
 def energy_gradient(p: ProblemSpec, y):
@@ -253,24 +262,30 @@ def energy_gradient(p: ProblemSpec, y):
     y is taken as by newcoords_rhs.
     """
     r, v, theta, w = _unpack(NEWCOORDS, y)
-    return _energy(r, v, w, _terms(p, theta))
+    res, grad = _energy(r, v, w, _terms(p, theta))
+    return res, np.array(grad)
 
 
-def damped_reverse_rhs(p: ProblemSpec, y, damp: float) -> np.ndarray:
-    """The time-reversed newcoords field at a flat [r, v, theta, w] vector
-    (or a newcoords State), minus damp * E grad E / |grad E|^2 with the dE/dr
-    part of grad E left out: the energy deviation decays toward the shell
-    at rate damp, within the plane of constant r.  One chart-term
-    evaluation serves both the field and the energy."""
+def damped_reverse_rhs(p: ProblemSpec, y, damp: float):
+    """The time-reversed newcoords field at a flat [r, v, theta, w] tuple
+    or vector (or a newcoords State), minus damp * E grad E / |grad E|^2
+    with the dE/dr part of grad E left out: the energy deviation decays
+    toward the shell at rate damp, within the plane of constant r.  One
+    chart-term evaluation serves both the field and the energy.  A tuple
+    gives a tuple of floats, anything else the float64 (4,) array of the
+    same values."""
     r, v, theta, w = _unpack(NEWCOORDS, y)
     terms = _terms(p, theta)
-    dy = -_field(r, v, w, terms)
-    res, grad = _energy(r, v, w, terms)
-    grad[0] = 0.0
-    n2 = float(grad @ grad)
+    dr, dv, dtheta, dw = _field(r, v, w, terms)
+    res, (_, gv, gtheta, gw) = _energy(r, v, w, terms)
+    n2 = gv * gv + gtheta * gtheta + gw * gw
     if n2 > 0.0:
-        dy -= damp * res * grad / n2
-    return dy
+        a = damp * res
+        dy = (-dr, -dv - a * gv / n2, -dtheta - a * gtheta / n2,
+              -dw - a * gw / n2)
+    else:
+        dy = (-dr, -dv, -dtheta, -dw)
+    return dy if isinstance(y, tuple) else np.array(dy)
 
 
 def energy_residual(p: ProblemSpec, s: State) -> float:

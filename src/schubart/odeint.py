@@ -13,14 +13,23 @@ sample.
 
 `integrate` runs one seed, a State or a flat array, and records its
 samples as the columns of a (4, k) array ((d, k) for a flat seed of
-length d); `integrate_block` runs a family of seeds in lockstep as the
-columns of a (4, N) block, each lane with its own step size, controller
-memory, events and termination, and records only where each lane started
-and ended.  Both call the same step, controller and event-location
-helpers and return the same Trajectory.
+length d).  Its step is straight-line code on Python floats, generated
+from the tableau for each state length d on first use: one expression
+per stage and component over the tableau's nonzero coefficients, summed
+left to right, with no numpy between the field calls, which are most of
+a step's cost.  rhs gets the state as a tuple of d floats and may return
+any length-d sequence.
+`integrate_block` runs a family of seeds in lockstep as the columns of a
+(4, N) block, each lane with its own step size, controller memory,
+events and termination, and records only where each lane started and
+ended; its stages are matmuls with the stage store.  Both take the same
+controller and event-location helpers and return the same Trajectory.
+The two steps sum the stages in different orders, so a scalar run and
+its block lane agree to rounding, not bit for bit.
 """
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 
@@ -56,7 +65,8 @@ _G[2, 0] -= 1.0
 _G[2, 12] -= 1.0
 _G[3:] = _DOP853.D
 # the rows of _A as contiguous arrays and the nodes as floats, so that a
-# stage costs one matmul with the flat stage store and one update of y
+# block stage costs one matmul with the flat stage store and one update of
+# y; the generated scalar step reads its coefficients from the same rows
 _ROWS = [_A[i, :i].copy() for i in range(16)]
 _NODES = [float(c) for c in _C]
 
@@ -240,17 +250,12 @@ def _stages(f, s, y, h, f0):
 
 
 def _error(h, k, y, y_new, ctl):
-    """The DOP853 error norm, per lane for a block and a Python float for a
-    flat state: the 5th-order estimate e5 damped by the 3rd-order e3,
-    |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n) in scaled RMS terms; 0 where
-    e5 is, inf where not finite."""
+    """The DOP853 error norm of each lane of a block: the 5th-order
+    estimate e5 damped by the 3rd-order e3, |h| |e5|^2 / sqrt((|e5|^2 +
+    0.01 |e3|^2) n) in scaled RMS terms; 0 where e5 is, inf where not
+    finite."""
     scale = ctl.atol + ctl.rtol * np.maximum(np.abs(y), np.abs(y_new))
-    sums = ((_combine(_E, k) / scale) ** 2).sum(axis=1)
-    if y.ndim == 1:
-        e5, e3 = sums.tolist()
-        err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 else 0.0
-        return err if err <= math.inf else math.inf  # nan -> inf
-    e5, e3 = sums
+    e5, e3 = ((_combine(_E, k) / scale) ** 2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(y))
     return np.fmin(np.where(e5 == 0.0, 0.0, err), np.inf)
@@ -288,6 +293,80 @@ def _dense_coeffs(f, s, y, h, k):
     return _combine(_G, k)
 
 
+@functools.cache
+def _scalar_step(d):
+    """The DOP853 step on a flat state of length d as straight-line code on
+    Python floats, compiled on first use: (step, dense).
+
+    step(rhs, s, y, h, f0, atol, rtol) takes y and f0 = rhs(s, y) as
+    length-d sequences and returns None when a stage is not finite, else
+    (k, y_new, err): the flat tuple of stages 0..12 (stage 12 is the field
+    at y_new), y_new and the error norm of _error.  A non-finite y_new
+    raises EvaluationError.  dense(rhs, s, y, h, k) fills the three
+    dense-output stages and returns the 7 rows of F / h of _dense_coeffs.
+    Each sum runs over the nonzero weights in stage order, each weight
+    written exactly.
+    """
+    comps = range(d)
+
+    def names(i):
+        return ["k%d_%d" % (i, c) for c in comps]
+
+    def dot(weights, c):
+        # sum_j weights[j] k_j, component c
+        return " + ".join("%r * k%d_%d" % (float(a), j, c)
+                          for j, a in enumerate(weights) if a)
+
+    def stage(i):
+        # stage i: the field at y + h (_ROWS[i] . k)
+        at = ", ".join("y%d + h * (%s)" % (c, dot(_ROWS[i], c))
+                       for c in comps)
+        return "    %s, = rhs(s + %r * h, (%s,))" % (", ".join(names(i)),
+                                                    _NODES[i], at)
+
+    def finite(values):
+        # 0 x is 0 for a finite x and nan for any other
+        return " + ".join("0.0 * " + x for x in values) + " == 0.0"
+
+    state = ", ".join("y%d" % c for c in comps)
+    new = ["n%d" % c for c in comps]
+    stages = [k for i in range(13) for k in names(i)]
+    step = ["def step(rhs, s, y, h, f0, atol, rtol):",
+            "    %s, = y" % state,
+            "    %s, = f0" % ", ".join(names(0))]
+    step += [stage(i) for i in range(1, 12)]
+    step += ["    n%d = y%d + h * (%s)" % (c, c, dot(_B, c)) for c in comps]
+    step += ["    %s, = rhs(s + %r * h, (%s,))" % (
+                 ", ".join(names(12)), _NODES[12], ", ".join(new)),
+             "    if not %s:" % finite(stages[d:]),
+             "        return None",
+             "    if not %s:" % finite(new),
+             "        raise EvaluationError('non-finite state at s=%.17g'"
+             " % (s,))"]
+    step += ["    c%d = atol + rtol * max(abs(y%d), abs(n%d))" % (c, c, c)
+             for c in comps]
+    for e, row in enumerate(_E):
+        step += ["    t%d = (%s) / c%d" % (c, dot(row, c), c) for c in comps]
+        step.append("    e%d = %s" % (e, " + ".join("t%d * t%d" % (c, c)
+                                                    for c in comps)))
+    step += ["    err = abs(h) * e0 / sqrt((e0 + 0.01 * e1) * %d) if e0 else"
+             " 0.0" % d,
+             "    return (%s,), (%s,), err if err <= inf else inf  # nan: inf"
+             % (", ".join(stages), ", ".join(new))]
+
+    dense = ["def dense(rhs, s, y, h, k):",
+             "    %s, = y" % state,
+             "    %s, = k" % ", ".join(stages)]
+    dense += [stage(i) for i in range(13, 16)]
+    dense.append("    return (%s,)" % ", ".join(
+        "(%s,)" % ", ".join(dot(row, c) for c in comps) for row in _G))
+
+    space = {"sqrt": math.sqrt, "inf": math.inf,
+             "EvaluationError": EvaluationError}
+    exec("\n".join(step + dense), space)
+    return space["step"], space["dense"]
+
+
 def _interpolate(y0, h, q, x):
     """The 7th-order interpolant of a step of size h from y0 at the step
     fraction x, nested (Horner) in x and 1 - x."""
@@ -323,8 +402,9 @@ class _Watch:
         self.direction = np.array([sp.direction for sp in self.specs])
 
     def values(self, y):
-        """Event values at a flat state (E,), or (N, E) for a block."""
-        return y[self.component].T - self.level
+        """Event values at a flat state, a sequence, (E,), or (N, E) for a
+        block."""
+        return np.asarray(y)[self.component].T - self.level
 
     def crossed(self, g0, g1):
         """The event functions that change sign across a step, in their
@@ -410,31 +490,38 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
 
     The seed is a State, and rhs operates on its flat vector [r, v, angle,
     w]; or a flat (d,) array of any length d, which runs without events.
-    Events are localized on the dense interpolant of each accepted step; a
-    stop event truncates.  With sample_ds set, the samples are the seed,
-    the interpolant at every k sample_ds (k = 1, 2, ...) strictly before
-    the run's end, and the end state; without it, the seed and every
-    accepted step's end state.  Termination is "time-limit" when max_s (or
-    the step budget) is reached, "step-failure" when the step size
-    underflows, "crossing-cap" when max_angle_crossings angle events have
-    fired, "event-stop" otherwise.
+    rhs gets the state as a tuple of d floats and returns any length-d
+    sequence.  Events are localized on the dense interpolant of each
+    accepted step; a stop event truncates.  With sample_ds set, the samples
+    are the seed, the interpolant at every k sample_ds (k = 1, 2, ...)
+    strictly before the run's end, and the end state; without it, the seed
+    and every accepted step's end state.  Termination is "time-limit" when
+    max_s (or the step budget) is reached, "step-failure" when the step
+    size underflows, "crossing-cap" when max_angle_crossings angle events
+    have fired, "event-stop" otherwise.
     """
     ctl = controls or Controls()
+    atol, rtol = ctl.atol, ctl.rtol
     watch = _Watch(events)
-    y = (seed.as_array() if isinstance(seed, State)
-         else np.array(seed, dtype=float))
+    y0 = (seed.as_array() if isinstance(seed, State)
+          else np.array(seed, dtype=float))
+    y = tuple(y0.tolist())
+    d = len(y)
+    step, dense = _scalar_step(d)
     s = 0.0
-    f0 = np.asarray(rhs(s, y), dtype=float)
+    f0 = rhs(s, y)
     if not np.all(np.isfinite(f0)):
         raise EvaluationError("non-finite field at the seed state")
 
-    # the sample positions, and the states there as (d, m) column blocks
-    s_out, y_out = [0.0], [y[:, None]]
+    # the sample positions, and the states there as rows
+    s_out, y_out = [0.0], [y]
     hits = []
     # the index k of the next grid point k sample_ds
     k_sample = 1 if ctl.sample_ds else None
 
-    h = float(_initial_step(rhs, s, y, f0, ctl.rtol, ctl.atol, ctl.max_s))
+    h = float(_initial_step(
+        lambda t, z: np.asarray(rhs(float(t), tuple(z.tolist())), dtype=float),
+        s, y0, np.asarray(f0, dtype=float), rtol, atol, ctl.max_s))
     err_prev = 1e-4
     termination = "time-limit"
     n_cross = 0
@@ -449,20 +536,16 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
         if s + h > ctl.max_s:
             h = ctl.max_s - s
 
-        k, ok = _stages(rhs, s, y, h, f0)
-        if not ok:
-            # retry with a smaller step; persistent failure means the run
-            # hit a non-regularized singularity
+        taken = step(rhs, s, y, h, f0, atol, rtol)
+        if taken is None:
+            # a non-finite stage: retry with a smaller step; persistent
+            # failure means the run hit a non-regularized singularity
             h *= 0.25
             if _underflow(h, s):
                 termination = "step-failure"
                 break
             continue
-
-        y_new = y + h * _combine(_B, k)
-        if not np.all(np.isfinite(y_new)):
-            raise EvaluationError("non-finite state at s=%.17g" % (s,))
-        err = _error(h, k, y, y_new, ctl)
+        k, y_new, err = taken
         if err > 1.0:
             h *= _shrink(err, max)
             if _underflow(h, s):
@@ -482,14 +565,16 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
             crossed = watch.crossed(g_old, g_prev)
         if crossed is not None or (k_sample is not None
                                    and k_sample * ctl.sample_ds < reach):
-            q = _dense_coeffs(rhs, s, y, h, k)
+            q = np.array(dense(rhs, s, y, h, k))
+            y_start = np.array(y)
             n_dense += 1
         if crossed is not None:
             located = watch.locate(crossed[None], np.array([s]),
                                    np.array([h]), g_old[None], q[..., None])
             stop_at, stop_kind, n_cross = _record(
                 watch.specs, [(t, i) for _, t, i in located],
-                lambda t: seed.with_array(_interpolate(y, h, q, (t - s) / h)),
+                lambda t: seed.with_array(
+                    _interpolate(y_start, h, q, (t - s) / h)),
                 hits, n_cross, ctl.max_angle_crossings)
 
         if k_sample is not None:
@@ -502,20 +587,20 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
                 k_sample += 1
             if grid:
                 s_out += grid
-                y_out.append(_interpolate(y[:, None], h, q[..., None],
-                                          (np.array(grid) - s) / h))
+                y_out += _interpolate(y_start[:, None], h, q[..., None],
+                                      (np.array(grid) - s) / h).T.tolist()
         if stop_at is not None:
             s_out.append(stop_at)
-            y_out.append(hits[-1].state.as_array()[:, None])
+            y_out.append(hits[-1].state.as_array().tolist())
             termination = stop_kind
             break
         if k_sample is None:
             s_out.append(s_new)
-            y_out.append(y_new[:, None])
+            y_out.append(y_new)
 
         h *= _grow(err, err_prev, max, min)
         s, y = s_new, y_new
-        f0 = k[12]  # FSAL
+        f0 = k[-d:]  # FSAL
         err_prev = max(err, 1e-10)
         if s >= ctl.max_s:
             termination = "time-limit"
@@ -523,10 +608,10 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
 
     if termination != "event-stop" and s_out[-1] < s:
         s_out.append(s)
-        y_out.append(y[:, None])
+        y_out.append(y)
     # the seed, the initial step's trial and the stages of every attempt
     nfev = 2 + 12 * steps + 3 * n_dense
-    return Trajectory(np.array(s_out), np.concatenate(y_out, axis=1), hits,
+    return Trajectory(np.array(s_out), np.array(y_out).T.copy(), hits,
                       termination, seed, nfev, n_accept, steps - n_accept)
 
 

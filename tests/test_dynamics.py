@@ -334,12 +334,13 @@ def test_newcoords_field_broadcasts_over_columns(all_problems):
 def test_damped_reverse_field_fuses_field_and_energy(all_problems,
                                                      monkeypatch):
     # bit for bit the reversed field plus the damping built from a
-    # separate energy_gradient call, from one chart-term evaluation
+    # separate energy_gradient call, from one chart-term evaluation; |grad
+    # E|^2 is summed left to right
     def composed(p, y, damp):
         dy = -dyn.newcoords_rhs(p, y)
         res, grad = dyn.energy_gradient(p, y)
         grad[0] = 0.0
-        n2 = float(grad @ grad)
+        n2 = sum(g * g for g in grad.tolist())
         if n2 > 0.0:
             dy -= damp * res * grad / n2
         return dy
@@ -388,6 +389,43 @@ def test_flat_evaluations_equal_state_and_block_calls(all_problems):
             assert np.array_equal(field, dyn.newcoords_rhs(p, col)[:, 0])
             assert np.array_equal(grad, grad_col[:, 0])
             assert np.array_equal(np.array([res]), res_col)
+
+
+def _devaney_states(p, rng, count):
+    """Random devaney states, on the energy shell (w from the energy
+    relation w^2 = 2 f (1 + (f / W)(r H - v^2 / 2))) and off it."""
+    out = []
+    while len(out) < 2 * count:
+        phi = rng.uniform(p.phi_a + 0.05, p.phi_b - 0.05)
+        r, v = rng.uniform(0.005, 0.3), rng.uniform(-0.5, 0.5)
+        f, wq = pr.potential(p, phi, "f"), pr.potential(p, phi, "W")
+        arg = 2.0 * f * (1.0 + (f / wq) * (dyn.H * r - 0.5 * v * v))
+        if arg > 0.0:
+            out.append(State(DEVANEY, r, v, phi, math.sqrt(arg)))
+            out.append(State(DEVANEY, r, v, phi, rng.uniform(-2.0, 2.0)))
+    return out
+
+
+def test_tuple_evaluations_are_floats_equal_to_flat_calls(all_problems):
+    # a tuple gives a tuple of Python floats, the bits of the flat-vector
+    # call, which wraps the same float formula in an array
+    rng = np.random.default_rng(20)
+    for p in all_problems:
+        states = (_on_shell_states(p, rng, count=20)
+                  + _off_shell_states(rng, count=20))
+        pairs = [(lambda y: dyn.newcoords_rhs(p, y), states),
+                 (lambda y: dyn.damped_reverse_rhs(p, y, 20.0), states),
+                 (lambda y: dyn.devaney_rhs(p, y),
+                  _devaney_states(p, rng, count=10))]
+        for field, chart_states in pairs:
+            for st in chart_states:
+                y = st.as_array()
+                got = field(tuple(y.tolist()))
+                assert type(got) is tuple
+                assert [type(c) for c in got] == [float] * 4
+                want = field(y)
+                _assert_flat_array(want)
+                assert np.array_equal(np.array(got), want)
 
 
 def test_field_is_lane_invariant(all_problems):

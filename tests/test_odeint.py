@@ -108,6 +108,55 @@ def test_interpolant_matches_the_step_ends(pyr2):
     assert np.array_equal(k[12], rhs(s + h, y_new))
 
 
+def test_generated_step_matches_scipy_rk_step(pyr2, pla10):
+    # one generated step against scipy's DOP853 step on the same tableau
+    # (its matmuls sum the stages in another order): the new state and the
+    # dense output to a few ulp of the state, the stages to a few ulp of
+    # their size, and the error norm, a difference of nearly equal stage
+    # sums, to 1e-5
+    from scipy.integrate import DOP853
+    from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
+    step, dense = oi._scalar_step(4)
+    atol, rtol = 1e-12, 1e-11
+    for p, (r, v, theta), h in ((pyr2, (0.2, 0.1, -0.4), 0.05),
+                                (pla10, (0.05, -0.3, 1.0), 0.01)):
+        rhs = oi.field_for(p, NEWCOORDS)
+        s, y = 0.5, np.array([r, v, theta, dyn.solve_w(p, r, v, theta)])
+        f = rhs(s, y)
+        K = np.empty((16, 4))
+        y_ref, _ = rk_step(rhs, s, y, f, h, DOP853.A, DOP853.B, DOP853.C,
+                           K[:13])
+        k, y_new, err = step(rhs, s, tuple(y.tolist()), h, tuple(f.tolist()),
+                             atol, rtol)
+        assert [type(c) for c in k + y_new] == [float] * 56
+        ulp = np.spacing(np.maximum(np.abs(y), np.abs(y_ref)))
+        assert (np.abs(np.array(y_new) - y_ref) <= 4 * ulp).all()
+        scale = np.abs(K[:13]).max(axis=1, keepdims=True)
+        assert (np.abs(np.reshape(k, (13, 4)) - K[:13])
+                <= 16 * np.spacing(scale)).all()
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_ref))
+        e5 = np.linalg.norm(K[:13].T @ DOP853.E5 / sc) ** 2
+        e3 = np.linalg.norm(K[:13].T @ DOP853.E3 / sc) ** 2
+        assert 0.0 < err <= 1.0
+        assert err == pytest.approx(h * e5 / math.sqrt((e5 + 0.01 * e3) * 4),
+                                    rel=1e-5)
+        # scipy's dense output: stages 13..15, then F from the step's ends
+        for i, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
+                                   start=13):
+            K[i] = rhs(s + c * h, y + K[:i].T @ a[:i] * h)
+        F = np.empty((7, 4))
+        F[0] = y_ref - y
+        F[1] = h * f - F[0]
+        F[2] = 2 * F[0] - h * (K[12] + f)
+        F[3:] = h * DOP853.D @ K
+        ref = Dop853DenseOutput(s, s + h, y, F)
+        q = np.array(dense(rhs, s, tuple(y.tolist()), h, k))
+        for x in (0.1, 0.5, 0.93):
+            want = ref(s + x * h)
+            assert (np.abs(oi._interpolate(y, h, q, x) - want)
+                    <= 8 * ulp).all()
+
+
 def test_matches_scipy_dop853_on_the_circle():
     from scipy.integrate import solve_ivp
     seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
@@ -509,12 +558,12 @@ def test_controls_reject_unusable_sampling_and_cap():
 
 
 def _counting(rhs):
-    """rhs and a one-item list that tallies its evaluations (one per column
-    of a block)."""
+    """rhs and a one-item list that tallies its evaluations: one per flat
+    state (a tuple from integrate) and one per column of a block."""
     calls = [0]
 
     def f(s, y):
-        calls[0] += 1 if y.ndim == 1 else y.shape[1]
+        calls[0] += y.shape[1] if np.ndim(y) == 2 else 1
         return rhs(s, y)
     return f, calls
 
@@ -535,6 +584,37 @@ def test_step_counts_match_a_counting_field_on_a_pinned_shot(pyr2):
         assert traj.n_accept > 100 and traj.n_reject > 0
         for count in (traj.nfev, traj.n_accept, traj.n_reject):
             assert type(count) is int
+
+
+def test_a_non_finite_stage_retries_at_a_quarter_step(monkeypatch):
+    # a scalar run into r = 0, where _lanes_rhs is not finite: an attempt
+    # with a non-finite stage is retried at a quarter of its step and
+    # counts as rejected, and the run ends in a step failure
+    attempts = []  # (h, whether a stage was not finite) per attempt
+    built = oi._scalar_step
+
+    def watched(d):
+        step, dense = built(d)
+
+        def recorded(rhs, s, y, h, *rest):
+            out = step(rhs, s, y, h, *rest)
+            attempts.append((h, out is None))
+            return out
+        return recorded, dense
+
+    monkeypatch.setattr(oi, "_scalar_step", watched)
+    f, calls = _counting(_lanes_rhs)
+    seed = State(NEWCOORDS, 1.0, -0.5, 0.1, 0.01)
+    traj = oi.integrate(f, seed, controls=Controls(max_s=10.0))
+    assert traj.termination == "step-failure"
+    failed = [i for i, (_, bad) in enumerate(attempts) if bad]
+    assert len(failed) > 1
+    for i in failed:
+        if i + 1 < len(attempts):
+            assert attempts[i + 1][0] == 0.25 * attempts[i][0]
+    assert traj.n_accept + traj.n_reject == len(attempts)
+    assert traj.n_reject >= len(failed)
+    assert traj.nfev == calls[0]
 
 
 def test_step_counts_match_a_counting_field_on_a_block():
