@@ -37,7 +37,6 @@ from .problems import (
     _quantities,
     _xp,
     shape_f,
-    shape_fprime,
 )
 
 DEVANEY = "devaney"
@@ -67,16 +66,12 @@ class State:
         )
 
 
-@dataclass
-class ChartData:
-    c1: float
-    c2: float
-    c: float
-
-
 def _chart(kind: str, si, co, xp=np):
     """(cos phi, sin phi, c, c'/(sin theta cos theta)) from the sine and
-    cosine of the chart angle theta, in the namespace xp."""
+    cosine of the chart angle theta, in the namespace xp.  The shape point
+    (cos phi, sin phi) is algebraic in them, so no shape angle is formed;
+    the last value is continued analytically where sin theta cos theta
+    vanishes."""
     if kind == HALF_CIRCLE:
         q = 1.0 + si * si
         return (1.0 - si * si) / q, 2.0 * si / q, 0.25 * q * q, q
@@ -87,42 +82,27 @@ def _chart(kind: str, si, co, xp=np):
     raise DomainError("unknown chart kind %r" % (kind,))
 
 
-def chart_eval(kind: str, theta) -> ChartData:
-    """(cos phi, sin phi) and the metric factor c at chart angle theta."""
-    c1, c2, c, _ = _chart(kind, np.sin(theta), np.cos(theta))
-    return ChartData(c1=c1, c2=c2, c=c)
+def chart_eval(kind: str, theta):
+    """_chart's (cos phi, sin phi, c, c'/(sin theta cos theta)) at chart
+    angle theta."""
+    return _chart(kind, np.sin(theta), np.cos(theta))
 
 
 def _dphi_dtheta(kind: str, theta: float) -> float:
     """dphi/dtheta at chart angle theta: cos theta / sqrt(c) on both charts,
     since c1'^2 + c2'^2 = cos^2(theta) / c and phi grows with theta where
     cos theta > 0."""
-    return math.cos(theta) / math.sqrt(chart_eval(kind, theta).c)
-
-
-def c_quotient(kind: str, theta):
-    """c'(theta) / (sin theta cos theta), continued analytically at the
-    lines where the denominator vanishes."""
-    q = _chart(kind, np.sin(theta), np.cos(theta))[3]
-    return np.full(np.shape(theta), q) if np.ndim(theta) else q
-
-
-def _phi(kind: str, si, c1, c2):
-    """Shape angle phi from sin theta and the chart point (cos phi, sin phi);
-    the half circle has the cheaper closed form 2 arctan(sin theta).  Both
-    stay numpy's on floats too: math.atan and math.atan2 round differently
-    from numpy's vectorized arctan and arctan2 on some arguments, and a flat
-    evaluation must give the bits of a block column."""
-    if kind == HALF_CIRCLE:
-        return 2.0 * np.arctan(si)
-    return np.arctan2(c2, c1)
+    return math.cos(theta) / math.sqrt(chart_eval(kind, theta)[2])
 
 
 def phi_of_theta(p: ProblemSpec, theta):
-    """Shape angle phi for chart angle theta (any cover)."""
+    """Shape angle phi for chart angle theta (any cover); the half circle
+    has the closed form 2 arctan(sin theta)."""
     si = np.sin(theta)
+    if p.chart == HALF_CIRCLE:
+        return 2.0 * np.arctan(si)
     c1, c2, _, _ = _chart(p.chart, si, np.cos(theta))
-    return _phi(p.chart, si, c1, c2)
+    return np.arctan2(c2, c1)
 
 
 def theta_of_phi(p: ProblemSpec, phi):
@@ -139,7 +119,7 @@ def _terms(p: ProblemSpec, theta):
     xp = _xp(theta)
     si, co = xp.sin(theta), xp.cos(theta)
     c1, c2, c, cq = _chart(p.chart, si, co, xp)
-    w, wp = _quantities(p, _phi(p.chart, si, c1, c2))
+    w, wp = _quantities(p, c1, c2)
     if p.chart == HALF_CIRCLE:
         wc, wcp = (1.0 + si * si) * w, 2.0 * co * (si * w + wp)
     else:
@@ -193,9 +173,9 @@ def devaney_rhs(p: ProblemSpec, y):
     H: a tuple of floats for a tuple, else the float64 (4,) array of the
     same values."""
     r, v, phi, w = _unpack(DEVANEY, y)
-    wq, wqp = _quantities(p, phi)
-    f = float(shape_f(p, phi))
-    fp = float(shape_fprime(p, phi))
+    co, si = math.cos(phi), math.sin(phi)
+    wq, wqp = _quantities(p, co, si)
+    f, fp = shape_f(p, co, si)
     bigf = f / math.sqrt(wq)
     dr = r * v * bigf
     dv = bigf * (2.0 * H * r - 0.5 * v * v) + math.sqrt(wq)
@@ -293,8 +273,9 @@ def energy_residual(p: ProblemSpec, s: State) -> float:
     if s.chart == NEWCOORDS:
         return energy_gradient(p, s)[0]
     if s.chart == DEVANEY:
-        wq, _ = _quantities(p, s.angle)
-        f = shape_f(p, s.angle)
+        co, si = math.cos(s.angle), math.sin(s.angle)
+        wq, _ = _quantities(p, co, si)
+        f, _ = shape_f(p, co, si)
         return (
             s.w * s.w / (2.0 * f)
             - 1.0
@@ -402,14 +383,13 @@ def to_configuration(p: ProblemSpec, s: State):
     # (c1, c2) = (cos phi, sin phi) and r^{3/2} phidot; on newcoords
     # r^{3/2} thetadot = w c / cos^2 theta
     if s.chart == NEWCOORDS:
-        cd = chart_eval(p.chart, s.angle)
-        c1, c2 = cd.c1, cd.c2
-        phidot_r32 = (s.w * cd.c / math.cos(s.angle) ** 2
+        c1, c2, c, _ = chart_eval(p.chart, s.angle)
+        phidot_r32 = (s.w * c / math.cos(s.angle) ** 2
                       * _dphi_dtheta(p.chart, s.angle))
     elif s.chart == DEVANEY:
-        wq, _ = _quantities(p, s.angle)
         c1, c2 = math.cos(s.angle), math.sin(s.angle)
-        phidot_r32 = s.w * math.sqrt(wq) / shape_f(p, s.angle)
+        wq, _ = _quantities(p, c1, c2)
+        phidot_r32 = s.w * math.sqrt(wq) / shape_f(p, c1, c2)[0]
     else:
         raise DomainError("unknown chart %r" % (s.chart,))
     # the chart derivatives are c1' = -c2 phi' and c2' = c1 phi'
@@ -437,14 +417,14 @@ def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2,
     v = math.sqrt(r) * rdot
     phi = math.atan2(sphi, cphi)
     if chart == DEVANEY:
-        f = shape_f(p, phi)
-        wq, _ = _quantities(p, phi)
+        f, _ = shape_f(p, cphi, sphi)
+        wq, _ = _quantities(p, cphi, sphi)
         # sqrt(f/V) = f / sqrt(W); f > 0 on the open shape domain
         w = phidot * r**1.5 * f / math.sqrt(wq)
         return State(DEVANEY, r, v, phi, w)
     theta = float(theta_of_phi(p, phi))
     co = math.cos(theta)
     thetadot = phidot / _dphi_dtheta(p.chart, theta)
-    c = chart_eval(p.chart, theta).c
+    c = chart_eval(p.chart, theta)[2]
     w = thetadot * r**1.5 * co * co / c
     return State(NEWCOORDS, r, v, theta, w)

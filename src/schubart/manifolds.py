@@ -145,9 +145,9 @@ def _manifold_tangent_vector(problem: ProblemSpec, eq: Equilibrium,
 
     def v_on_manifold(theta, w):
         cw, _ = dyn.curly_w(problem, theta)
-        ch = dyn.chart_eval(problem.chart, theta)
+        c = dyn.chart_eval(problem.chart, theta)[2]
         big_c = math.cos(theta) ** 2
-        return sign_v * math.sqrt(max(2.0 * cw - w * w * ch.c, 0.0) / big_c)
+        return sign_v * math.sqrt(max(2.0 * cw - w * w * c, 0.0) / big_c)
 
     def reduced(theta, w):
         dy = dyn.newcoords_rhs(

@@ -147,14 +147,16 @@ def planar(n: int) -> ProblemSpec:
 
 # -- potential evaluation ----------------------------------------------------
 #
-# Every evaluator accepts scalar or ndarray phi and returns the same shape.
-# The _quantities functions give the regularized W and W'; V and V' follow
-# from W = f V in potential.  A finite Python float phi is evaluated on
-# Python floats with math's sin, cos and sqrt, which give the bits of
-# numpy's float64 loops at a fraction of numpy's per-call cost.  The sums
-# over the n ring-ring interaction terms run left to right, in a += loop on
-# floats and row after row over an (n, ...) array (never numpy's pairwise
-# sum), and cubes are products (numpy's array power rounds differently from
+# Every formula takes the shape point (c, s) = (cos phi, sin phi), scalar
+# or ndarray, and returns the same shape: the charts give that pair without
+# phi, and potential takes the cos and sin of its own phi once.  The
+# _quantities functions give the regularized W and W'; V and V' follow
+# from W = f V in potential.  A finite Python float pair is evaluated on
+# Python floats with math's sqrt, which gives the bits of numpy's float64
+# loop at a fraction of numpy's per-call cost.  The sums over the n
+# ring-ring interaction terms run left to right, in a += loop on floats and
+# row after row over an (n, ...) array (never numpy's pairwise sum), and
+# cubes are products (numpy's array power rounds differently from
 # x * x * x), so a flat evaluation gives the bits of every block column.
 
 
@@ -197,11 +199,9 @@ def _ring_sums(p: ProblemSpec, x, terms, xp):
     return _rows(d), _rows(e)
 
 
-def _pyramidal_quantities(p: ProblemSpec, phi):
-    xp = _xp(phi)
-    s, c = xp.sin(phi), xp.cos(phi)
+def _pyramidal_quantities(p: ProblemSpec, c, s):
     d = 1.0 + (p.n / p.mu) * s * s
-    dm12 = 1.0 / xp.sqrt(d)
+    dm12 = 1.0 / _xp(c).sqrt(d)
     w = p.s_n / 4.0 + p.mu * c * dm12
     wp = -(p.n + p.mu) * s * dm12 / d
     return w, wp
@@ -213,12 +213,8 @@ def _spatial_terms(a, c, sqrt):
     return d, d * d * d
 
 
-def _spatial_quantities(p: ProblemSpec, phi):
-    xp = _xp(phi)
-    if xp is np:
-        phi = np.asarray(phi, dtype=float)
-    s, c = xp.sin(phi), xp.cos(phi)
-    t, u = _ring_sums(p, c, _spatial_terms, xp)
+def _spatial_quantities(p: ProblemSpec, c, s):
+    t, u = _ring_sums(p, c, _spatial_terms, _xp(c))
     w = p.s_n / 4.0 + 0.25 * c * t
     wp = -0.25 * s * u
     return w, wp
@@ -230,37 +226,31 @@ def _planar_terms(a, sc2, sqrt):
     return d, a * (d * d * d)
 
 
-def _planar_quantities(p: ProblemSpec, phi):
-    xp = _xp(phi)
-    if xp is np:
-        phi = np.asarray(phi, dtype=float)
-    s, c = xp.sin(phi), xp.cos(phi)
+def _planar_quantities(p: ProblemSpec, c, s):
     s4 = p.s_n / 4.0
-    t, u = _ring_sums(p, 2.0 * s * c, _planar_terms, xp)
+    t, u = _ring_sums(p, 2.0 * s * c, _planar_terms, _xp(c))
     w = s4 * (s + c) + s * c * t
-    wp = s4 * (c - s) + xp.cos(2.0 * phi) * (t + s * c * u)
+    # cos 2phi = (c - s)(c + s)
+    wp = s4 * (c - s) + (c - s) * (c + s) * (t + s * c * u)
     return w, wp
 
 
-def _quantities(p: ProblemSpec, phi):
+def _quantities(p: ProblemSpec, c, s):
+    """(W, W') at the shape point (c, s) = (cos phi, sin phi)."""
     if p.kind == PYRAMIDAL:
-        return _pyramidal_quantities(p, phi)
+        return _pyramidal_quantities(p, c, s)
     if p.kind == SPATIAL:
-        return _spatial_quantities(p, phi)
-    return _planar_quantities(p, phi)
+        return _spatial_quantities(p, c, s)
+    return _planar_quantities(p, c, s)
 
 
-def shape_f(p: ProblemSpec, phi):
-    """f(phi): the simple-zero factor that regularizes V at the domain ends."""
+def shape_f(p: ProblemSpec, c, s):
+    """(f, df/dphi) at the shape point (c, s) = (cos phi, sin phi): f is
+    the simple-zero factor that regularizes V at the domain ends, cos phi
+    on the half circle and sin phi cos phi on the quarter circle."""
     if p.chart == HALF_CIRCLE:
-        return np.cos(phi)
-    return np.sin(phi) * np.cos(phi)
-
-
-def shape_fprime(p: ProblemSpec, phi):
-    if p.chart == HALF_CIRCLE:
-        return -np.sin(phi)
-    return np.cos(2.0 * phi)
+        return c, -s
+    return s * c, (c - s) * (c + s)
 
 
 _QUANTITIES = ("V", "V'", "W", "W'", "f", "F")
@@ -270,24 +260,27 @@ def potential(p: ProblemSpec, phi, quantity: str):
     """Evaluate one of V, V', f, W, W', F = f/sqrt(W) at shape angle phi."""
     if quantity not in _QUANTITIES:
         raise DomainError("unknown potential quantity %r" % (quantity,))
+    # numpy's cos and sin even for a scalar phi: V = W / f and
+    # V' = (W' - f' V) / f then divide by a numpy zero where f vanishes at
+    # an arm, and blow up to +-inf there; W stays finite
+    c, s = np.cos(phi), np.sin(phi)
     if quantity == "f":
-        out = shape_f(p, phi)
+        out = shape_f(p, c, s)[0]
     else:
-        w, wp = _quantities(p, phi)
+        w, wp = _quantities(p, c, s)
         if quantity == "W":
             out = w
         elif quantity == "W'":
             out = wp
-        elif quantity == "F":
-            out = shape_f(p, phi) / np.sqrt(w)
         else:
-            # V = W / f and V' = (W' - f' V) / f blow up at the arms, where
-            # f vanishes; W stays finite there
-            f = shape_f(p, phi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = w / f
-                if quantity == "V'":
-                    out = (wp - shape_fprime(p, phi) * out) / f
+            f, fp = shape_f(p, c, s)
+            if quantity == "F":
+                out = f / np.sqrt(w)
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out = w / f
+                    if quantity == "V'":
+                        out = (wp - fp * out) / f
     if np.ndim(phi) == 0:
         return float(out)
     return out

@@ -45,8 +45,8 @@ def test_chart_point_on_unit_circle():
     thetas = np.linspace(-3.0, 3.0, 1000)
     for kind in (pr.HALF_CIRCLE, pr.QUARTER_CIRCLE):
         for th in thetas:
-            cd = dyn.chart_eval(kind, th)
-            assert cd.c1**2 + cd.c2**2 == pytest.approx(1.0, abs=1e-14)
+            c1, c2, _, _ = dyn.chart_eval(kind, th)
+            assert c1**2 + c2**2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_chart_c_against_finite_differences():
@@ -54,19 +54,19 @@ def test_chart_c_against_finite_differences():
     thetas = np.linspace(-3.0, 3.0, 1000)
     for kind in (pr.HALF_CIRCLE, pr.QUARTER_CIRCLE):
         for th in thetas:
-            c_p = dyn.chart_eval(kind, th + h).c
-            c_m = dyn.chart_eval(kind, th - h).c
+            c_p = dyn.chart_eval(kind, th + h)[2]
+            c_m = dyn.chart_eval(kind, th - h)[2]
             fd = (c_p - c_m) / (2.0 * h)
-            cp = dyn.c_quotient(kind, th) * math.sin(th) * math.cos(th)
+            cp = dyn.chart_eval(kind, th)[3] * math.sin(th) * math.cos(th)
             assert fd == pytest.approx(cp, abs=2e-9)
 
 
 def test_chart_c_known_values():
     # half: c = (1 + sin^2)^2 / 4; quarter: c = 1 + cos^2
-    assert dyn.chart_eval(pr.HALF_CIRCLE, 0.0).c == pytest.approx(0.25)
-    assert dyn.chart_eval(pr.HALF_CIRCLE, math.pi / 2).c == pytest.approx(1.0)
-    assert dyn.chart_eval(pr.QUARTER_CIRCLE, 0.0).c == pytest.approx(2.0)
-    assert dyn.chart_eval(pr.QUARTER_CIRCLE, math.pi / 2).c == pytest.approx(1.0)
+    assert dyn.chart_eval(pr.HALF_CIRCLE, 0.0)[2] == pytest.approx(0.25)
+    assert dyn.chart_eval(pr.HALF_CIRCLE, math.pi / 2)[2] == pytest.approx(1.0)
+    assert dyn.chart_eval(pr.QUARTER_CIRCLE, 0.0)[2] == pytest.approx(2.0)
+    assert dyn.chart_eval(pr.QUARTER_CIRCLE, math.pi / 2)[2] == pytest.approx(1.0)
 
 
 def test_phi_theta_roundtrip(all_problems):
@@ -466,7 +466,9 @@ def test_flat_chart_terms_are_python_floats(all_problems, monkeypatch):
 
 def test_float_interaction_sums_run_no_numpy(all_problems, monkeypatch):
     # no numpy function and no array of interaction cosines on the float
-    # path: the sums must run over the Python floats of _ring_cos_list
+    # path: the sums must run over the Python floats of _ring_cos_list,
+    # and the fields read the shape point (cos phi, sin phi) without
+    # forming the shape angle
     def refuse(*args, **kwargs):
         raise AssertionError("a numpy ufunc on the float path")
 
@@ -474,8 +476,13 @@ def test_float_interaction_sums_run_no_numpy(all_problems, monkeypatch):
     for p in problems:
         if p.kind != pr.PYRAMIDAL:
             monkeypatch.setattr(p, "_ring_cos", None)
-    for name in ("sqrt", "sin", "cos", "add", "multiply"):
+    for name in ("sqrt", "sin", "cos", "add", "multiply", "arctan",
+                 "arctan2"):
         monkeypatch.setattr(np, name, refuse)
+    y = (0.1, 0.2, 0.4, 0.3)
     for p in problems:
-        w, wp = pr._quantities(p, 0.3)
+        w, wp = pr._quantities(p, math.cos(0.3), math.sin(0.3))
         assert type(w) is float and type(wp) is float
+        for dy in (dyn.newcoords_rhs(p, y), dyn.damped_reverse_rhs(p, y, 2.0),
+                   dyn.devaney_rhs(p, y)):
+            assert [type(t) for t in dy] == [float] * 4

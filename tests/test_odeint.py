@@ -392,7 +392,7 @@ def test_collision_manifold_flow(pyr2, spa3, pla3):
     # r pinned at zero; v is a Lyapunov function (nondecreasing)
     for p in (pyr2, spa3, pla3):
         wc, _ = dyn.curly_w(p, -1.0)
-        c = dyn.chart_eval(p.chart, -1.0).c
+        c = dyn.chart_eval(p.chart, -1.0)[2]
         w0 = math.sqrt(2.0 * wc / c) * 0.7
         csq = math.cos(-1.0) ** 2
         v0 = -math.sqrt((2.0 * wc - w0 * w0 * c) / csq)
