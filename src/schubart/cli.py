@@ -250,6 +250,9 @@ def _trajectory_csv(orbit) -> str:
 
 def cmd_orbit(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
+    if cfg.out is not None and Path(cfg.out).suffix == ".csv":
+        raise DomainError("--out %s: the report would be overwritten by the"
+                          " trajectory CSV written beside it" % (cfg.out,))
     spec = _family_spec(args)
     problem = _problem(cfg)
     controls = Controls(rtol=cfg.rtol, atol=cfg.atol, max_s=cfg.max_s)

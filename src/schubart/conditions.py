@@ -367,6 +367,8 @@ def check_condition(problem: ProblemSpec, which: str,
                     beta: float = None) -> dict:
     """One report entry for N1, N2, N3, N3prime or N4."""
     beta = DEFAULT_BETA if beta is None else beta
+    if not math.isfinite(beta):
+        raise DomainError("beta must be finite, got %r" % (beta,))
     if which == "N1":
         return _check_N1(problem)
     if which == "N2":

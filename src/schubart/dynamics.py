@@ -151,28 +151,10 @@ def theta_star(p: ProblemSpec) -> float:
     return float(theta_of_phi(p, cps.phi_R))
 
 
-def _unpack(chart: str, y):
-    """(r, v, angle, w) of a State in the given chart, or of a flat
-    [r, v, angle, w] tuple or vector as Python floats (or the rows of a
-    (4, N) block of them)."""
-    if isinstance(y, tuple):
-        return y
-    if isinstance(y, State):
-        if y.chart != chart:
-            raise DomainError("a %s-chart state given where the %s chart is"
-                              " needed" % (y.chart, chart))
-        return y.r, y.v, y.angle, y.w
-    if isinstance(y, np.ndarray) and y.ndim == 1:
-        return y.tolist()
-    return y[0], y[1], y[2], y[3]
-
-
 def devaney_rhs(p: ProblemSpec, y):
-    """Right-hand side of the blown-up system in the devaney chart, at a
-    flat [r, v, phi, w] tuple or vector or a devaney State, at the energy
-    H: a tuple of floats for a tuple, else the float64 (4,) array of the
-    same values."""
-    r, v, phi, w = _unpack(DEVANEY, y)
+    """Right-hand side of the blown-up system in the devaney chart at the
+    energy H, as a tuple.  y is the four floats r, v, phi, w."""
+    r, v, phi, w = y
     co, si = math.cos(phi), math.sin(phi)
     wq, wqp = _quantities(p, co, si)
     f, fp = shape_f(p, co, si)
@@ -185,8 +167,7 @@ def devaney_rhs(p: ProblemSpec, y):
         + (wqp / wq) * (f - 0.5 * w * w)
         + fp * (1.0 + (f / wq) * (2.0 * H * r - v * v))
     )
-    dy = (dr, dv, dphi, dw)
-    return dy if isinstance(y, tuple) else np.array(dy)
+    return dr, dv, dphi, dw
 
 
 def _field(r, v, w, terms):
@@ -226,52 +207,46 @@ def newcoords_rhs(p: ProblemSpec, y):
     regular points; the field is polynomial in the state given the chart
     functions).
 
-    y is a flat [r, v, theta, w] tuple or vector, a (4, N) block of such
-    columns (the result is then (4, N) too), or a newcoords State, at the
-    energy H.  A tuple gives a tuple of floats, anything else an array; a
-    flat vector gives the bits of the tuple call.
+    y is r, v, theta, w at the energy H: four floats (a tuple or list),
+    or the four rows of a (4, N) block.  Returns the four components as a
+    tuple, of floats or of (N,) rows.
     """
-    r, v, theta, w = _unpack(NEWCOORDS, y)
-    dy = _field(r, v, w, _terms(p, theta))
-    return dy if isinstance(y, tuple) else np.array(dy)
+    r, v, theta, w = y
+    return _field(r, v, w, _terms(p, theta))
 
 
 def energy_gradient(p: ProblemSpec, y):
     """(E, dE/dy): the newcoords energy residual and its gradient over
     [r, v, theta, w], in closed form from the field's chart terms.
-    y is taken as by newcoords_rhs.
+    y is taken as by newcoords_rhs, and dE/dy is a tuple of its four
+    components.
     """
-    r, v, theta, w = _unpack(NEWCOORDS, y)
-    res, grad = _energy(r, v, w, _terms(p, theta))
-    return res, np.array(grad)
+    r, v, theta, w = y
+    return _energy(r, v, w, _terms(p, theta))
 
 
 def damped_reverse_rhs(p: ProblemSpec, y, damp: float):
-    """The time-reversed newcoords field at a flat [r, v, theta, w] tuple
-    or vector (or a newcoords State), minus damp * E grad E / |grad E|^2
-    with the dE/dr part of grad E left out: the energy deviation decays
-    toward the shell at rate damp, within the plane of constant r.  One
-    chart-term evaluation serves both the field and the energy.  A tuple
-    gives a tuple of floats, anything else the float64 (4,) array of the
-    same values."""
-    r, v, theta, w = _unpack(NEWCOORDS, y)
+    """The time-reversed newcoords field at the four floats r, v, theta, w,
+    minus damp * E grad E / |grad E|^2 with the dE/dr part of grad E left
+    out: the energy deviation decays toward the shell at rate damp, within
+    the plane of constant r.  One chart-term evaluation serves both the
+    field and the energy.  Returns a tuple of floats."""
+    r, v, theta, w = y
     terms = _terms(p, theta)
     dr, dv, dtheta, dw = _field(r, v, w, terms)
     res, (_, gv, gtheta, gw) = _energy(r, v, w, terms)
     n2 = gv * gv + gtheta * gtheta + gw * gw
     if n2 > 0.0:
         a = damp * res
-        dy = (-dr, -dv - a * gv / n2, -dtheta - a * gtheta / n2,
-              -dw - a * gw / n2)
-    else:
-        dy = (-dr, -dv, -dtheta, -dw)
-    return dy if isinstance(y, tuple) else np.array(dy)
+        return (-dr, -dv - a * gv / n2, -dtheta - a * gtheta / n2,
+                -dw - a * gw / n2)
+    return -dr, -dv, -dtheta, -dw
 
 
 def energy_residual(p: ProblemSpec, s: State) -> float:
     """Signed defect of the energy relation in the state's chart."""
     if s.chart == NEWCOORDS:
-        return energy_gradient(p, s)[0]
+        return energy_gradient(p, (s.r, s.v, s.angle, s.w))[0]
     if s.chart == DEVANEY:
         co, si = math.cos(s.angle), math.sin(s.angle)
         wq, _ = _quantities(p, co, si)
@@ -300,28 +275,31 @@ def solve_w(p: ProblemSpec, r: float, v: float, theta: float, sign: int = 1):
 
 # -- discrete symmetries ------------------------------------------------------
 
-def _image(s, r, v, angle, w):
-    """(r, v, angle, w) in the form of s: a State like s, or an array like
-    the flat vector or (4, N) block s."""
+def _image(s, f):
+    """f(r, v, theta, w) in the form of s: a State like the newcoords State
+    s, or an array for the flat vector or (4, N) block s."""
     if isinstance(s, State):
+        if s.chart != NEWCOORDS:
+            raise DomainError("a %s-chart state given where the newcoords"
+                              " chart is needed" % (s.chart,))
+        r, v, angle, w = f(s.r, s.v, s.angle, s.w)
         return replace(s, r=r, v=v, angle=angle, w=w)
-    return np.array([r, v, angle, w])
+    return np.array(f(*s))
 
 
 def apply_symmetry(op: str, s):
     """Apply one of the built-in symmetries in the newcoords chart to a
-    State, or to a flat vector or (4, N) block taken as by newcoords_rhs.
+    newcoords State, or to a flat vector or (4, N) block of [r, v, theta, w].
 
     Returns (image, time_reversing flag).  R1: (r,-v,theta,-w);
     R2: (r,-v,-theta,w); T1: (r,v,theta+pi,w).
     """
-    r, v, theta, w = _unpack(NEWCOORDS, s)
     if op == "R1":
-        return _image(s, r, -v, theta, -w), True
+        return _image(s, lambda r, v, th, w: (r, -v, th, -w)), True
     if op == "R2":
-        return _image(s, r, -v, -theta, w), True
+        return _image(s, lambda r, v, th, w: (r, -v, -th, w)), True
     if op == "T1":
-        return _image(s, r, v, theta + math.pi, w), False
+        return _image(s, lambda r, v, th, w: (r, v, th + math.pi, w)), False
     raise DomainError("unknown symmetry %r (expected R1, R2 or T1)" % (op,))
 
 
@@ -329,8 +307,8 @@ def sigma_line(theta_bar: float, s):
     """Reflection about the vertical line theta = theta_bar:
     (r, -v, 2 theta_bar - theta, w), of a state taken as by apply_symmetry.
     Time-reversing.  A flow symmetry for theta_bar any multiple of pi/2."""
-    r, v, theta, w = _unpack(NEWCOORDS, s)
-    return _image(s, r, -v, 2.0 * theta_bar - theta, w), True
+    image = _image(s, lambda r, v, th, w: (r, -v, 2.0 * theta_bar - th, w))
+    return image, True
 
 
 def deck_transform(s: State):

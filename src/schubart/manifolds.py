@@ -71,7 +71,8 @@ def _jacobian(problem: ProblemSpec, st: State) -> np.ndarray:
         xp, xm = x.copy(), x.copy()
         xp[j] += step
         xm[j] -= step
-        jac[:, j] = (rhs(0.0, xp) - rhs(0.0, xm)) / (2.0 * step)
+        jac[:, j] = np.subtract(rhs(0.0, xp.tolist()),
+                                rhs(0.0, xm.tolist())) / (2.0 * step)
     if not np.all(np.isfinite(jac)):
         raise LinearizationError("non-finite Jacobian at %r" % (st,))
     return jac
@@ -151,7 +152,7 @@ def _manifold_tangent_vector(problem: ProblemSpec, eq: Equilibrium,
 
     def reduced(theta, w):
         dy = dyn.newcoords_rhs(
-            problem, np.array([0.0, v_on_manifold(theta, w), theta, w]))
+            problem, (0.0, v_on_manifold(theta, w), theta, w))
         return np.array([dy[2], dy[3]])
 
     th0, w0 = eq.state.angle, eq.state.w
@@ -288,7 +289,7 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
 
     end = traj.end_state
     termination = "cap"
-    rhs_end = dyn.newcoords_rhs(problem, end)
+    rhs_end = dyn.newcoords_rhs(problem, (end.r, end.v, end.angle, end.w))
     if float(np.max(np.abs(rhs_end[1:]))) < 1e-6 and abs(end.w) < 1e-4:
         termination = "equilibrium"
     elif abs(end.v) > 1.2 * abs(eq.state.v) and not stop_at_last_landmark:

@@ -616,14 +616,15 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
 
 
 def _columnwise(rhs):
-    """rhs over a (4, N) block; below _COLUMNWISE_BELOW lanes it is called
-    on one flat column at a time."""
+    """rhs over a (4, N) block, as a (4, N) array: rhs takes the block's
+    rows whole, or below _COLUMNWISE_BELOW lanes one column at a time as a
+    list of floats."""
     def f(s, y):
         if y.shape[1] >= _COLUMNWISE_BELOW:
-            return rhs(s, y)
+            return np.array(rhs(s, y))
         out = np.empty_like(y)
         for j in range(y.shape[1]):
-            out[:, j] = rhs(s[j], y[:, j])
+            out[:, j] = rhs(s[j], y[:, j].tolist())
         return out
     return f
 
@@ -631,8 +632,8 @@ def _columnwise(rhs):
 def integrate_block(rhs, seeds, events=(), controls=None) -> list:
     """Integrate one trajectory per seed, all in lockstep.
 
-    The seeds are the columns of a (4, N) block that rhs takes whole (and
-    column by column once fewer than _COLUMNWISE_BELOW lanes are live).
+    The seeds are the columns of a (4, N) block that rhs takes whole, as
+    its four rows, and returns as a tuple of rows (see _columnwise).
     Each lane runs the step, controller, budget and event rules of
     `integrate` on its own step size and retires on its own termination.
     Returns one Trajectory per seed, in order, holding its events and
@@ -735,8 +736,9 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
 
 
 def field_for(problem, chart: str):
-    """The field callable (s, y) over the flat vector [r, v, angle, w] at
-    h = -1 for a problem in the given chart."""
+    """The field callable (s, y) over r, v, angle, w at h = -1 for a
+    problem in the given chart, taking and returning them as the field
+    functions of dynamics do."""
     if chart == NEWCOORDS:
         return lambda s, y: newcoords_rhs(problem, y)
     if chart == DEVANEY:

@@ -282,9 +282,8 @@ def _floor(problem, recipe: _Recipe, state: State) -> float:
     """The noise floor of a matched shot's residual (v at a line hit, w at
     a brake), read at the located terminal event `state`: the event's s is
     known to _EVENT_TOL, so the residual to _EVENT_TOL |d residual / ds|."""
-    slope = dyn.newcoords_rhs(problem, state)[
-        1 if recipe.terminal == "line" else 3]
-    return _EVENT_TOL * abs(float(slope))
+    dy = dyn.newcoords_rhs(problem, (state.r, state.v, state.angle, state.w))
+    return _EVENT_TOL * abs(dy[1 if recipe.terminal == "line" else 3])
 
 
 def _classify(recipe: _Recipe, param: float, traj: Trajectory) -> _ShotRecord:
@@ -497,10 +496,11 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     to the found terminal's s.
 
     Returns the orbit of the first bracket.  Raises DomainError for an
-    empty search window, a non-positive S-locus size or fewer than two grid
-    points, OrbitNotFoundError (carrying the scan table) when no bracket
-    matches, and its subclass AmbiguousBracketError (carrying the scan
-    table too) when the bracket gives no root even after one local re-scan.
+    empty or unbounded search window, a non-positive S-locus size or fewer
+    than two grid points, OrbitNotFoundError (carrying the scan table) when
+    no bracket matches, and its subclass AmbiguousBracketError (carrying
+    the scan table too) when the bracket gives no root even after one
+    local re-scan.
     """
     recipe = _recipe_for(family)
     if controls is not None:
@@ -509,9 +509,11 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     if search:
         cfg.update(search)
     lo, hi, n = cfg["param_lo"], cfg["param_hi"], int(cfg["grid_points"])
-    if not lo < hi or (recipe.locus == LOCUS_S and not lo > 0.0):
-        raise DomainError("search window [%r, %r] needs param_lo < param_hi"
-                          " (and param_lo > 0 on %s)" % (lo, hi, LOCUS_S))
+    if (not -math.inf < lo < hi < math.inf
+            or (recipe.locus == LOCUS_S and not lo > 0.0)):
+        raise DomainError("search window [%r, %r] needs finite param_lo <"
+                          " param_hi (and param_lo > 0 on %s)"
+                          % (lo, hi, LOCUS_S))
     if n < 2:
         raise DomainError("search window needs at least 2 grid points to"
                           " bracket a root, got %d" % (n,))

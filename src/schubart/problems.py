@@ -99,8 +99,9 @@ class ProblemSpec:
             raise DomainError(
                 "%s requires n >= %d, got %d" % (self.kind, min_n, self.n)
             )
-        if self.kind == PYRAMIDAL and not self.mu > 0.0:
-            raise DomainError("pyramidal apex mass mu must be positive")
+        if self.kind == PYRAMIDAL and not 0.0 < self.mu < math.inf:
+            raise DomainError("pyramidal apex mass mu must be positive and"
+                              " finite, got %r" % (self.mu,))
         self.s_n = csc_sum(self.n)
         if self.kind == PLANAR:
             self.phi_a, self.phi_b = 0.0, math.pi / 2.0

@@ -57,6 +57,22 @@ def test_exit_64_on_bad_problem_parameters(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["conditions", "--problem", "pyramidal", "--n", "4", "--beta", "nan"],
+    ["conditions", "--problem", "pyramidal", "--n", "4", "--beta", "inf"],
+    ["conditions", "--problem", "pyramidal", "--n", "2", "--mu", "inf"],
+    ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
+     "--param-hi", "inf"],
+], ids=["beta-nan", "beta-inf", "mu-inf", "param-hi-inf"])
+def test_exit_64_on_non_finite_numbers(capsys, argv):
+    # a nan beta used to print "beta": nan, which is not JSON; an infinite
+    # mu or window end ran until the field or the critical points failed
+    code, text = run(argv)
+    assert code == 64
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_64_on_unknown_subcommand():
     code, _ = run(["frobnicate"])
     assert code == 64
@@ -226,6 +242,25 @@ def test_orbit_report_and_trajectory(tmp_path):
     t = [r[1] for r in rows]
     assert t[0] == 0.0 and t[-1] > 0.0
     assert all(b >= a for a, b in zip(t, t[1:])), "physical time monotone"
+
+
+def test_orbit_refuses_an_out_its_trajectory_csv_overwrites(
+        tmp_path, monkeypatch, capsys):
+    # the trajectory goes to the .csv beside --out, so an --out ending in
+    # .csv would lose the report; refused before any search
+    from schubart import orbits
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched although --out is unusable")
+
+    monkeypatch.setattr(orbits, "find_orbit", refuse)
+    out = tmp_path / "b0.csv"
+    code, text = run(["orbit", "--family", "B", "--k", "0",
+                      "--param-lo", "0.4", "--param-hi", "0.7",
+                      "--grid-points", "9", "--out", str(out)])
+    assert code == 64
+    assert text == "" and not out.exists()
+    assert capsys.readouterr().err.startswith("error: --out")
 
 
 def test_orbit_diagnostics_carry_the_root_evidence():

@@ -145,8 +145,8 @@ def test_newcoords_field_tangent_to_energy_level(all_problems, rng):
     h = 1e-7
     for p in all_problems:
         for st in _on_shell_states(p, rng, count=25):
-            dy = dyn.newcoords_rhs(p, st)
             y = st.as_array()
+            dy = np.array(dyn.newcoords_rhs(p, y.tolist()))
             rp = dyn.energy_residual(p, st.with_array(y + h * dy))
             rm = dyn.energy_residual(p, st.with_array(y - h * dy))
             assert abs((rp - rm) / (2.0 * h)) < 1e-6
@@ -174,10 +174,10 @@ def test_symmetries_commute_with_field(all_problems, rng):
     }
     for p in all_problems:
         for st in _on_shell_states(p, rng, count=10):
-            fx = dyn.newcoords_rhs(p, st)
+            fx = np.array(dyn.newcoords_rhs(p, st.as_array().tolist()))
             for op in ("R1", "R2", "T1"):
                 img, rev = dyn.apply_symmetry(op, st)
-                fi = dyn.newcoords_rhs(p, img)
+                fi = np.array(dyn.newcoords_rhs(p, img.as_array().tolist()))
                 want = (-1.0 if rev else 1.0) * jac[op] @ fx
                 assert np.max(np.abs(fi - want)) < 1e-10 * max(
                     1.0, float(np.max(np.abs(fx))))
@@ -186,11 +186,11 @@ def test_symmetries_commute_with_field(all_problems, rng):
 def test_sigma_line_is_flow_symmetry_on_half_pi_grid(pyr2, rng):
     dsig = np.diag([1.0, -1.0, -1.0, 1.0])
     for st in _on_shell_states(pyr2, rng, count=10):
-        fx = dyn.newcoords_rhs(pyr2, st)
+        fx = np.array(dyn.newcoords_rhs(pyr2, st.as_array().tolist()))
         for k in (-1, 0, 1, 2):
             img, rev = dyn.sigma_line(k * math.pi / 2.0, st)
             assert rev is True
-            fi = dyn.newcoords_rhs(pyr2, img)
+            fi = np.array(dyn.newcoords_rhs(pyr2, img.as_array().tolist()))
             assert np.max(np.abs(fi + dsig @ fx)) < 1e-10 * max(
                 1.0, float(np.max(np.abs(fx))))
 
@@ -215,10 +215,10 @@ def test_deck_transform_preserves_field(pyr2, spa3, rng):
     ddeck = np.diag([1.0, 1.0, -1.0, -1.0])
     for p in (pyr2, spa3):
         for st in _on_shell_states(p, rng, count=10):
-            fx = dyn.newcoords_rhs(p, st)
+            fx = np.array(dyn.newcoords_rhs(p, st.as_array().tolist()))
             img, rev = dyn.deck_transform(st)
             assert rev is False
-            fi = dyn.newcoords_rhs(p, img)
+            fi = np.array(dyn.newcoords_rhs(p, img.as_array().tolist()))
             assert np.max(np.abs(fi - ddeck @ fx)) < 1e-10 * max(
                 1.0, float(np.max(np.abs(fx))))
 
@@ -227,6 +227,17 @@ def test_apply_symmetry_rejects_unknown(pyr2):
     st = State(NEWCOORDS, 1.0, 0.0, 0.1, 0.5)
     with pytest.raises(DomainError):
         dyn.apply_symmetry("R9", st)
+
+
+def test_symmetries_reject_a_devaney_state():
+    # the symmetries act in the newcoords chart: a devaney State, whose
+    # angle is phi and not theta, must not be mapped as if it were
+    st = State(DEVANEY, 1.0, 0.0, 0.1, 0.5)
+    for op in ("R1", "R2", "T1"):
+        with pytest.raises(DomainError, match="devaney-chart state"):
+            dyn.apply_symmetry(op, st)
+    with pytest.raises(DomainError, match="devaney-chart state"):
+        dyn.sigma_line(0.0, st)
 
 
 def test_classify_region(pyr2):
@@ -289,7 +300,7 @@ def test_devaney_field_zero_at_equilibria(pyr2):
         v = math.sqrt(2.0 * pr.potential(pyr2, phi, "V"))
         for sign in (1.0, -1.0):
             st = State(DEVANEY, 0.0, sign * v, phi, 0.0)
-            dy = dyn.devaney_rhs(pyr2, st)
+            dy = dyn.devaney_rhs(pyr2, st.as_array().tolist())
             assert np.max(np.abs(dy)) < 1e-9
 
 
@@ -307,9 +318,9 @@ def test_energy_gradient_matches_finite_differences(all_problems):
         states = (_on_shell_states(p, rng, count=20)
                   + _off_shell_states(rng, count=20))
         for st in states:
-            res, grad = dyn.energy_gradient(p, st)
-            assert res == dyn.energy_residual(p, st)
             y = st.as_array()
+            res, grad = dyn.energy_gradient(p, y.tolist())
+            assert res == dyn.energy_residual(p, st)
             fd = np.empty(4)
             for j in range(4):
                 step = np.zeros(4)
@@ -317,7 +328,8 @@ def test_energy_gradient_matches_finite_differences(all_problems):
                 fd[j] = (dyn.energy_residual(p, st.with_array(y + step))
                          - dyn.energy_residual(p, st.with_array(y - step))
                          ) / (2.0 * h)
-            assert np.linalg.norm(grad - fd) <= 1e-7 * np.linalg.norm(fd)
+            assert (np.linalg.norm(np.array(grad) - fd)
+                    <= 1e-7 * np.linalg.norm(fd))
 
 
 def test_newcoords_field_broadcasts_over_columns(all_problems):
@@ -325,8 +337,9 @@ def test_newcoords_field_broadcasts_over_columns(all_problems):
     for p in all_problems:
         block = np.array([st.as_array()
                           for st in _off_shell_states(rng, count=64)]).T
-        got = dyn.newcoords_rhs(p, block)
-        want = np.array([dyn.newcoords_rhs(p, col) for col in block.T]).T
+        got = np.array(dyn.newcoords_rhs(p, block))
+        want = np.array([dyn.newcoords_rhs(p, col.tolist())
+                         for col in block.T]).T
         assert got.shape == block.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -337,8 +350,9 @@ def test_damped_reverse_field_fuses_field_and_energy(all_problems,
     # separate energy_gradient call, from one chart-term evaluation; |grad
     # E|^2 is summed left to right
     def composed(p, y, damp):
-        dy = -dyn.newcoords_rhs(p, y)
+        dy = -np.array(dyn.newcoords_rhs(p, y))
         res, grad = dyn.energy_gradient(p, y)
+        grad = np.array(grad)
         grad[0] = 0.0
         n2 = sum(g * g for g in grad.tolist())
         if n2 > 0.0:
@@ -350,45 +364,16 @@ def test_damped_reverse_field_fuses_field_and_energy(all_problems,
         states = (_on_shell_states(p, rng, count=20)
                   + _off_shell_states(rng, count=20))
         for st in states:
-            y = st.as_array()
+            y = st.as_array().tolist()
             assert np.array_equal(dyn.damped_reverse_rhs(p, y, 20.0),
                                   composed(p, y, 20.0))
     calls = []
     terms = dyn._terms
     monkeypatch.setattr(dyn, "_terms",
                         lambda p, theta: calls.append(1) or terms(p, theta))
-    dyn.damped_reverse_rhs(all_problems[0], states[0].as_array(), 20.0)
+    dyn.damped_reverse_rhs(all_problems[0], states[0].as_array().tolist(),
+                           20.0)
     assert len(calls) == 1
-
-
-def _assert_flat_array(a):
-    assert isinstance(a, np.ndarray)
-    assert a.dtype == np.float64 and a.shape == (4,)
-
-
-def test_flat_evaluations_equal_state_and_block_calls(all_problems):
-    # a flat vector runs on Python floats; it must give the bits of the
-    # State-input call and of a (4, 1) block column
-    rng = np.random.default_rng(8)
-    for p in all_problems:
-        states = (_on_shell_states(p, rng, count=20)
-                  + _off_shell_states(rng, count=20))
-        for st in states:
-            y = st.as_array()
-            col = y[:, None]
-            field = dyn.newcoords_rhs(p, y)
-            res, grad = dyn.energy_gradient(p, y)
-            damped = dyn.damped_reverse_rhs(p, y, 20.0)
-            for a in (field, grad, damped):
-                _assert_flat_array(a)
-            assert np.array_equal(field, dyn.newcoords_rhs(p, st))
-            res_st, grad_st = dyn.energy_gradient(p, st)
-            assert res == res_st and np.array_equal(grad, grad_st)
-            assert np.array_equal(damped, dyn.damped_reverse_rhs(p, st, 20.0))
-            res_col, grad_col = dyn.energy_gradient(p, col)
-            assert np.array_equal(field, dyn.newcoords_rhs(p, col)[:, 0])
-            assert np.array_equal(grad, grad_col[:, 0])
-            assert np.array_equal(np.array([res]), res_col)
 
 
 def _devaney_states(p, rng, count):
@@ -407,8 +392,8 @@ def _devaney_states(p, rng, count):
 
 
 def test_tuple_evaluations_are_floats_equal_to_flat_calls(all_problems):
-    # a tuple gives a tuple of Python floats, the bits of the flat-vector
-    # call, which wraps the same float formula in an array
+    # a tuple gives a tuple of Python floats, the bits of the call on the
+    # same four floats as a list (the form a block column is passed in)
     rng = np.random.default_rng(20)
     for p in all_problems:
         states = (_on_shell_states(p, rng, count=20)
@@ -423,9 +408,7 @@ def test_tuple_evaluations_are_floats_equal_to_flat_calls(all_problems):
                 got = field(tuple(y.tolist()))
                 assert type(got) is tuple
                 assert [type(c) for c in got] == [float] * 4
-                want = field(y)
-                _assert_flat_array(want)
-                assert np.array_equal(np.array(got), want)
+                assert got == field(y.tolist())
 
 
 def test_field_is_lane_invariant(all_problems):
@@ -437,10 +420,11 @@ def test_field_is_lane_invariant(all_problems):
         for count in (1, 2, 3, 7, 8, 9, 400):
             block = np.array([st.as_array()
                               for st in _off_shell_states(rng, count)]).T
-            field = dyn.newcoords_rhs(p, block)
+            field = np.array(dyn.newcoords_rhs(p, block))
             res, grad = dyn.energy_gradient(p, block)
+            grad = np.array(grad)
             for j in range(count):
-                y = block[:, j]
+                y = block[:, j].tolist()
                 assert np.array_equal(field[:, j], dyn.newcoords_rhs(p, y))
                 res_j, grad_j = dyn.energy_gradient(p, y)
                 assert res[j] == res_j and np.array_equal(grad[:, j], grad_j)
@@ -459,7 +443,7 @@ def test_flat_chart_terms_are_python_floats(all_problems, monkeypatch):
                         or seen[-1])
     for p in all_problems:
         seen.clear()
-        dyn.newcoords_rhs(p, np.array([0.1, 0.2, -0.4, 0.3]))
+        dyn.newcoords_rhs(p, (0.1, 0.2, -0.4, 0.3))
         assert len(seen) == 1 and len(seen[0]) == 6
         assert [type(t) for t in seen[0]] == [float] * 6
 

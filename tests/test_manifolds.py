@@ -69,7 +69,7 @@ def test_equilibria_speeds(all_problems):
 def test_equilibria_are_field_zeros(all_problems):
     for p in all_problems:
         for eq in mf.equilibria(p):
-            dy = dyn.newcoords_rhs(p, eq.state)
+            dy = dyn.newcoords_rhs(p, eq.state.as_array().tolist())
             assert np.max(np.abs(dy)) < 1e-9
 
 
@@ -81,7 +81,7 @@ def test_equilibria_devaney(pyr2):
     # midpoint shape speed: sqrt(2 * 1.25)
     assert by_label["E+"].state.v == pytest.approx(math.sqrt(2.5), rel=1e-12)
     for eq in eqs:
-        dy = dyn.devaney_rhs(pyr2, eq.state)
+        dy = dyn.devaney_rhs(pyr2, eq.state.as_array().tolist())
         assert np.max(np.abs(dy)) < 1e-9
 
 

@@ -120,14 +120,15 @@ def test_generated_step_matches_scipy_rk_step(pyr2, pla10):
     atol, rtol = 1e-12, 1e-11
     for p, (r, v, theta), h in ((pyr2, (0.2, 0.1, -0.4), 0.05),
                                 (pla10, (0.05, -0.3, 1.0), 0.01)):
-        rhs = oi.field_for(p, NEWCOORDS)
+        field = oi.field_for(p, NEWCOORDS)
+        rhs = lambda s, y: np.array(field(s, y.tolist()))
         s, y = 0.5, np.array([r, v, theta, dyn.solve_w(p, r, v, theta)])
         f = rhs(s, y)
         K = np.empty((16, 4))
         y_ref, _ = rk_step(rhs, s, y, f, h, DOP853.A, DOP853.B, DOP853.C,
                            K[:13])
-        k, y_new, err = step(rhs, s, tuple(y.tolist()), h, tuple(f.tolist()),
-                             atol, rtol)
+        k, y_new, err = step(field, s, tuple(y.tolist()), h,
+                             tuple(f.tolist()), atol, rtol)
         assert [type(c) for c in k + y_new] == [float] * 56
         ulp = np.spacing(np.maximum(np.abs(y), np.abs(y_ref)))
         assert (np.abs(np.array(y_new) - y_ref) <= 4 * ulp).all()
@@ -150,7 +151,7 @@ def test_generated_step_matches_scipy_rk_step(pyr2, pla10):
         F[2] = 2 * F[0] - h * (K[12] + f)
         F[3:] = h * DOP853.D @ K
         ref = Dop853DenseOutput(s, s + h, y, F)
-        q = np.array(dense(rhs, s, tuple(y.tolist()), h, k))
+        q = np.array(dense(field, s, tuple(y.tolist()), h, k))
         for x in (0.1, 0.5, 0.93):
             want = ref(s + x * h)
             assert (np.abs(oi._interpolate(y, h, q, x) - want)

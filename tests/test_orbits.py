@@ -114,7 +114,7 @@ def test_seed_Z_at_theta_star_is_homothetic_brake(pyr2):
     ts = dyn.theta_star(pyr2)
     st = ob.seed_state(pyr2, ob.LOCUS_Z, ts)
     # no shape motion from a critical shape: theta and w stay put
-    rhs = dyn.newcoords_rhs(pyr2, st)
+    rhs = dyn.newcoords_rhs(pyr2, st.as_array().tolist())
     assert abs(rhs[2]) < 1e-12 and abs(rhs[3]) < 1e-12
 
 

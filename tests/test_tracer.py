@@ -7,6 +7,7 @@ import pathlib
 import types
 
 import schubart.cli as cli
+from schubart import dynamics as dyn
 
 _TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,14 +39,20 @@ def test_tracer_names_resolve_and_count_the_field(capsys):
     assert metrics["manifolds.trace_calls"] > 0
 
 
-def test_tracer_counts_the_orbit_search_repeatably(capsys):
+def test_tracer_counts_the_orbit_search_repeatably(capsys, monkeypatch):
     # the scan flies its seeds through odeint.integrate_block, which no span
-    # wraps: its field calls must still reach the traced field name
+    # wraps: its field calls must still reach the traced field name, and so
+    # must every other evaluation of the field, the Brent shots' among them
     tr = _load_tracer()
     argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
             "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
+    evaluations = []
+    field = dyn._field
+    monkeypatch.setattr(dyn, "_field",
+                        lambda *args: evaluations.append(1) or field(*args))
     passes = []
     for _ in range(2):
+        evaluations.clear()
         tracer = tr.Tracer()
         tracer.install()
         try:
@@ -61,5 +68,10 @@ def test_tracer_counts_the_orbit_search_repeatably(capsys):
         # the scan block's calls lie outside every integrate span
         integ = [s for s in tracer.spans if s.name == "odeint.integrate"]
         assert metrics["dynamics.field_calls"] > tr._fev(integ)
+        assert metrics["dynamics.field_calls"] == len(evaluations)
+        # the Brent shots fly one integrate call each (the tracer books
+        # them as scan or root shots by their seed order)
+        shots = [s for s in integ if s.attrs["stage"] in ("scan", "root")]
+        assert shots and tr._fev(shots) > 0
         passes.append({name: metrics[name] for name in tr.COUNTS})
     assert passes[0] == passes[1]
