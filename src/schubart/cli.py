@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -250,7 +251,8 @@ def _trajectory_csv(orbit) -> str:
 
 def cmd_orbit(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
-    if cfg.out is not None and Path(cfg.out).suffix == ".csv":
+    if (cfg.format == "json" and cfg.out is not None
+            and Path(cfg.out).suffix == ".csv"):
         raise DomainError("--out %s: the report would be overwritten by the"
                           " trajectory CSV written beside it" % (cfg.out,))
     spec = _family_spec(args)
@@ -286,8 +288,8 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
                  "theta": seed.angle, "w": seed.w, "h": H},
         "notes": dict(orbit.notes),
     }
-    if cfg.out is None and cfg.format == "csv":
-        _write(_trajectory_csv(orbit), None)
+    if cfg.format == "csv":
+        _write(_trajectory_csv(orbit), cfg.out)
         return 0
     # the root's evidence of convergence
     diagnostics = {
@@ -328,6 +330,10 @@ def _table_sweep(cfg, args):
                               % (args.steps,))
         lo = 0.5 if args.lo is None else args.lo
         hi = 3.5 if args.hi is None else args.hi
+        for flag, bound in (("--lo", lo), ("--hi", hi)):
+            if not math.isfinite(bound):
+                raise DomainError("%s must be finite on the mu sweep, got %r"
+                                  % (flag, bound))
         values = np.linspace(lo, hi, args.steps)
         mk = lambda v: problems.pyramidal(cfg.n, float(v))
         key = "mu"

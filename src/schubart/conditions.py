@@ -49,10 +49,7 @@ from .odeint import Controls, integrate
 from .problems import (
     HALF_CIRCLE,
     PLANAR,
-    SPATIAL,
     ProblemSpec,
-    _quantities,
-    csc_sum,
     potential,
     spatial,
 )
@@ -158,7 +155,7 @@ def _g_rhs_factory(problem: ProblemSpec, kind: str, u0: float):
 
     if kind == "g3" or kind == "gamma":
         def drift(phi, g, u):
-            w, wp = _quantities(problem, math.cos(phi), math.sin(phi))
+            w, wp = problem.quantities(math.cos(phi), math.sin(phi), math)
             return u * g * (wp / w)
     elif kind == "g2":
         def drift(phi, g, u):
@@ -200,7 +197,7 @@ def _g_initial(problem: ProblemSpec, kind: str):
         raise DomainError("no off-midpoint critical angle for %r" % (problem,))
     phi_r = cps.phi_R
     g_star = -math.sqrt(2.0 / math.cos(phi_r))
-    w, wp = _quantities(problem, math.cos(phi_r), math.sin(phi_r))
+    w, wp = problem.quantities(math.cos(phi_r), math.sin(phi_r), math)
     slope = -(g_star / 2.0) * (wp / w)
     delta = 1e-8
     return phi_r + delta, g_star + slope * delta
@@ -334,7 +331,7 @@ def _check_N3(p: ProblemSpec) -> dict:
     w_arm = potential(p, math.pi / 2.0, "W")
     arm_defect = abs(w_arm - p.s_n / 4.0)
     phis = np.linspace(math.pi / 4.0, math.pi / 2.0, 100000, endpoint=False)
-    w, wp = _quantities(p, np.cos(phis), np.sin(phis))
+    w, wp = p.quantities(np.cos(phis), np.sin(phis), np)
     ratio = np.abs(wp / w)
     worst = float(np.max(ratio))
     ok = (n1["status"] == "pass" and arm_defect <= 1e-10 and worst <= 0.8)

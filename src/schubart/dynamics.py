@@ -28,16 +28,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, StructureError, TotalCollisionError
-from .problems import (
-    HALF_CIRCLE,
-    QUARTER_CIRCLE,
-    PYRAMIDAL,
-    SPATIAL,
-    ProblemSpec,
-    _quantities,
-    _xp,
-    shape_f,
-)
+from .problems import HALF_CIRCLE, QUARTER_CIRCLE, ProblemSpec, _xp, shape_f
 
 DEVANEY = "devaney"
 NEWCOORDS = "newcoords"
@@ -119,7 +110,7 @@ def _terms(p: ProblemSpec, theta):
     xp = _xp(theta)
     si, co = xp.sin(theta), xp.cos(theta)
     c1, c2, c, cq = _chart(p.chart, si, co, xp)
-    w, wp = _quantities(p, c1, c2)
+    w, wp = p.quantities(c1, c2, xp)
     if p.chart == HALF_CIRCLE:
         wc, wcp = (1.0 + si * si) * w, 2.0 * co * (si * w + wp)
     else:
@@ -151,13 +142,17 @@ def theta_star(p: ProblemSpec) -> float:
     return float(theta_of_phi(p, cps.phi_R))
 
 
+def _devaney_terms(p: ProblemSpec, co: float, si: float):
+    """(W, W', f, f') at the shape point (co, si) = (cos phi, sin phi), on
+    Python floats: every shape term of the devaney chart."""
+    return p.quantities(co, si, math) + shape_f(p, co, si)
+
+
 def devaney_rhs(p: ProblemSpec, y):
     """Right-hand side of the blown-up system in the devaney chart at the
     energy H, as a tuple.  y is the four floats r, v, phi, w."""
     r, v, phi, w = y
-    co, si = math.cos(phi), math.sin(phi)
-    wq, wqp = _quantities(p, co, si)
-    f, fp = shape_f(p, co, si)
+    wq, wqp, f, fp = _devaney_terms(p, math.cos(phi), math.sin(phi))
     bigf = f / math.sqrt(wq)
     dr = r * v * bigf
     dv = bigf * (2.0 * H * r - 0.5 * v * v) + math.sqrt(wq)
@@ -248,9 +243,7 @@ def energy_residual(p: ProblemSpec, s: State) -> float:
     if s.chart == NEWCOORDS:
         return energy_gradient(p, (s.r, s.v, s.angle, s.w))[0]
     if s.chart == DEVANEY:
-        co, si = math.cos(s.angle), math.sin(s.angle)
-        wq, _ = _quantities(p, co, si)
-        f, _ = shape_f(p, co, si)
+        wq, _, f, _ = _devaney_terms(p, math.cos(s.angle), math.sin(s.angle))
         return (
             s.w * s.w / (2.0 * f)
             - 1.0
@@ -337,15 +330,6 @@ def classify_region(p: ProblemSpec, s: State) -> str:
 # -- configuration space ------------------------------------------------------
 
 
-def _mass_scale(p: ProblemSpec) -> float:
-    # second configuration coordinate per unit (r sin phi)
-    if p.kind == PYRAMIDAL:
-        return math.sqrt((p.n + p.mu) / p.mu)
-    if p.kind == SPATIAL:
-        return 2.0
-    return 1.0
-
-
 def to_configuration(p: ProblemSpec, s: State):
     """Physical configuration coordinates and velocities (q1, q2, q1dot,
     q2dot) for a state with r > 0.
@@ -366,12 +350,12 @@ def to_configuration(p: ProblemSpec, s: State):
                       * _dphi_dtheta(p.chart, s.angle))
     elif s.chart == DEVANEY:
         c1, c2 = math.cos(s.angle), math.sin(s.angle)
-        wq, _ = _quantities(p, c1, c2)
-        phidot_r32 = s.w * math.sqrt(wq) / shape_f(p, c1, c2)[0]
+        wq, _, f, _ = _devaney_terms(p, c1, c2)
+        phidot_r32 = s.w * math.sqrt(wq) / f
     else:
         raise DomainError("unknown chart %r" % (s.chart,))
     # the chart derivatives are c1' = -c2 phi' and c2' = c1 phi'
-    k2 = _mass_scale(p)
+    k2 = p.mass_scale
     sqr = math.sqrt(s.r)
     q1 = s.r * c1
     q2 = s.r * k2 * c2
@@ -383,7 +367,7 @@ def to_configuration(p: ProblemSpec, s: State):
 def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2,
                        chart: str = NEWCOORDS) -> State:
     """Inverse of to_configuration onto the principal chart sheet."""
-    k2 = _mass_scale(p)
+    k2 = p.mass_scale
     u1, u2 = q1, q2 / k2
     ud1, ud2 = qd1, qd2 / k2
     r = math.hypot(u1, u2)
@@ -395,8 +379,7 @@ def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2,
     v = math.sqrt(r) * rdot
     phi = math.atan2(sphi, cphi)
     if chart == DEVANEY:
-        f, _ = shape_f(p, cphi, sphi)
-        wq, _ = _quantities(p, cphi, sphi)
+        wq, _, f, _ = _devaney_terms(p, cphi, sphi)
         # sqrt(f/V) = f / sqrt(W); f > 0 on the open shape domain
         w = phidot * r**1.5 * f / math.sqrt(wq)
         return State(DEVANEY, r, v, phi, w)

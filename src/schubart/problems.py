@@ -76,7 +76,9 @@ class ProblemSpec:
 
     Treat instances as immutable; the derived fields are filled in
     __post_init__ and the critical points on first use.  mu is only
-    meaningful for the pyramidal problem.
+    meaningful for the pyramidal problem.  quantities(c, s, xp) is the
+    problem's (W, W') with its constants bound; mass_scale is the second
+    configuration coordinate per unit r sin phi.
     """
 
     kind: str
@@ -86,6 +88,8 @@ class ProblemSpec:
     phi_b: float = field(init=False)
     chart: str = field(init=False)
     s_n: float = field(init=False)
+    mass_scale: float = field(init=False)
+    quantities: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.kind = _KIND_ALIASES.get(self.kind, self.kind)
@@ -103,30 +107,32 @@ class ProblemSpec:
             raise DomainError("pyramidal apex mass mu must be positive and"
                               " finite, got %r" % (self.mu,))
         self.s_n = csc_sum(self.n)
+        s4 = self.s_n / 4.0
         if self.kind == PLANAR:
             self.phi_a, self.phi_b = 0.0, math.pi / 2.0
             self.chart = QUARTER_CIRCLE
         else:
             self.phi_a, self.phi_b = -math.pi / 2.0, math.pi / 2.0
             self.chart = HALF_CIRCLE
-        if self.kind != PYRAMIDAL:
-            # cosines of the ring-ring interaction angles, k = 1..n:
-            # pi(2k-1)/(2n) for the spatial problem, pi(2k-1)/n for the planar
-            per = self.n if self.kind == PLANAR else 2.0 * self.n
-            self._ring_cos = np.cos(
-                np.pi * (2.0 * np.arange(1, self.n + 1) - 1.0) / per
-            )
-            self._ring_cos_list = self._ring_cos.tolist()
+        if self.kind == PYRAMIDAL:
+            self.quantities = _pyramidal_quantities(s4, self.n, self.mu)
+            self.mass_scale = math.sqrt((self.n + self.mu) / self.mu)
+        elif self.kind == SPATIAL:
+            self.quantities = _spatial_quantities(
+                s4, _ring_cos(self.n, 2.0 * self.n))
+            self.mass_scale = 2.0
+        else:
+            self.quantities = _planar_quantities(s4, _ring_cos(self.n, self.n))
+            self.mass_scale = 1.0
 
     @cached_property
     def critical(self) -> "CriticalPointSet":
         """The critical points of V on the default grid, searched once."""
         return critical_points(self)
 
-    # midpoint of the shape domain (the Euler shape)
-    @property
-    def phi_m(self) -> float:
-        return 0.0 if self.chart == HALF_CIRCLE else math.pi / 4.0
+    def __reduce__(self):
+        # quantities is a closure, which pickle cannot send: rebuild it
+        return ProblemSpec, (self.kind, self.n, self.mu)
 
     def __repr__(self):
         if self.kind == PYRAMIDAL:
@@ -150,8 +156,8 @@ def planar(n: int) -> ProblemSpec:
 #
 # Every formula takes the shape point (c, s) = (cos phi, sin phi), scalar
 # or ndarray, and returns the same shape: the charts give that pair without
-# phi, and potential takes the cos and sin of its own phi once.  The
-# _quantities functions give the regularized W and W'; V and V' follow
+# phi, and potential takes the cos and sin of its own phi once.  Each
+# problem's quantities give the regularized W and W'; V and V' follow
 # from W = f V in potential.  A finite Python float pair is evaluated on
 # Python floats with math's sqrt, which gives the bits of numpy's float64
 # loop at a fraction of numpy's per-call cost.  The sums over the n
@@ -185,27 +191,38 @@ def _rows(a):
     return total
 
 
-def _ring_sums(p: ProblemSpec, x, terms, xp):
+def _ring_cos(n: int, per):
+    """The cosines of the ring-ring interaction angles pi (2k - 1) / per,
+    k = 1..n (per is 2n on the spatial problem, n on the planar), as a
+    list of Python floats and as an array."""
+    a = np.cos(np.pi * (2.0 * np.arange(1, n + 1) - 1.0) / per)
+    return a.tolist(), a
+
+
+def _ring_sums(ring, x, terms, xp):
     """(sum_k d_k, sum_k e_k) with (d_k, e_k) = terms(a_k, x, sqrt) over the
-    ring-ring interaction cosines a_k, summed left to right; Python floats
-    when xp is math."""
+    ring-ring interaction cosines a_k of _ring_cos, summed left to right;
+    Python floats when xp is math."""
     if xp is math:
         t = u = 0.0
-        for a in p._ring_cos_list:
+        for a in ring[0]:
             d, e = terms(a, x, math.sqrt)
             t += d
             u += e
         return t, u
-    d, e = terms(p._ring_cos.reshape((-1,) + (1,) * np.ndim(x)), x, np.sqrt)
+    d, e = terms(ring[1].reshape((-1,) + (1,) * np.ndim(x)), x, np.sqrt)
     return _rows(d), _rows(e)
 
 
-def _pyramidal_quantities(p: ProblemSpec, c, s):
-    d = 1.0 + (p.n / p.mu) * s * s
-    dm12 = 1.0 / _xp(c).sqrt(d)
-    w = p.s_n / 4.0 + p.mu * c * dm12
-    wp = -(p.n + p.mu) * s * dm12 / d
-    return w, wp
+def _pyramidal_quantities(s4, n, mu):
+    k, m = n / mu, -(n + mu)
+
+    def quantities(c, s, xp):
+        d = 1.0 + k * s * s
+        dm12 = 1.0 / xp.sqrt(d)
+        return s4 + mu * c * dm12, m * s * dm12 / d
+
+    return quantities
 
 
 def _spatial_terms(a, c, sqrt):
@@ -214,11 +231,12 @@ def _spatial_terms(a, c, sqrt):
     return d, d * d * d
 
 
-def _spatial_quantities(p: ProblemSpec, c, s):
-    t, u = _ring_sums(p, c, _spatial_terms, _xp(c))
-    w = p.s_n / 4.0 + 0.25 * c * t
-    wp = -0.25 * s * u
-    return w, wp
+def _spatial_quantities(s4, ring):
+    def quantities(c, s, xp):
+        t, u = _ring_sums(ring, c, _spatial_terms, xp)
+        return s4 + 0.25 * c * t, -0.25 * s * u
+
+    return quantities
 
 
 def _planar_terms(a, sc2, sqrt):
@@ -227,22 +245,14 @@ def _planar_terms(a, sc2, sqrt):
     return d, a * (d * d * d)
 
 
-def _planar_quantities(p: ProblemSpec, c, s):
-    s4 = p.s_n / 4.0
-    t, u = _ring_sums(p, 2.0 * s * c, _planar_terms, _xp(c))
-    w = s4 * (s + c) + s * c * t
-    # cos 2phi = (c - s)(c + s)
-    wp = s4 * (c - s) + (c - s) * (c + s) * (t + s * c * u)
-    return w, wp
+def _planar_quantities(s4, ring):
+    def quantities(c, s, xp):
+        t, u = _ring_sums(ring, 2.0 * s * c, _planar_terms, xp)
+        # cos 2phi = (c - s)(c + s)
+        return (s4 * (s + c) + s * c * t,
+                s4 * (c - s) + (c - s) * (c + s) * (t + s * c * u))
 
-
-def _quantities(p: ProblemSpec, c, s):
-    """(W, W') at the shape point (c, s) = (cos phi, sin phi)."""
-    if p.kind == PYRAMIDAL:
-        return _pyramidal_quantities(p, c, s)
-    if p.kind == SPATIAL:
-        return _spatial_quantities(p, c, s)
-    return _planar_quantities(p, c, s)
+    return quantities
 
 
 def shape_f(p: ProblemSpec, c, s):
@@ -268,7 +278,7 @@ def potential(p: ProblemSpec, phi, quantity: str):
     if quantity == "f":
         out = shape_f(p, c, s)[0]
     else:
-        w, wp = _quantities(p, c, s)
+        w, wp = p.quantities(c, s, _xp(c))
         if quantity == "W":
             out = w
         elif quantity == "W'":

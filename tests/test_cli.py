@@ -263,6 +263,22 @@ def test_orbit_refuses_an_out_its_trajectory_csv_overwrites(
     assert capsys.readouterr().err.startswith("error: --out")
 
 
+def test_orbit_csv_format_writes_only_the_trajectory_to_out(tmp_path):
+    # under --format csv the trajectory goes to --out whatever its suffix,
+    # and no report or second file is written
+    argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
+            "--param-hi", "0.7", "--grid-points", "9", "--format", "csv"]
+    out = tmp_path / "traj.txt"
+    code, text = run(argv + ["--out", str(out)])
+    assert code == 0 and text == ""
+    assert out.read_text().split("\n")[0] == "s,t,r,v,theta,w"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["traj.txt"]
+    out = tmp_path / "traj.csv"
+    code, text = run(argv + ["--out", str(out)])
+    assert code == 0 and text == ""
+    assert out.read_text().split("\n")[0] == "s,t,r,v,theta,w"
+
+
 def test_orbit_diagnostics_carry_the_root_evidence():
     # the root's bracket, noise floor and Brent shots sit next to
     # runtime_seconds, outside results, and reproduce like results do
@@ -420,6 +436,18 @@ def test_table_sweep_rejects_fewer_than_one_step(capsys):
         assert code == 64
         assert text == ""
         assert capsys.readouterr().err.startswith("error: --steps")
+
+
+def test_table_mu_sweep_rejects_a_non_finite_bound(capsys):
+    # an infinite bound used to reach np.linspace, which warned and turned
+    # the ends into nan, and the run blamed a mu nobody gave
+    for bounds, flag in ((["--lo", "0.5", "--hi", "inf"], "--hi"),
+                         (["--lo", "nan"], "--lo")):
+        code, text = run(["table", "landmarks-sweep", "--sweep", "mu",
+                          "--steps", "3"] + bounds)
+        assert code == 64
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: %s" % flag)
 
 
 def test_table_n_sweep_rejects_an_empty_range(capsys):

@@ -450,23 +450,49 @@ def test_flat_chart_terms_are_python_floats(all_problems, monkeypatch):
 
 def test_float_interaction_sums_run_no_numpy(all_problems, monkeypatch):
     # no numpy function and no array of interaction cosines on the float
-    # path: the sums must run over the Python floats of _ring_cos_list,
-    # and the fields read the shape point (cos phi, sin phi) without
-    # forming the shape angle
+    # path: the sums must run over the Python floats of _ring_cos (the
+    # problems here are built without its array), and the fields read the
+    # shape point (cos phi, sin phi) without forming the shape angle
     def refuse(*args, **kwargs):
         raise AssertionError("a numpy ufunc on the float path")
 
-    problems = all_problems + [pr.spatial(3), pr.planar(10)]
-    for p in problems:
-        if p.kind != pr.PYRAMIDAL:
-            monkeypatch.setattr(p, "_ring_cos", None)
+    ring_cos = pr._ring_cos
+    monkeypatch.setattr(pr, "_ring_cos",
+                        lambda n, per: (ring_cos(n, per)[0], None))
+    problems = [pr.ProblemSpec(p.kind, p.n, p.mu) for p in all_problems]
     for name in ("sqrt", "sin", "cos", "add", "multiply", "arctan",
                  "arctan2"):
         monkeypatch.setattr(np, name, refuse)
     y = (0.1, 0.2, 0.4, 0.3)
     for p in problems:
-        w, wp = pr._quantities(p, math.cos(0.3), math.sin(0.3))
+        w, wp = p.quantities(math.cos(0.3), math.sin(0.3), math)
         assert type(w) is float and type(wp) is float
         for dy in (dyn.newcoords_rhs(p, y), dyn.damped_reverse_rhs(p, y, 2.0),
                    dyn.devaney_rhs(p, y)):
             assert [type(t) for t in dy] == [float] * 4
+
+
+def test_no_field_evaluation_reads_the_kind(all_problems, monkeypatch):
+    # each problem binds its potential and configuration scale when it is
+    # built, so an evaluation has no kind to decide again
+    def outputs(p, ys):
+        out = []
+        for y in ys:
+            dev = (y[0], y[1], 0.5 * y[2] if p.chart == pr.HALF_CIRCLE
+                   else 0.1 + 0.45 * abs(y[2]), y[3])
+            out += [dyn.newcoords_rhs(p, y), dyn.damped_reverse_rhs(p, y, 2.0),
+                    dyn.energy_gradient(p, y), dyn.devaney_rhs(p, dev),
+                    dyn.to_configuration(p, State(NEWCOORDS, *y)),
+                    dyn.to_configuration(p, State(DEVANEY, *dev))]
+        phis = np.linspace(p.phi_a + 1e-3, p.phi_b - 1e-3, 101)
+        out += [pr.potential(p, phis, "V'").tolist(),
+                pr.potential(p, float(phis[37]), "V'")]
+        return repr(out)
+
+    rng = np.random.default_rng(23)
+    ys = rng.uniform([0.1, -2.0, -3.0, -2.0], [2.0, 2.0, 3.0, 2.0],
+                     size=(20, 4)).tolist()
+    for p in all_problems:
+        want = outputs(p, ys)
+        monkeypatch.setattr(p, "kind", "unknown")
+        assert outputs(p, ys) == want, p

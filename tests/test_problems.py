@@ -3,6 +3,7 @@ points.  Frozen reference values come from an mpmath/scipy oracle run kept
 outside the package."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ def test_derived_fields_are_not_constructor_arguments():
     for name in ("phi_a", "phi_b", "chart", "s_n"):
         with pytest.raises(TypeError):
             pr.ProblemSpec("pyramidal", 2, **{name: 1.0})
+
+
+def test_problems_pickle_with_their_bound_potential(all_problems):
+    # the bound (W, W') is a closure; a pickled problem rebuilds it
+    for p in all_problems:
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p
+        assert q.quantities(0.6, 0.8, math) == p.quantities(0.6, 0.8, math)
 
 
 def test_chart_assignment(pyr2, spa3, pla3):
