@@ -6,22 +6,23 @@ Subcommands:
   orbit        search one periodic family, export report and trajectory
   table        reference tables: g3 endpoints, csc-sum asymptotics, sweeps
 
-Reports are JSON; trajectories and tables can also be emitted as CSV
-(header row, LF endings).  Floats are written with 17 significant digits
-so identical configs reproduce byte-identical result sections; the
-runtime_seconds field is the one intentionally non-reproducible value.
+Reports are JSON and echo, as config, the settings that the run read; a
+--config JSON file may set them too (flags win).  Trajectories and tables
+can also be emitted as CSV (header row, LF endings).  Floats are written
+with 17 significant digits so identical configs reproduce byte-identical
+result sections; runtime_seconds is the one non-reproducible value.
 
-Exit codes: 0 ok, 2 a condition failed, 3 orbit not found, 64 usage.
+Exit codes: 0 ok, 2 a condition failed, 3 orbit not found, 64 usage, 1 any
+other library error.
 """
 
 import argparse
-import dataclasses
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,76 +38,58 @@ from .odeint import Controls
 
 _SIG = ".17g"
 
-# the values of the flags that take a fixed set, for argparse and config files
-_CHOICES = {"problem": ("pyramidal", "spatial", "planar"),
-            "format": ("json", "csv")}
+
+def _settings(parser) -> dict:
+    # a subcommand's options by dest, less help, --config and --workers
+    return {a.dest: a for a in parser._actions if a.option_strings
+            and a.dest not in ("help", "config", "workers")}
 
 
-@dataclass
-class RunConfig:
-    """Effective settings for one command; unset fields take these defaults."""
-
-    problem: str = "pyramidal"
-    n: int = 2
-    mu: float = 1.0
-    # integrator overrides (orbit)
-    rtol: float = Controls.rtol
-    atol: float = Controls.atol
-    max_s: float = orbits.SHOT_MAX_S
-    # search overrides (None -> per-family defaults)
-    grid_points: int = None
-    param_lo: float = None
-    param_hi: float = None
-    # condition comparison level (None -> module default)
-    beta: float = None
-    out: str = None
-    format: str = "json"
-
-
-def build_config(args) -> RunConfig:
-    """Layer defaults, then an optional --config JSON file, then CLI flags.
-
-    A file value must fit its field: an int field takes an int (not a
-    bool), a float field an int or a float, a str field a str, and null
-    is allowed only where the default is None; a field whose flag has
-    fixed choices takes only those."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    layers = {}
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path) as fh:
-                layers = json.load(fh)
-        except (OSError, ValueError) as err:
-            raise DomainError("cannot read config %s: %s"
-                              % (path, err)) from None
-        if not isinstance(layers, dict):
-            raise DomainError("config %s must hold a JSON object" % (path,))
-        unknown = set(layers) - set(fields)
-        if unknown:
-            raise DomainError("unknown config keys: %s" % sorted(unknown))
-        for key, value in layers.items():
-            want = fields[key].type
-            if value is None or isinstance(value, bool):
-                ok = value is None and fields[key].default is None
-            else:
-                ok = isinstance(value, (int, float) if want is float else want)
-            if not ok:
-                raise DomainError("config key %r must be of type %s, got %s"
-                                  % (key, want.__name__, json.dumps(value)))
-            if key in _CHOICES and value not in _CHOICES[key]:
-                raise DomainError("config key %r must be one of %s, got %s"
-                                  % (key, ", ".join(_CHOICES[key]),
-                                     json.dumps(value)))
-    for name in fields:
-        v = getattr(args, name, None)
-        if v is not None:
-            layers[name] = v
-    return RunConfig(**layers)
+def _read_config(path, settings) -> dict:
+    """The settings in a --config JSON file.  A value must fit its option's
+    type (a float option also takes an int, an int option no bool), its
+    choices, and null only where the default is None."""
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise DomainError("cannot read config %s: %s" % (path, err)) from None
+    if not isinstance(values, dict):
+        raise DomainError("config %s must hold a JSON object" % (path,))
+    unknown = set(values) - set(settings)
+    if unknown:
+        raise DomainError("unknown config keys: %s" % sorted(unknown))
+    for key, value in values.items():
+        action = settings[key]
+        want = action.type or str
+        if value is None or isinstance(value, bool):
+            ok = value is None and action.default is None
+        else:
+            ok = isinstance(value, (int, float) if want is float else want)
+        if not ok:
+            raise DomainError("config key %r must be of type %s, got %s"
+                              % (key, want.__name__, json.dumps(value)))
+        if action.choices is not None and value not in action.choices:
+            raise DomainError("config key %r must be one of %s, got %s"
+                              % (key, ", ".join(action.choices),
+                                 json.dumps(value)))
+    return values
 
 
-def _problem(cfg: RunConfig):
-    return problems.ProblemSpec(cfg.problem, cfg.n, cfg.mu)
+def _parse(argv):
+    """Parse a command line; a --config file's values become the chosen
+    subcommand's defaults, so that its flags still beat the file."""
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        args.parser.set_defaults(
+            **_read_config(args.config, _settings(args.parser)))
+        args = parser.parse_args(argv)
+    return args
+
+
+def _problem(args):
+    return problems.ProblemSpec(args.problem, args.n, args.mu)
 
 
 # -- deterministic serialization ------------------------------------------------
@@ -150,7 +133,7 @@ def _csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def _envelope(command: str, cfg: RunConfig, results, t0: float,
+def _envelope(command: str, args, results, t0: float,
               diagnostics=None) -> dict:
     """The report: results, preceded by how the run went (its runtime and
     any diagnostics), which results leave out so that they reproduce."""
@@ -158,7 +141,9 @@ def _envelope(command: str, cfg: RunConfig, results, t0: float,
         "tool": "schubart",
         "version": __version__,
         "command": command,
-        "config": dataclasses.asdict(cfg),
+        # the subcommand's settings, less any that the run dropped unread
+        "config": {k: vars(args)[k] for k in _settings(args.parser)
+                   if k in vars(args)},
         "runtime_seconds": time.perf_counter() - t0,
     }
     if diagnostics is not None:
@@ -172,19 +157,21 @@ def _write(text: str, path) -> None:
         text += "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as err:
+        raise DomainError("cannot write %s: %s"
+                          % (path, err.strerror)) from None
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_conditions(cfg: RunConfig, args) -> int:
+def cmd_conditions(args) -> int:
     t0 = time.perf_counter()
-    if cfg.format != "json":
-        raise DomainError("condition reports are nested; only json output")
-    problem = _problem(cfg)
-    report = conditions_mod.condition_report(problem, beta=cfg.beta)
+    problem = _problem(args)
+    report = conditions_mod.condition_report(problem, beta=args.beta)
     entries = []
     for name in conditions_mod.CONDITION_NAMES:
         entry = report.entries[name]
@@ -198,20 +185,20 @@ def cmd_conditions(cfg: RunConfig, args) -> int:
     ok = all(e["status"] in ("pass", "not-applicable") for e in entries)
     results = {"problem": str(problem), "conditions": entries,
                "all_pass_or_na": ok}
-    _write(_json_text(_envelope("conditions", cfg, results, t0)), cfg.out)
+    _write(_json_text(_envelope("conditions", args, results, t0)), args.out)
     return 0 if ok else 2
 
 
-def cmd_branches(cfg: RunConfig, args) -> int:
+def cmd_branches(args) -> int:
     t0 = time.perf_counter()
-    problem = _problem(cfg)
+    problem = _problem(args)
     marks = manifolds.landmark_values(problem)
     n4 = manifolds.check_N4(problem)
     keys = sorted(marks)
-    if cfg.format == "csv":
+    if args.format == "csv":
         text = _csv_text(keys + ["separation_v2_v3"],
                          [[marks[k] for k in keys] + [n4["separation"]]])
-        _write(text, cfg.out)
+        _write(text, args.out)
         return 0
     results = {
         "problem": str(problem),
@@ -220,22 +207,18 @@ def cmd_branches(cfg: RunConfig, args) -> int:
         "separation_v2_v3": n4["separation"],
         "separated": n4["pass"],
     }
-    _write(_json_text(_envelope("branches", cfg, results, t0)), cfg.out)
+    _write(_json_text(_envelope("branches", args, results, t0)), args.out)
     return 0
 
 
 def _family_spec(args) -> orbits.FamilySpec:
-    i = args.i if args.i is not None else args.k
-    return orbits.FamilySpec(args.family, i, args.j)
-
-
-def _search_overrides(cfg: RunConfig) -> dict:
-    out = {}
-    for key in ("grid_points", "param_lo", "param_hi"):
-        v = getattr(cfg, key)
-        if v is not None:
-            out[key] = v
-    return out
+    # a flag and a --config file can each set one of --k and --i
+    if args.k is not None and args.i is not None:
+        raise DomainError("--i is not allowed with --k")
+    if args.family is None:
+        raise DomainError("orbit needs a --family")
+    return orbits.FamilySpec(args.family,
+                             args.k if args.i is None else args.i, args.j)
 
 
 def _trajectory_csv(orbit) -> str:
@@ -249,17 +232,20 @@ def _trajectory_csv(orbit) -> str:
                      zip(s, t, r, v, theta, w))
 
 
-def cmd_orbit(cfg: RunConfig, args) -> int:
+def cmd_orbit(args) -> int:
     t0 = time.perf_counter()
-    if (cfg.format == "json" and cfg.out is not None
-            and Path(cfg.out).suffix == ".csv"):
+    if (args.format == "json" and args.out is not None
+            and Path(args.out).suffix == ".csv"):
         raise DomainError("--out %s: the report would be overwritten by the"
-                          " trajectory CSV written beside it" % (cfg.out,))
+                          " trajectory CSV written beside it" % (args.out,))
     spec = _family_spec(args)
-    problem = _problem(cfg)
-    controls = Controls(rtol=cfg.rtol, atol=cfg.atol, max_s=cfg.max_s)
+    problem = _problem(args)
+    controls = Controls(rtol=args.rtol, atol=args.atol, max_s=args.max_s)
+    overrides = {k: getattr(args, k)
+                 for k in ("grid_points", "param_lo", "param_hi")
+                 if getattr(args, k) is not None}
     try:
-        orbit = orbits.find_orbit(problem, spec, _search_overrides(cfg),
+        orbit = orbits.find_orbit(problem, spec, overrides,
                                   controls=controls)
     except OrbitNotFoundError as err:
         results = {
@@ -270,7 +256,7 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
                       "lines": list(lines), "residual": f}
                      for p, c, lines, f in err.scan],
         }
-        _write(_json_text(_envelope("orbit", cfg, results, t0)), cfg.out)
+        _write(_json_text(_envelope("orbit", args, results, t0)), args.out)
         return 3
     checks = orbits.verify_periodicity(orbit)
     seed = orbit.seed
@@ -288,8 +274,8 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
                  "theta": seed.angle, "w": seed.w, "h": H},
         "notes": dict(orbit.notes),
     }
-    if cfg.format == "csv":
-        _write(_trajectory_csv(orbit), cfg.out)
+    if args.format == "csv":
+        _write(_trajectory_csv(orbit), args.out)
         return 0
     # the root's evidence of convergence
     diagnostics = {
@@ -297,14 +283,14 @@ def cmd_orbit(cfg: RunConfig, args) -> int:
         "residual_floor": orbit.residual_floor,
         "root_shots": orbit.root_shots,
     }
-    _write(_json_text(_envelope("orbit", cfg, results, t0, diagnostics)),
-           cfg.out)
-    if cfg.out is not None:
-        _write(_trajectory_csv(orbit), Path(cfg.out).with_suffix(".csv"))
+    _write(_json_text(_envelope("orbit", args, results, t0, diagnostics)),
+           args.out)
+    if args.out is not None:
+        _write(_trajectory_csv(orbit), Path(args.out).with_suffix(".csv"))
     return 0
 
 
-def _table_g3(cfg):
+def _table_g3(args):
     rows = []
     for n in range(2, 10):
         res = conditions_mod.integrate_g(problems.spatial(n), "g3")
@@ -312,30 +298,36 @@ def _table_g3(cfg):
     return rows, ["n", "g3_end"]
 
 
-def _table_sn(cfg):
-    s_n = problems.csc_sum(cfg.n)
-    approx = problems.csc_sum_asymptotic(cfg.n)
-    row = {"n": cfg.n, "S_n": s_n, "S_n_over_4": s_n / 4.0,
+def _table_sn(args):
+    s_n = problems.csc_sum(args.n)
+    approx = problems.csc_sum_asymptotic(args.n)
+    row = {"n": args.n, "S_n": s_n, "S_n_over_4": s_n / 4.0,
            "asymptotic": approx,
            "rel_error": abs(approx - s_n / 4.0) / (s_n / 4.0)}
     return [row], ["n", "S_n", "S_n_over_4", "asymptotic", "rel_error"]
 
 
-def _table_sweep(cfg, args):
+def _table_sweep(args):
+    # a setting that this sweep does not read must not be given or echoed
+    for name in ("mu",) if args.sweep == "mu" else ("n", "steps"):
+        if vars(args).pop(name) is not None:
+            raise DomainError("--%s is not read on the %s sweep"
+                              % (name, args.sweep))
     if args.sweep == "mu":
-        if cfg.problem != "pyramidal":
+        if args.problem != "pyramidal":
             raise DomainError("only the pyramidal family has a mass ratio")
-        if args.steps < 1:
-            raise DomainError("--steps must be at least 1, got %d"
-                              % (args.steps,))
+        steps = 7 if args.steps is None else args.steps
+        if steps < 1:
+            raise DomainError("--steps must be at least 1, got %d" % (steps,))
         lo = 0.5 if args.lo is None else args.lo
         hi = 3.5 if args.hi is None else args.hi
         for flag, bound in (("--lo", lo), ("--hi", hi)):
             if not math.isfinite(bound):
                 raise DomainError("%s must be finite on the mu sweep, got %r"
                                   % (flag, bound))
-        values = np.linspace(lo, hi, args.steps)
-        mk = lambda v: problems.pyramidal(cfg.n, float(v))
+        values = np.linspace(lo, hi, steps)
+        n = 2 if args.n is None else args.n
+        mk = lambda v: problems.pyramidal(n, float(v))
         key = "mu"
     else:
         for flag, bound in (("--lo", args.lo), ("--hi", args.hi)):
@@ -349,7 +341,8 @@ def _table_sweep(cfg, args):
             raise DomainError("--lo must not exceed --hi on the n sweep, got "
                               "%d > %d" % (lo, hi))
         values = range(lo, hi + 1)
-        mk = lambda v: _problem(dataclasses.replace(cfg, n=int(v)))
+        mu = 1.0 if args.mu is None else args.mu
+        mk = lambda v: problems.ProblemSpec(args.problem, int(v), mu)
         key = "n"
     cols = [key] + ["v%d" % k for k in range(6)]
     rows = []
@@ -361,19 +354,14 @@ def _table_sweep(cfg, args):
     return rows, cols
 
 
-def cmd_table(cfg: RunConfig, args) -> int:
+def cmd_table(table, args) -> int:
     t0 = time.perf_counter()
-    if args.which == "g3":
-        rows, cols = _table_g3(cfg)
-    elif args.which == "sn":
-        rows, cols = _table_sn(cfg)
-    else:
-        rows, cols = _table_sweep(cfg, args)
-    if cfg.format == "csv":
-        _write(_csv_text(cols, [[r[c] for c in cols] for r in rows]), cfg.out)
+    rows, cols = table(args)
+    if args.format == "csv":
+        _write(_csv_text(cols, [[r[c] for c in cols] for r in rows]), args.out)
         return 0
     results = {"which": args.which, "rows": rows}
-    _write(_json_text(_envelope("table", cfg, results, t0)), cfg.out)
+    _write(_json_text(_envelope("table", args, results, t0)), args.out)
     return 0
 
 
@@ -389,13 +377,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file with RunConfig fields")
-    sub.add_argument("--problem", choices=_CHOICES["problem"])
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--out")
-    sub.add_argument("--format", choices=_CHOICES["format"])
+def _subcommand(subs, name, func, help, csv=True):
+    p = subs.add_parser(name, help=help)
+    p.add_argument("--config", help="JSON file of these settings, keyed by"
+                   " long flag name with - as _; flags beat it")
+    p.add_argument("--out")
+    if csv:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(func=func, parser=p)
+    return p
+
+
+def _add_problem(p, n=2, mu=1.0):
+    p.add_argument("--problem", choices=("pyramidal", "spatial", "planar"),
+                   default="pyramidal")
+    p.add_argument("--n", type=int, default=n)
+    p.add_argument("--mu", type=float, default=mu)
 
 
 def make_parser() -> _Parser:
@@ -404,55 +401,57 @@ def make_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("conditions", help="evaluate N1..N4 for a problem")
-    _add_common(p)
+    p = _subcommand(subs, "conditions", cmd_conditions,
+                    "evaluate N1..N4 for a problem", csv=False)
+    _add_problem(p)
     p.add_argument("--beta", type=float,
                    help="comparison level for N3' (default %g)"
                    % conditions_mod.DEFAULT_BETA)
-    p.set_defaults(func=cmd_conditions)
 
-    p = subs.add_parser("branches", help="landmark table from branch traces")
-    _add_common(p)
-    p.set_defaults(func=cmd_branches)
+    p = _subcommand(subs, "branches", cmd_branches,
+                    "landmark table from branch traces")
+    _add_problem(p)
 
-    p = subs.add_parser("orbit", help="search one periodic family")
-    _add_common(p)
-    p.add_argument("--family", required=True, choices=orbits.FAMILY_NAMES)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--max-s", dest="max_s", type=float)
-    index = p.add_mutually_exclusive_group()
-    index.add_argument("--k", type=int, help="index for B/Z1")
-    index.add_argument("--i", type=int)
+    p = _subcommand(subs, "orbit", cmd_orbit, "search one periodic family")
+    _add_problem(p)
+    p.add_argument("--family", choices=orbits.FAMILY_NAMES, help="required")
+    p.add_argument("--k", type=int, help="index for B/Z1")
+    p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--param-lo", dest="param_lo", type=float)
-    p.add_argument("--param-hi", dest="param_hi", type=float)
-    p.add_argument("--workers", type=int,
-                   help="accepted and ignored; the scan runs as one "
-                   "lockstep block")
-    p.set_defaults(func=cmd_orbit)
+    p.add_argument("--rtol", type=float, default=Controls.rtol)
+    p.add_argument("--atol", type=float, default=Controls.atol)
+    p.add_argument("--max-s", type=float, default=orbits.SHOT_MAX_S)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--param-lo", type=float)
+    p.add_argument("--param-hi", type=float)
+    p.add_argument("--workers", type=int, help="accepted and ignored")
 
-    p = subs.add_parser("table", help="reference tables")
-    _add_common(p)
-    p.add_argument("which", choices=["g3", "sn", "landmarks-sweep"])
-    p.add_argument("--sweep", choices=["mu", "n"], default="mu")
+    tables = subs.add_parser("table", help="reference tables")
+    tables = tables.add_subparsers(dest="which", required=True)
+    p = _subcommand(tables, "g3", partial(cmd_table, _table_g3),
+                    "g3 endpoints of the spatial problem, n = 2..9")
+    p = _subcommand(tables, "sn", partial(cmd_table, _table_sn),
+                    "the csc sum S_n and its asymptotic")
+    p.add_argument("--n", type=int, default=2)
+    p = _subcommand(tables, "landmarks-sweep",
+                    partial(cmd_table, _table_sweep),
+                    "landmarks along a mu or an n sweep")
+    _add_problem(p, n=None, mu=None)
+    p.add_argument("--sweep", choices=["mu", "n"], default="mu",
+                   help="mu: at --n (default 2); n: at --mu (default 1)")
     p.add_argument("--lo", type=float,
                    help="first mu (default 0.5), or first whole n (required)")
     p.add_argument("--hi", type=float,
                    help="last mu (default 3.5), or last whole n (required)")
-    p.add_argument("--steps", type=int, default=7,
-                   help="number of mu values (mu sweep only)")
-    p.set_defaults(func=cmd_table)
+    p.add_argument("--steps", type=int,
+                   help="number of mu values (mu sweep only, default 7)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
-        return args.func(cfg, args)
+        args = _parse(argv)
+        return args.func(args)
     except DomainError as err:
         sys.stderr.write("error: %s\n" % err)
         return 64

@@ -1,10 +1,13 @@
 """Exit-code contract, output determinism, and subcommand behavior."""
 
+import argparse
 import io
 import json
 import re
+import shlex
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -107,9 +110,9 @@ def test_config_file_and_flag_override(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    # unknown keys (workers is an orbit flag only, not a RunConfig field),
-    # malformed JSON, a non-object top level and values of the wrong type
-    # for their RunConfig field or outside its flag's choices
+    # unknown keys (workers is ignored, so no setting; format and rtol are
+    # not conditions settings), malformed JSON, a non-object top level and
+    # values of the wrong type for their option or outside its choices
     for text in ('{"problem": "pyramidal", "n_bodies": 4}', '{"seed": 1}',
                  '{"n": 4', '[1, 2]', '{"rtol": "1e-9"}', '{"mu": "2"}',
                  '{"n": null}', '{"n": true}', '{"n": 4.0}',
@@ -121,9 +124,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), text
     code, _ = run(["conditions", "--config", str(tmp_path / "missing.json")])
     assert code == 64
-    # an int where a float field is, and null where the default is None
-    path.write_text('{"mu": 2, "beta": null}')
-    code, out = run_json(["table", "sn", "--config", str(path)])
+    # an int where a float option is, and null where the default is None,
+    # on the one subcommand that reads both
+    path.write_text('{"n": 5, "mu": 2, "beta": null}')
+    code, out = run_json(["conditions", "--config", str(path)])
     assert code == 0 and out["config"]["mu"] == 2
 
 
@@ -168,6 +172,101 @@ def test_exit_64_on_unusable_integration_settings(tmp_path, capsys):
         assert time.perf_counter() - t0 < 5.0, extra
 
 
+B0 = ["--family", "B", "--k", "0", "--param-lo", "0.4", "--param-hi", "0.7",
+      "--grid-points", "9"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["conditions", "--n", "4"],
+    ["branches"],
+    ["orbit"] + B0,
+    ["table", "g3"],
+    ["table", "sn", "--n", "5"],
+    ["table", "landmarks-sweep", "--sweep", "mu", "--steps", "2"],
+    ["table", "landmarks-sweep", "--sweep", "n", "--lo", "2", "--hi", "3"],
+], ids=["conditions", "branches", "orbit", "g3", "sn", "mu-sweep",
+        "n-sweep"])
+def test_config_echoes_exactly_the_settings_the_run_reads(
+        monkeypatch, argv):
+    # every setting that the run reads off its arguments is echoed, and
+    # nothing else is; --config, --workers and the subcommand plumbing are
+    # not settings
+    read = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    parse = cli._parse
+    monkeypatch.setattr(cli, "_parse", lambda a: Recorder(**vars(parse(a))))
+    code, out = run_json(argv + ["--workers", "1"] if argv[0] == "orbit"
+                         else argv)
+    assert code == 0
+    read = {name for name in read if not name.startswith("__")}
+    assert read - {"func", "parser", "which"} == set(out["config"])
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["table", "g3", "--n", "3"], None),
+    (["table", "sn", "--mu", "2"], None),
+    (["branches"], {"rtol": 1e-4}),
+    (["table", "landmarks-sweep", "--sweep", "mu", "--mu", "2"], None),
+    (["table", "landmarks-sweep", "--sweep", "n", "--lo", "2", "--hi", "3",
+      "--steps", "3"], None),
+    (["table", "landmarks-sweep", "--sweep", "n", "--lo", "2", "--hi", "3"],
+     {"n": 4}),
+    (["orbit", "--k", "0"] + B0[:2] + B0[4:], {"i": 1}),
+], ids=["g3-n", "sn-mu", "branches-rtol-file", "mu-sweep-mu",
+        "n-sweep-steps", "n-sweep-n-file", "k-flag-i-file"])
+def test_exit_64_on_a_setting_the_run_does_not_read(
+        tmp_path, capsys, argv, config):
+    # a setting is given by a flag or a --config file; one the run would
+    # not read is refused, so that no report echoes it as if it had run
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, text = run(argv)
+    assert code == 64 and text == ""
+    assert "error: " in capsys.readouterr().err
+
+
+def test_orbit_takes_every_setting_from_a_config_file(tmp_path):
+    flags = ["orbit"] + B0 + ["--rtol", "1e-10"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "B", "k": 0, "param_lo": 0.4,
+                                "param_hi": 0.7, "grid_points": 9,
+                                "rtol": 1e-10}))
+    _, a = run(flags)
+    _, b = run(["orbit", "--config", str(path)])
+    strip = lambda s: re.sub(r'"runtime_seconds": [^,]+,', "", s)
+    assert strip(a) == strip(b)
+    assert json.loads(b)["results"]["found"] is True
+
+
+def test_exit_64_on_an_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, text = run(["table", "sn", "--n", "3", "--out", str(out)])
+    assert code == 64 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s" % out)
+    assert len(err.splitlines()) == 1
+
+
+def test_readme_quick_start_lines_parse():
+    # every command line of the README's CLI quick start parses, so a flag
+    # that moves or goes cannot leave the README behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (CLI)", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(ln, comments=True) for ln in block.splitlines()]
+    lines = [ln for ln in lines if ln]
+    assert lines and all(ln[0] == "schubart" for ln in lines)
+    for ln in lines:
+        cli.make_parser().parse_args(ln[1:])
+
+
 # -- determinism --------------------------------------------------------------
 
 
@@ -181,8 +280,9 @@ def test_reports_are_reproducible_outside_runtime():
 
 
 def test_floats_use_17_significant_digits():
-    _, text = run(["conditions", "--problem", "pyramidal", "--n", "4"])
-    assert '"atol": 9.9999999999999998e-13' in text
+    _, text = run(["conditions", "--problem", "pyramidal", "--n", "4",
+                   "--mu", "1.1"])
+    assert '"mu": 1.1000000000000001' in text
     assert __version__ in text
 
 
@@ -295,8 +395,10 @@ def test_orbit_diagnostics_carry_the_root_evidence():
     lo, hi = diag["bracket"]
     assert 0.4 <= lo["param"] < hi["param"] <= 0.7
     assert lo["residual"] * hi["residual"] <= 0.0
-    assert res["seed_parameter"] in (lo["param"], hi["param"])
-    assert res["residual"] in (lo["residual"], hi["residual"])
+    # results carry |residual| of the root shot, the bracket its sign
+    root = [end for end in (lo, hi) if end["param"] == res["seed_parameter"]]
+    assert len(root) == 1
+    assert res["residual"] == abs(root[0]["residual"])
     assert 0.0 < diag["residual_floor"] < 1e-8
     assert isinstance(diag["root_shots"], int) and diag["root_shots"] >= 1
 
