@@ -17,9 +17,11 @@ other library error.
 """
 
 import argparse
+import errno
 import io
 import json
 import math
+import os
 import sys
 import time
 from functools import partial
@@ -85,7 +87,26 @@ def _parse(argv):
         args.parser.set_defaults(
             **_read_config(args.config, _settings(args.parser)))
         args = parser.parse_args(argv)
+    _check_out(args.out)
     return args
+
+
+def _check_out(path) -> None:
+    """Refuse an --out that cannot be written, before the run and without
+    creating it: its directory must exist and be writable, and it must not
+    be a directory.  _write still reports a failure that comes later."""
+    if path is None:
+        return
+    out = Path(path)
+    if out.is_dir():
+        code = errno.EISDIR
+    elif not out.parent.is_dir():
+        code = errno.ENOENT
+    elif not os.access(out.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise DomainError("cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def _problem(args):
@@ -234,10 +255,13 @@ def _trajectory_csv(orbit) -> str:
 
 def cmd_orbit(args) -> int:
     t0 = time.perf_counter()
-    if (args.format == "json" and args.out is not None
-            and Path(args.out).suffix == ".csv"):
-        raise DomainError("--out %s: the report would be overwritten by the"
-                          " trajectory CSV written beside it" % (args.out,))
+    if args.format == "json" and args.out is not None:
+        # the trajectory CSV is written beside the report
+        if Path(args.out).suffix == ".csv":
+            raise DomainError("--out %s: the report would be overwritten by"
+                              " the trajectory CSV written beside it"
+                              % (args.out,))
+        _check_out(Path(args.out).with_suffix(".csv"))
     spec = _family_spec(args)
     problem = _problem(args)
     controls = Controls(rtol=args.rtol, atol=args.atol, max_s=args.max_s)

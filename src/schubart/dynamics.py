@@ -19,7 +19,9 @@ projection.  In both cases
     c1'^2 + c2'^2 = cos^2(theta) / c(theta)
 
 for an analytic positive c(theta), and the regularized potential is
-curly W(theta) = cos^2(theta) * V(phi(theta)).
+curly W(theta) = cos^2(theta) * V(phi(theta)).  Each chart's terms are
+written once, in problems; every ProblemSpec binds its own as chart_terms,
+which the field, its energy and the configuration maps read.
 """
 
 from dataclasses import dataclass, replace
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, StructureError, TotalCollisionError
-from .problems import HALF_CIRCLE, QUARTER_CIRCLE, ProblemSpec, _xp, shape_f
+from .problems import HALF_CIRCLE, ProblemSpec
 
 DEVANEY = "devaney"
 NEWCOORDS = "newcoords"
@@ -57,42 +59,18 @@ class State:
         )
 
 
-def _chart(kind: str, si, co, xp=np):
-    """(cos phi, sin phi, c, c'/(sin theta cos theta)) from the sine and
-    cosine of the chart angle theta, in the namespace xp.  The shape point
-    (cos phi, sin phi) is algebraic in them, so no shape angle is formed;
-    the last value is continued analytically where sin theta cos theta
-    vanishes."""
-    if kind == HALF_CIRCLE:
-        q = 1.0 + si * si
-        return (1.0 - si * si) / q, 2.0 * si / q, 0.25 * q * q, q
-    if kind == QUARTER_CIRCLE:
-        c = 1.0 + co * co
-        a = xp.sqrt(c)
-        return 0.5 * (a - si), 0.5 * (a + si), c, -2.0
-    raise DomainError("unknown chart kind %r" % (kind,))
-
-
-def chart_eval(kind: str, theta):
-    """_chart's (cos phi, sin phi, c, c'/(sin theta cos theta)) at chart
-    angle theta."""
-    return _chart(kind, np.sin(theta), np.cos(theta))
-
-
-def _dphi_dtheta(kind: str, theta: float) -> float:
-    """dphi/dtheta at chart angle theta: cos theta / sqrt(c) on both charts,
-    since c1'^2 + c2'^2 = cos^2(theta) / c and phi grows with theta where
-    cos theta > 0."""
-    return math.cos(theta) / math.sqrt(chart_eval(kind, theta)[2])
+def chart_eval(p: ProblemSpec, theta):
+    """(cos phi, sin phi, c, c') of p's chart at chart angle theta."""
+    _, _, c, cp, _, _, c1, c2 = p.chart_terms(theta)
+    return c1, c2, c, cp
 
 
 def phi_of_theta(p: ProblemSpec, theta):
     """Shape angle phi for chart angle theta (any cover); the half circle
     has the closed form 2 arctan(sin theta)."""
-    si = np.sin(theta)
     if p.chart == HALF_CIRCLE:
-        return 2.0 * np.arctan(si)
-    c1, c2, _, _ = _chart(p.chart, si, np.cos(theta))
+        return 2.0 * np.arctan(np.sin(theta))
+    c1, c2, _, _ = chart_eval(p, theta)
     return np.arctan2(c2, c1)
 
 
@@ -103,24 +81,9 @@ def theta_of_phi(p: ProblemSpec, phi):
     return np.arcsin(np.sin(phi) - np.cos(phi))
 
 
-def _terms(p: ProblemSpec, theta):
-    """sin theta, cos theta, c, c', curly W and curly W' at chart angle
-    theta: every chart term of the newcoords field and its energy.
-    Broadcasts over arrays; Python floats for a float theta."""
-    xp = _xp(theta)
-    si, co = xp.sin(theta), xp.cos(theta)
-    c1, c2, c, cq = _chart(p.chart, si, co, xp)
-    w, wp = p.quantities(c1, c2, xp)
-    if p.chart == HALF_CIRCLE:
-        wc, wcp = (1.0 + si * si) * w, 2.0 * co * (si * w + wp)
-    else:
-        wc, wcp = 2.0 * w, 2.0 * co * wp / xp.sqrt(c)
-    return si, co, c, cq * si * co, wc, wcp
-
-
 def curly_w(p: ProblemSpec, theta):
     """(curly W(theta), d/dtheta curly W(theta)) for the problem's chart."""
-    return _terms(p, theta)[4:]
+    return p.chart_terms(theta)[4:6]
 
 
 def v_of_theta(p: ProblemSpec, theta):
@@ -145,7 +108,7 @@ def theta_star(p: ProblemSpec) -> float:
 def _devaney_terms(p: ProblemSpec, co: float, si: float):
     """(W, W', f, f') at the shape point (co, si) = (cos phi, sin phi), on
     Python floats: every shape term of the devaney chart."""
-    return p.quantities(co, si, math) + shape_f(p, co, si)
+    return p.quantities(co, si, math) + p.shape_f(co, si)
 
 
 def devaney_rhs(p: ProblemSpec, y):
@@ -168,7 +131,7 @@ def devaney_rhs(p: ProblemSpec, y):
 def _field(r, v, w, terms):
     """The newcoords field at (r, v, w) and the chart terms of its angle,
     as a tuple of its four components."""
-    si, co, c, cp, wc, wcp = terms
+    si, co, c, cp, wc, wcp, _, _ = terms
     csq = co * co
     return (
         r * v * csq,
@@ -185,7 +148,7 @@ def _energy(r, v, w, terms):
     E = v^2 cos^2/2 + w^2 c/2 - curly W - H r cos^2, so dE/dv = v cos^2,
     dE/dw = w c and dE/dtheta = -sin cos (v^2 - 2 H r) + w^2 c'/2 - curly W'.
     """
-    si, co, c, cp, wc, wcp = terms
+    si, co, c, cp, wc, wcp, _, _ = terms
     csq = co * co
     res = 0.5 * v * v * csq + 0.5 * w * w * c - wc - H * r * csq
     grad = (
@@ -207,7 +170,7 @@ def newcoords_rhs(p: ProblemSpec, y):
     tuple, of floats or of (N,) rows.
     """
     r, v, theta, w = y
-    return _field(r, v, w, _terms(p, theta))
+    return _field(r, v, w, p.chart_terms(theta))
 
 
 def energy_gradient(p: ProblemSpec, y):
@@ -217,7 +180,7 @@ def energy_gradient(p: ProblemSpec, y):
     components.
     """
     r, v, theta, w = y
-    return _energy(r, v, w, _terms(p, theta))
+    return _energy(r, v, w, p.chart_terms(theta))
 
 
 def damped_reverse_rhs(p: ProblemSpec, y, damp: float):
@@ -227,7 +190,7 @@ def damped_reverse_rhs(p: ProblemSpec, y, damp: float):
     the plane of constant r.  One chart-term evaluation serves both the
     field and the energy.  Returns a tuple of floats."""
     r, v, theta, w = y
-    terms = _terms(p, theta)
+    terms = p.chart_terms(theta)
     dr, dv, dtheta, dw = _field(r, v, w, terms)
     res, (_, gv, gtheta, gw) = _energy(r, v, w, terms)
     n2 = gv * gv + gtheta * gtheta + gw * gw
@@ -255,7 +218,7 @@ def energy_residual(p: ProblemSpec, s: State) -> float:
 def solve_w(p: ProblemSpec, r: float, v: float, theta: float, sign: int = 1):
     """w >= 0 (or <= 0) satisfying the energy relation on the level H in the
     newcoords chart, or None when no real solution exists."""
-    _, co, c, _, wc, _ = _terms(p, theta)
+    _, co, c, _, wc, _, _, _ = p.chart_terms(theta)
     csq = co * co
     arg = 2.0 * (wc - r * csq - 0.5 * v * v * csq) / c
     if arg < 0.0:
@@ -343,11 +306,11 @@ def to_configuration(p: ProblemSpec, s: State):
     if s.r == 0.0:
         raise TotalCollisionError("no configuration velocities at r = 0")
     # (c1, c2) = (cos phi, sin phi) and r^{3/2} phidot; on newcoords
-    # r^{3/2} thetadot = w c / cos^2 theta
+    # r^{3/2} thetadot = w c / cos^2 theta and dphi/dtheta = cos / sqrt(c)
     if s.chart == NEWCOORDS:
-        c1, c2, c, _ = chart_eval(p.chart, s.angle)
+        c1, c2, c, _ = chart_eval(p, s.angle)
         phidot_r32 = (s.w * c / math.cos(s.angle) ** 2
-                      * _dphi_dtheta(p.chart, s.angle))
+                      * (math.cos(s.angle) / math.sqrt(c)))
     elif s.chart == DEVANEY:
         c1, c2 = math.cos(s.angle), math.sin(s.angle)
         wq, _, f, _ = _devaney_terms(p, c1, c2)
@@ -383,9 +346,11 @@ def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2,
         # sqrt(f/V) = f / sqrt(W); f > 0 on the open shape domain
         w = phidot * r**1.5 * f / math.sqrt(wq)
         return State(DEVANEY, r, v, phi, w)
+    if chart != NEWCOORDS:
+        raise DomainError("unknown chart %r" % (chart,))
     theta = float(theta_of_phi(p, phi))
     co = math.cos(theta)
-    thetadot = phidot / _dphi_dtheta(p.chart, theta)
-    c = chart_eval(p.chart, theta)[2]
+    c = chart_eval(p, theta)[2]
+    thetadot = phidot / (co / math.sqrt(c))
     w = thetadot * r**1.5 * co * co / c
     return State(NEWCOORDS, r, v, theta, w)

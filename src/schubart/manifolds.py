@@ -146,7 +146,7 @@ def _manifold_tangent_vector(problem: ProblemSpec, eq: Equilibrium,
 
     def v_on_manifold(theta, w):
         cw, _ = dyn.curly_w(problem, theta)
-        c = dyn.chart_eval(problem.chart, theta)[2]
+        c = dyn.chart_eval(problem, theta)[2]
         big_c = math.cos(theta) ** 2
         return sign_v * math.sqrt(max(2.0 * cw - w * w * c, 0.0) / big_c)
 

@@ -489,7 +489,8 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
     """Integrate dy/ds = rhs(s, y) from s = 0 at the seed.
 
     The seed is a State, and rhs operates on its flat vector [r, v, angle,
-    w]; or a flat (d,) array of any length d, which runs without events.
+    w]; or a flat (d,) array of any length d, which runs without events
+    (DomainError if any are given).
     rhs gets the state as a tuple of d floats and returns any length-d
     sequence.  Events are localized on the dense interpolant of each
     accepted step; a stop event truncates.  With sample_ds set, the samples
@@ -503,6 +504,9 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
     ctl = controls or Controls()
     atol, rtol = ctl.atol, ctl.rtol
     watch = _Watch(events)
+    if watch.specs and not isinstance(seed, State):
+        raise DomainError("events need a State seed; a flat seed runs"
+                          " without events")
     y0 = (seed.as_array() if isinstance(seed, State)
           else np.array(seed, dtype=float))
     y = tuple(y0.tolist())

@@ -135,7 +135,7 @@ def seed_state(problem: ProblemSpec, locus: str, param: float) -> State:
         if not param > 0.0:
             raise DomainError("S locus needs r > 0, got %r" % (param,))
         wc, _ = dyn.curly_w(problem, -_HALF_PI)
-        c = dyn.chart_eval(problem.chart, -_HALF_PI)[2]
+        c = dyn.chart_eval(problem, -_HALF_PI)[2]
         return State(NEWCOORDS, float(param), 0.0, -_HALF_PI,
                      math.sqrt(2.0 * wc / c))
     if locus == LOCUS_Z:

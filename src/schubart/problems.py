@@ -76,9 +76,9 @@ class ProblemSpec:
 
     Treat instances as immutable; the derived fields are filled in
     __post_init__ and the critical points on first use.  mu is only
-    meaningful for the pyramidal problem.  quantities(c, s, xp) is the
-    problem's (W, W') with its constants bound; mass_scale is the second
-    configuration coordinate per unit r sin phi.
+    meaningful for the pyramidal problem.  quantities(c, s, xp), shape_f(c, s)
+    and chart_terms(theta) are its bound (W, W'), (f, f') and chart terms;
+    mass_scale is the second configuration coordinate per unit r sin phi.
     """
 
     kind: str
@@ -90,6 +90,8 @@ class ProblemSpec:
     s_n: float = field(init=False)
     mass_scale: float = field(init=False)
     quantities: object = field(init=False, repr=False, compare=False)
+    shape_f: object = field(init=False, repr=False, compare=False)
+    chart_terms: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.kind = _KIND_ALIASES.get(self.kind, self.kind)
@@ -110,10 +112,10 @@ class ProblemSpec:
         s4 = self.s_n / 4.0
         if self.kind == PLANAR:
             self.phi_a, self.phi_b = 0.0, math.pi / 2.0
-            self.chart = QUARTER_CIRCLE
+            self.chart, chart = QUARTER_CIRCLE, _quarter_circle
         else:
             self.phi_a, self.phi_b = -math.pi / 2.0, math.pi / 2.0
-            self.chart = HALF_CIRCLE
+            self.chart, chart = HALF_CIRCLE, _half_circle
         if self.kind == PYRAMIDAL:
             self.quantities = _pyramidal_quantities(s4, self.n, self.mu)
             self.mass_scale = math.sqrt((self.n + self.mu) / self.mu)
@@ -124,6 +126,7 @@ class ProblemSpec:
         else:
             self.quantities = _planar_quantities(s4, _ring_cos(self.n, self.n))
             self.mass_scale = 1.0
+        self.shape_f, self.chart_terms = chart(self.quantities)
 
     @cached_property
     def critical(self) -> "CriticalPointSet":
@@ -131,7 +134,7 @@ class ProblemSpec:
         return critical_points(self)
 
     def __reduce__(self):
-        # quantities is a closure, which pickle cannot send: rebuild it
+        # the bound closures cannot be pickled: rebuild them
         return ProblemSpec, (self.kind, self.n, self.mu)
 
     def __repr__(self):
@@ -255,13 +258,45 @@ def _planar_quantities(s4, ring):
     return quantities
 
 
-def shape_f(p: ProblemSpec, c, s):
-    """(f, df/dphi) at the shape point (c, s) = (cos phi, sin phi): f is
-    the simple-zero factor that regularizes V at the domain ends, cos phi
-    on the half circle and sin phi cos phi on the quarter circle."""
-    if p.chart == HALF_CIRCLE:
-        return c, -s
-    return s * c, (c - s) * (c + s)
+# -- charts ------------------------------------------------------------------
+#
+# Each chart is one builder: it binds a problem's (W, W') and returns its
+# shape_f(c, s), the (f, df/dphi) whose simple zeros regularize V at the
+# domain ends, and chart_terms(theta): sin theta, cos theta, c, c', curly W,
+# curly W' and the shape point (cos phi, sin phi), algebraic in sin theta and
+# cos theta, with c1'^2 + c2'^2 = cos^2 theta / c.
+
+
+def _half_circle(quantities):
+    # the stereographic chart, f = cos phi: (cos phi, sin phi) =
+    # (1 - sin^2, 2 sin) / q with q = 1 + sin^2 theta, c = q^2 / 4 and
+    # curly W = q W
+    def terms(theta):
+        xp = _xp(theta)
+        si, co = xp.sin(theta), xp.cos(theta)
+        q = 1.0 + si * si
+        c1, c2 = (1.0 - si * si) / q, 2.0 * si / q
+        w, wp = quantities(c1, c2, xp)
+        return (si, co, 0.25 * q * q, q * si * co, q * w,
+                2.0 * co * (si * w + wp), c1, c2)
+
+    return (lambda c, s: (c, -s)), terms
+
+
+def _quarter_circle(quantities):
+    # the parallel projection, f = sin phi cos phi: (cos phi, sin phi) =
+    # (a - sin, a + sin) / 2 with a = sqrt(c), c = 1 + cos^2 theta and
+    # curly W = 2 W
+    def terms(theta):
+        xp = _xp(theta)
+        si, co = xp.sin(theta), xp.cos(theta)
+        c = 1.0 + co * co
+        a = xp.sqrt(c)
+        c1, c2 = 0.5 * (a - si), 0.5 * (a + si)
+        w, wp = quantities(c1, c2, xp)
+        return si, co, c, -2.0 * si * co, 2.0 * w, 2.0 * co * wp / a, c1, c2
+
+    return (lambda c, s: (s * c, (c - s) * (c + s))), terms
 
 
 _QUANTITIES = ("V", "V'", "W", "W'", "f", "F")
@@ -276,7 +311,7 @@ def potential(p: ProblemSpec, phi, quantity: str):
     # an arm, and blow up to +-inf there; W stays finite
     c, s = np.cos(phi), np.sin(phi)
     if quantity == "f":
-        out = shape_f(p, c, s)[0]
+        out = p.shape_f(c, s)[0]
     else:
         w, wp = p.quantities(c, s, _xp(c))
         if quantity == "W":
@@ -284,7 +319,7 @@ def potential(p: ProblemSpec, phi, quantity: str):
         elif quantity == "W'":
             out = wp
         else:
-            f, fp = shape_f(p, c, s)
+            f, fp = p.shape_f(c, s)
             if quantity == "F":
                 out = f / np.sqrt(w)
             else:

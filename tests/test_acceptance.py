@@ -251,7 +251,7 @@ def _suite_energy_and_w_bound(problem, states):
                 break
         for _, smp in traj:
             wsq_max = 2.0 * dyn.curly_w(problem, smp.angle)[0] \
-                / dyn.chart_eval(problem.chart, smp.angle)[2]
+                / dyn.chart_eval(problem, smp.angle)[2]
             if smp.w * smp.w > wsq_max + 1e-9 * (1.0 + wsq_max):
                 bad_w += 1
                 break

@@ -254,6 +254,32 @@ def test_exit_64_on_an_unwritable_out(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_an_unwritable_out_is_refused_before_the_run(tmp_path, capsys,
+                                                    monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli.orbits, "find_orbit", unreachable)
+    monkeypatch.setattr(cli.conditions_mod, "integrate_g", unreachable)
+    missing, busy = tmp_path / "missing", tmp_path / "busy"
+    (busy / "b0.csv").mkdir(parents=True)
+    orbit, g3 = ["orbit", "--family", "B", "--k", "0"], ["table", "g3"]
+    # (command line, --out, the path refused): the orbit report's
+    # trajectory CSV is written beside it, so it is checked too
+    for argv, out, refused in ((orbit, missing / "b0.json", None),
+                               (g3, missing / "g.json", None),
+                               (orbit, tmp_path, None),
+                               (g3, tmp_path, None),
+                               (orbit, busy / "b0.json", busy / "b0.csv")):
+        code, text = run(argv + ["--out", str(out)])
+        assert code == 64 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s: " % (refused or out))
+        assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [busy]
+    assert list(busy.iterdir()) == [busy / "b0.csv"]
+
+
 def test_readme_quick_start_lines_parse():
     # every command line of the README's CLI quick start parses, so a flag
     # that moves or goes cannot leave the README behind

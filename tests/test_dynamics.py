@@ -1,6 +1,7 @@
 """Chart geometry, vector fields, symmetries, and configuration maps."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,32 +42,32 @@ def _on_shell_states(p, rng, count=100, chart=NEWCOORDS):
     return out
 
 
-def test_chart_point_on_unit_circle():
+def test_chart_point_on_unit_circle(pyr2, pla3):
     thetas = np.linspace(-3.0, 3.0, 1000)
-    for kind in (pr.HALF_CIRCLE, pr.QUARTER_CIRCLE):
+    for p in (pyr2, pla3):
         for th in thetas:
-            c1, c2, _, _ = dyn.chart_eval(kind, th)
+            c1, c2, _, _ = dyn.chart_eval(p, th)
             assert c1**2 + c2**2 == pytest.approx(1.0, abs=1e-14)
 
 
-def test_chart_c_against_finite_differences():
+def test_chart_c_against_finite_differences(pyr2, pla3):
     h = 1e-6
     thetas = np.linspace(-3.0, 3.0, 1000)
-    for kind in (pr.HALF_CIRCLE, pr.QUARTER_CIRCLE):
+    for p in (pyr2, pla3):
         for th in thetas:
-            c_p = dyn.chart_eval(kind, th + h)[2]
-            c_m = dyn.chart_eval(kind, th - h)[2]
+            c_p = dyn.chart_eval(p, th + h)[2]
+            c_m = dyn.chart_eval(p, th - h)[2]
             fd = (c_p - c_m) / (2.0 * h)
-            cp = dyn.chart_eval(kind, th)[3] * math.sin(th) * math.cos(th)
+            cp = dyn.chart_eval(p, th)[3]
             assert fd == pytest.approx(cp, abs=2e-9)
 
 
-def test_chart_c_known_values():
+def test_chart_c_known_values(pyr2, pla3):
     # half: c = (1 + sin^2)^2 / 4; quarter: c = 1 + cos^2
-    assert dyn.chart_eval(pr.HALF_CIRCLE, 0.0)[2] == pytest.approx(0.25)
-    assert dyn.chart_eval(pr.HALF_CIRCLE, math.pi / 2)[2] == pytest.approx(1.0)
-    assert dyn.chart_eval(pr.QUARTER_CIRCLE, 0.0)[2] == pytest.approx(2.0)
-    assert dyn.chart_eval(pr.QUARTER_CIRCLE, math.pi / 2)[2] == pytest.approx(1.0)
+    assert dyn.chart_eval(pyr2, 0.0)[2] == pytest.approx(0.25)
+    assert dyn.chart_eval(pyr2, math.pi / 2)[2] == pytest.approx(1.0)
+    assert dyn.chart_eval(pla3, 0.0)[2] == pytest.approx(2.0)
+    assert dyn.chart_eval(pla3, math.pi / 2)[2] == pytest.approx(1.0)
 
 
 def test_phi_theta_roundtrip(all_problems):
@@ -286,6 +287,20 @@ def test_charts_agree_through_configuration(pyr2, rng):
         assert abs(dyn.energy_residual(pyr2, dev)) < 1e-10
 
 
+def test_from_configuration_refuses_an_unknown_chart(pyr2):
+    with pytest.raises(DomainError, match="unknown chart 'bogus'"):
+        dyn.from_configuration(pyr2, 1.0, 0.2, 0.1, 0.3, chart="bogus")
+
+
+def test_from_configuration_returns_python_floats(all_problems):
+    for p in all_problems:
+        for chart in (NEWCOORDS, DEVANEY):
+            st = dyn.from_configuration(p, 1.0, 0.2, 0.1, 0.3, chart=chart)
+            assert st.chart == chart
+            assert [type(x) for x in (st.r, st.v, st.angle, st.w)] \
+                == [float] * 4
+
+
 def test_total_collision_guard(pyr2):
     with pytest.raises(TotalCollisionError):
         dyn.to_configuration(pyr2, State(NEWCOORDS, 0.0, 0.0, 0.1, 0.5))
@@ -368,11 +383,11 @@ def test_damped_reverse_field_fuses_field_and_energy(all_problems,
             assert np.array_equal(dyn.damped_reverse_rhs(p, y, 20.0),
                                   composed(p, y, 20.0))
     calls = []
-    terms = dyn._terms
-    monkeypatch.setattr(dyn, "_terms",
-                        lambda p, theta: calls.append(1) or terms(p, theta))
-    dyn.damped_reverse_rhs(all_problems[0], states[0].as_array().tolist(),
-                           20.0)
+    p = all_problems[0]
+    terms = p.chart_terms
+    monkeypatch.setattr(p, "chart_terms",
+                        lambda theta: calls.append(1) or terms(theta))
+    dyn.damped_reverse_rhs(p, states[0].as_array().tolist(), 20.0)
     assert len(calls) == 1
 
 
@@ -437,15 +452,15 @@ def test_field_is_lane_invariant(all_problems):
 def test_flat_chart_terms_are_python_floats(all_problems, monkeypatch):
     # the float path must not fall back to numpy scalars
     seen = []
-    terms = dyn._terms
-    monkeypatch.setattr(dyn, "_terms",
-                        lambda p, theta: seen.append(terms(p, theta))
-                        or seen[-1])
     for p in all_problems:
+        terms = p.chart_terms
+        monkeypatch.setattr(p, "chart_terms",
+                            lambda theta: seen.append(terms(theta))
+                            or seen[-1])
         seen.clear()
         dyn.newcoords_rhs(p, (0.1, 0.2, -0.4, 0.3))
-        assert len(seen) == 1 and len(seen[0]) == 6
-        assert [type(t) for t in seen[0]] == [float] * 6
+        assert len(seen) == 1 and len(seen[0]) == 8
+        assert [type(t) for t in seen[0]] == [float] * 8
 
 
 def test_float_interaction_sums_run_no_numpy(all_problems, monkeypatch):
@@ -473,17 +488,23 @@ def test_float_interaction_sums_run_no_numpy(all_problems, monkeypatch):
 
 
 def test_no_field_evaluation_reads_the_kind(all_problems, monkeypatch):
-    # each problem binds its potential and configuration scale when it is
-    # built, so an evaluation has no kind to decide again
-    def outputs(p, ys):
+    # each problem binds its potential, chart and configuration scale when
+    # it is built, so an evaluation has no kind and no chart to decide again
+    def outputs(p, ys, devs):
         out = []
-        for y in ys:
-            dev = (y[0], y[1], 0.5 * y[2] if p.chart == pr.HALF_CIRCLE
-                   else 0.1 + 0.45 * abs(y[2]), y[3])
+        for y, dev in zip(ys, devs):
+            st = State(NEWCOORDS, *y)
             out += [dyn.newcoords_rhs(p, y), dyn.damped_reverse_rhs(p, y, 2.0),
                     dyn.energy_gradient(p, y), dyn.devaney_rhs(p, dev),
-                    dyn.to_configuration(p, State(NEWCOORDS, *y)),
+                    dyn.solve_w(p, *y[:3]), dyn.curly_w(p, y[2]),
+                    dyn.v_of_theta(p, y[2]), dyn.chart_eval(p, y[2]),
+                    dyn.energy_residual(p, st),
+                    dyn.energy_residual(p, State(DEVANEY, *dev)),
+                    dyn.to_configuration(p, st),
                     dyn.to_configuration(p, State(DEVANEY, *dev))]
+        block = np.array(ys).T
+        out += [[row.tolist() for row in dyn.newcoords_rhs(p, block)],
+                [row.tolist() for row in dyn.energy_gradient(p, block)[1]]]
         phis = np.linspace(p.phi_a + 1e-3, p.phi_b - 1e-3, 101)
         out += [pr.potential(p, phis, "V'").tolist(),
                 pr.potential(p, float(phis[37]), "V'")]
@@ -493,6 +514,28 @@ def test_no_field_evaluation_reads_the_kind(all_problems, monkeypatch):
     ys = rng.uniform([0.1, -2.0, -3.0, -2.0], [2.0, 2.0, 3.0, 2.0],
                      size=(20, 4)).tolist()
     for p in all_problems:
-        want = outputs(p, ys)
+        # devaney shape angles inside the problem's domain, read before the
+        # chart is hidden
+        devs = [(y[0], y[1], 0.5 * y[2] if p.chart == pr.HALF_CIRCLE
+                 else 0.1 + 0.45 * abs(y[2]), y[3]) for y in ys]
+        want = outputs(p, ys, devs)
         monkeypatch.setattr(p, "kind", "unknown")
-        assert outputs(p, ys) == want, p
+        monkeypatch.setattr(p, "chart", "unknown")
+        assert outputs(p, ys, devs) == want, p
+
+
+def test_flat_field_call_makes_five_python_calls(pyr2):
+    # newcoords_rhs, the bound chart terms, _xp, the bound quantities and
+    # _field: nothing between them picks a chart or a kind
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        dyn.newcoords_rhs(pyr2, (0.1, 0.2, -0.4, 0.3))
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= 5, calls

@@ -9,7 +9,7 @@ import pytest
 from schubart import dynamics as dyn
 from schubart import odeint as oi
 from schubart.dynamics import NEWCOORDS, DEVANEY, State
-from schubart.errors import EvaluationError
+from schubart.errors import DomainError, EvaluationError
 from schubart.odeint import Controls, EventSpec
 
 
@@ -70,6 +70,20 @@ def test_flat_seed_samples_on_an_exact_grid():
     assert np.array_equal(traj.y[:, -1], bare.y[:, -1])
     assert (traj.termination, traj.n_accept) == ("time-limit", bare.n_accept)
     assert np.max(np.abs(traj.y[0] - np.cos(traj.s))) < 1e-9
+
+
+def test_flat_seed_refuses_events():
+    # events are read off a State; a flat seed is refused before any step
+    calls = []
+
+    def rhs(s, y):
+        calls.append(s)
+        return (0.0,) * (len(y) - 2) + (1.0, 0.0)
+
+    for seed in (np.array([-1.0]), np.array([1.0, 0.0, -0.5, 0.0])):
+        with pytest.raises(DomainError, match="State seed"):
+            oi.integrate(rhs, seed, events=[EventSpec.angle(0.0)])
+    assert calls == []
 
 
 def test_dop853_tableau_is_consistent():
@@ -393,7 +407,7 @@ def test_collision_manifold_flow(pyr2, spa3, pla3):
     # r pinned at zero; v is a Lyapunov function (nondecreasing)
     for p in (pyr2, spa3, pla3):
         wc, _ = dyn.curly_w(p, -1.0)
-        c = dyn.chart_eval(p.chart, -1.0)[2]
+        c = dyn.chart_eval(p, -1.0)[2]
         w0 = math.sqrt(2.0 * wc / c) * 0.7
         csq = math.cos(-1.0) ** 2
         v0 = -math.sqrt((2.0 * wc - w0 * w0 * c) / csq)

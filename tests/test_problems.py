@@ -65,11 +65,17 @@ def test_derived_fields_are_not_constructor_arguments():
 
 
 def test_problems_pickle_with_their_bound_potential(all_problems):
-    # the bound (W, W') is a closure; a pickled problem rebuilds it
+    # the bound (W, W'), (f, f') and chart terms are closures; a pickled
+    # problem rebuilds them
+    thetas = np.linspace(-3.0, 3.0, 7)
     for p in all_problems:
         q = pickle.loads(pickle.dumps(p))
         assert q == p
         assert q.quantities(0.6, 0.8, math) == p.quantities(0.6, 0.8, math)
+        assert q.shape_f(0.6, 0.8) == p.shape_f(0.6, 0.8)
+        assert q.chart_terms(-0.4) == p.chart_terms(-0.4)
+        for a, b in zip(q.chart_terms(thetas), p.chart_terms(thetas)):
+            assert np.array_equal(a, b)
 
 
 def test_chart_assignment(pyr2, spa3, pla3):

@@ -29,3 +29,32 @@ def test_every_imported_name_is_used(path):
     unused = {name: line for name, line in imported.items()
               if name not in used}
     assert not unused, "%s imports and never uses %s" % (path.name, unused)
+
+
+def test_every_private_module_name_is_read():
+    # a module-level _name that no source file reads is dead code: a
+    # helper left behind when its last caller went
+    defined, read = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = "%s:%d" % (path.name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {name: where for name, where in defined.items()
+              if name not in read}
+    assert not unread, "never read in src/: %s" % (unread,)
