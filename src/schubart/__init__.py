@@ -3,7 +3,7 @@ highly symmetric N-body sub-problems (pyramidal, spatial and planar
 double-polygon).
 
 The package exposes one module per concern: problem definitions and shape
-potentials (problems), the two regularizing charts and their vector fields
+potentials (problems), the regularizing chart and its vector field
 (dynamics), an adaptive integrator with event location (odeint), invariant
 manifold branch tracing on the collision manifold (manifolds), the
 comparison-ODE existence conditions and elliptic integrals (conditions),
@@ -13,7 +13,7 @@ Brent's method (orbits).  The cli module wires them into subcommands.
 
 __version__ = "0.1.0"
 
-from .dynamics import DEVANEY, NEWCOORDS, State
+from .dynamics import State
 from .errors import (
     AmbiguousBracketError,
     BoundTooWeakError,
@@ -30,12 +30,10 @@ __all__ = [
     "__version__",
     "AmbiguousBracketError",
     "BoundTooWeakError",
-    "DEVANEY",
     "DivergenceError",
     "DomainError",
     "FamilySpec",
     "ManifoldDepartureError",
-    "NEWCOORDS",
     "OrbitNotFoundError",
     "PeriodicOrbit",
     "ProblemSpec",

@@ -294,7 +294,7 @@ def cmd_orbit(args) -> int:
         "full_period_s": orbit.full_period_s,
         "closure_error": checks["closure_error"],
         "energy_drift": checks["energy_drift"],
-        "seed": {"chart": seed.chart, "r": seed.r, "v": seed.v,
+        "seed": {"chart": "newcoords", "r": seed.r, "v": seed.v,
                  "theta": seed.angle, "w": seed.w, "h": H},
         "notes": dict(orbit.notes),
     }

@@ -323,11 +323,13 @@ def _check_N2(p: ProblemSpec) -> dict:
                   "saddle-vs-midpoint potential margin")
 
 
-def _check_N3(p: ProblemSpec) -> dict:
+def _check_N3(p: ProblemSpec, n1: dict) -> dict:
+    """N3 needs N1's pass: n1 is N1's entry, computed here when None."""
     if p.kind == PLANAR:
         return _not_applicable(
             "the drift-ratio bound is stated for the half-circle chart")
-    n1 = _check_N1(p)
+    if n1 is None:
+        n1 = _check_N1(p)
     w_arm = potential(p, math.pi / 2.0, "W")
     arm_defect = abs(w_arm - p.s_n / 4.0)
     phis = np.linspace(math.pi / 4.0, math.pi / 2.0, 100000, endpoint=False)
@@ -361,8 +363,9 @@ def _check_N4(p: ProblemSpec) -> dict:
 
 
 def check_condition(problem: ProblemSpec, which: str,
-                    beta: float = None) -> dict:
-    """One report entry for N1, N2, N3, N3prime or N4."""
+                    beta: float = None, n1: dict = None) -> dict:
+    """One report entry for N1, N2, N3, N3prime or N4.  N3 reads N1's
+    status; n1, N1's entry when it is at hand, spares computing it again."""
     beta = DEFAULT_BETA if beta is None else beta
     if not math.isfinite(beta):
         raise DomainError("beta must be finite, got %r" % (beta,))
@@ -371,7 +374,7 @@ def check_condition(problem: ProblemSpec, which: str,
     if which == "N2":
         return _check_N2(problem)
     if which == "N3":
-        return _check_N3(problem)
+        return _check_N3(problem, n1)
     if which == "N3prime":
         return _check_N3prime(problem, beta)
     if which == "N4":
@@ -381,7 +384,10 @@ def check_condition(problem: ProblemSpec, which: str,
 
 def condition_report(problem: ProblemSpec,
                      beta: float = None) -> ConditionReport:
-    """All five condition entries."""
-    entries = {name: check_condition(problem, name, beta=beta)
-               for name in CONDITION_NAMES}
+    """All five condition entries; N1's grid is evaluated once, for N1
+    and N3 both."""
+    entries = {}
+    for name in CONDITION_NAMES:
+        entries[name] = check_condition(problem, name, beta=beta,
+                                        n1=entries.get("N1"))
     return ConditionReport(problem=problem, entries=entries)

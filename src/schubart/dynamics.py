@@ -1,15 +1,10 @@
 """Regularized coordinates for the size/shape dynamics.
 
-Two charts are implemented:
-
-  devaney     (r, v, phi, w): shape angle phi on the open domain, the
-              classical blow-up chart.  The vector field is singular at the
-              domain ends (binary/partial collisions).
-  newcoords   (r, v, theta, w): the shape angle re-parameterized by a
-              circle map phi = phi(theta) chosen so that partial collisions
-              become regular points and the flow extends to a double cover.
-              theta is kept unwrapped (multi-cover); crossing counts are
-              meaningful.
+A state is (r, v, theta, w) in the paper's new coordinates: the shape
+angle phi is re-parameterized by a circle map phi = phi(theta) chosen so
+that partial collisions become regular points and the flow extends to a
+double cover.  theta is kept unwrapped (multi-cover); crossing counts are
+meaningful.
 
 The half-circle chart (pyramidal/spatial problems) is a stereographic
 re-parameterization, the quarter-circle chart (planar problem) a parallel
@@ -24,39 +19,28 @@ written once, in problems; every ProblemSpec binds its own as chart_terms,
 which the field, its energy and the configuration maps read.
 """
 
-from dataclasses import dataclass, replace
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, StructureError, TotalCollisionError
 from .problems import HALF_CIRCLE, ProblemSpec
 
-DEVANEY = "devaney"
-NEWCOORDS = "newcoords"
-
 # the energy level of every state and field here
 H = -1.0
 
 
-@dataclass(frozen=True)
-class State:
-    """A phase point at the energy level H.  angle is phi in the devaney
-    chart, theta in newcoords."""
+class State(NamedTuple):
+    """A phase point (r, v, theta, w) at the energy level H; angle is the
+    chart angle theta.  It is the four floats that the field functions
+    take: np.array(st) is its flat vector, and State(*col.tolist()) the
+    State of a flat vector col."""
 
-    chart: str
     r: float
     v: float
     angle: float
     w: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r, self.v, self.angle, self.w], dtype=float)
-
-    def with_array(self, y) -> "State":
-        return replace(
-            self, r=float(y[0]), v=float(y[1]), angle=float(y[2]), w=float(y[3])
-        )
 
 
 def chart_eval(p: ProblemSpec, theta):
@@ -105,29 +89,6 @@ def theta_star(p: ProblemSpec) -> float:
     return float(theta_of_phi(p, cps.phi_R))
 
 
-def _devaney_terms(p: ProblemSpec, co: float, si: float):
-    """(W, W', f, f') at the shape point (co, si) = (cos phi, sin phi), on
-    Python floats: every shape term of the devaney chart."""
-    return p.quantities(co, si, math) + p.shape_f(co, si)
-
-
-def devaney_rhs(p: ProblemSpec, y):
-    """Right-hand side of the blown-up system in the devaney chart at the
-    energy H, as a tuple.  y is the four floats r, v, phi, w."""
-    r, v, phi, w = y
-    wq, wqp, f, fp = _devaney_terms(p, math.cos(phi), math.sin(phi))
-    bigf = f / math.sqrt(wq)
-    dr = r * v * bigf
-    dv = bigf * (2.0 * H * r - 0.5 * v * v) + math.sqrt(wq)
-    dphi = w
-    dw = (
-        -0.5 * v * w * bigf
-        + (wqp / wq) * (f - 0.5 * w * w)
-        + fp * (1.0 + (f / wq) * (2.0 * H * r - v * v))
-    )
-    return dr, dv, dphi, dw
-
-
 def _field(r, v, w, terms):
     """The newcoords field at (r, v, w) and the chart terms of its angle,
     as a tuple of its four components."""
@@ -165,9 +126,9 @@ def newcoords_rhs(p: ProblemSpec, y):
     regular points; the field is polynomial in the state given the chart
     functions).
 
-    y is r, v, theta, w at the energy H: four floats (a tuple or list),
-    or the four rows of a (4, N) block.  Returns the four components as a
-    tuple, of floats or of (N,) rows.
+    y is r, v, theta, w at the energy H: four floats (a State, tuple or
+    list), or the four rows of a (4, N) block.  Returns the four components
+    as a tuple, of floats or of (N,) rows.
     """
     r, v, theta, w = y
     return _field(r, v, w, p.chart_terms(theta))
@@ -202,17 +163,8 @@ def damped_reverse_rhs(p: ProblemSpec, y, damp: float):
 
 
 def energy_residual(p: ProblemSpec, s: State) -> float:
-    """Signed defect of the energy relation in the state's chart."""
-    if s.chart == NEWCOORDS:
-        return energy_gradient(p, (s.r, s.v, s.angle, s.w))[0]
-    if s.chart == DEVANEY:
-        wq, _, f, _ = _devaney_terms(p, math.cos(s.angle), math.sin(s.angle))
-        return (
-            s.w * s.w / (2.0 * f)
-            - 1.0
-            - (f / wq) * (s.r * H - 0.5 * s.v * s.v)
-        )
-    raise DomainError("unknown chart %r" % (s.chart,))
+    """Signed defect of the energy relation at the State s."""
+    return energy_gradient(p, s)[0]
 
 
 def solve_w(p: ProblemSpec, r: float, v: float, theta: float, sign: int = 1):
@@ -232,20 +184,16 @@ def solve_w(p: ProblemSpec, r: float, v: float, theta: float, sign: int = 1):
 # -- discrete symmetries ------------------------------------------------------
 
 def _image(s, f):
-    """f(r, v, theta, w) in the form of s: a State like the newcoords State
-    s, or an array for the flat vector or (4, N) block s."""
+    """f(r, v, theta, w) in the form of s: a State for the State s, or an
+    array for the flat vector or (4, N) block s."""
     if isinstance(s, State):
-        if s.chart != NEWCOORDS:
-            raise DomainError("a %s-chart state given where the newcoords"
-                              " chart is needed" % (s.chart,))
-        r, v, angle, w = f(s.r, s.v, s.angle, s.w)
-        return replace(s, r=r, v=v, angle=angle, w=w)
+        return State(*f(*s))
     return np.array(f(*s))
 
 
 def apply_symmetry(op: str, s):
-    """Apply one of the built-in symmetries in the newcoords chart to a
-    newcoords State, or to a flat vector or (4, N) block of [r, v, theta, w].
+    """Apply one of the built-in symmetries to a State, or to a flat vector
+    or (4, N) block of [r, v, theta, w].
 
     Returns (image, time_reversing flag).  R1: (r,-v,theta,-w);
     R2: (r,-v,-theta,w); T1: (r,v,theta+pi,w).
@@ -269,7 +217,7 @@ def sigma_line(theta_bar: float, s):
 
 def deck_transform(s: State):
     """The double-cover deck map (r, v, pi - theta, -w).  Time-preserving."""
-    return replace(s, angle=math.pi - s.angle, w=-s.w), False
+    return s._replace(angle=math.pi - s.angle, w=-s.w), False
 
 
 def classify_region(p: ProblemSpec, s: State) -> str:
@@ -300,23 +248,16 @@ def to_configuration(p: ProblemSpec, s: State):
     q1 is the polygon circumradius scale, q2 the second shape coordinate
     (apex height, polygon separation, or second-ring radius scale).  The
     inverse velocity rescalings v = sqrt(r) rdot and the chart w-definition
-    are applied.  Velocities diverge at partial collisions (cos theta = 0
-    in newcoords, f = 0 in devaney): a genuine binary collision.
+    are applied.  Velocities diverge at partial collisions (cos theta = 0):
+    a genuine binary collision.
     """
     if s.r == 0.0:
         raise TotalCollisionError("no configuration velocities at r = 0")
-    # (c1, c2) = (cos phi, sin phi) and r^{3/2} phidot; on newcoords
+    # (c1, c2) = (cos phi, sin phi) and r^{3/2} phidot, from
     # r^{3/2} thetadot = w c / cos^2 theta and dphi/dtheta = cos / sqrt(c)
-    if s.chart == NEWCOORDS:
-        c1, c2, c, _ = chart_eval(p, s.angle)
-        phidot_r32 = (s.w * c / math.cos(s.angle) ** 2
-                      * (math.cos(s.angle) / math.sqrt(c)))
-    elif s.chart == DEVANEY:
-        c1, c2 = math.cos(s.angle), math.sin(s.angle)
-        wq, _, f, _ = _devaney_terms(p, c1, c2)
-        phidot_r32 = s.w * math.sqrt(wq) / f
-    else:
-        raise DomainError("unknown chart %r" % (s.chart,))
+    c1, c2, c, _ = chart_eval(p, s.angle)
+    phidot_r32 = (s.w * c / math.cos(s.angle) ** 2
+                  * (math.cos(s.angle) / math.sqrt(c)))
     # the chart derivatives are c1' = -c2 phi' and c2' = c1 phi'
     k2 = p.mass_scale
     sqr = math.sqrt(s.r)
@@ -327,8 +268,7 @@ def to_configuration(p: ProblemSpec, s: State):
     return q1, q2, qd1, qd2
 
 
-def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2,
-                       chart: str = NEWCOORDS) -> State:
+def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2) -> State:
     """Inverse of to_configuration onto the principal chart sheet."""
     k2 = p.mass_scale
     u1, u2 = q1, q2 / k2
@@ -341,16 +281,9 @@ def from_configuration(p: ProblemSpec, q1, q2, qd1, qd2,
     phidot = (u1 * ud2 - u2 * ud1) / (r * r)
     v = math.sqrt(r) * rdot
     phi = math.atan2(sphi, cphi)
-    if chart == DEVANEY:
-        wq, _, f, _ = _devaney_terms(p, cphi, sphi)
-        # sqrt(f/V) = f / sqrt(W); f > 0 on the open shape domain
-        w = phidot * r**1.5 * f / math.sqrt(wq)
-        return State(DEVANEY, r, v, phi, w)
-    if chart != NEWCOORDS:
-        raise DomainError("unknown chart %r" % (chart,))
     theta = float(theta_of_phi(p, phi))
     co = math.cos(theta)
     c = chart_eval(p, theta)[2]
     thetadot = phidot / (co / math.sqrt(c))
     w = thetadot * r**1.5 * co * co / c
-    return State(NEWCOORDS, r, v, theta, w)
+    return State(r, v, theta, w)

@@ -15,9 +15,9 @@ landmark numbers v0..v5 used by the orbit-existence arguments:
     v5  gamma' first crossing of theta = +pi/2 after v3   (planar only)
     v0  stable branch of L'_-, traced backward, at theta = -pi/2
 
-Branches are traced in the regularized (newcoords) chart; the devaney-chart
-naming of the same branches (gamma there is based at the right-hand saddle)
-is reported alongside.
+Branches are traced in the regularized (newcoords) chart.  Each trace
+also carries the name that the classical blow-up chart gives the same
+branch (gamma there is based at the right-hand saddle).
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import dynamics as dyn
-from .dynamics import NEWCOORDS, DEVANEY, State
+from .dynamics import State
 from .errors import DomainError, LinearizationError, OrientationError
 from .odeint import (Controls, EventSpec, Trajectory, field_for, integrate,
                      integrate_collision_manifold)
@@ -34,7 +34,7 @@ from .problems import QUARTER_CIRCLE, ProblemSpec, potential
 
 BRANCH_IDS = ("gamma", "gamma-", "gamma'", "gamma'-", "gamma''", "stable-of-L'-")
 
-# devaney-chart alias of each newcoords-chart branch, where one exists
+# the devaney-chart name of each newcoords-chart branch, where one exists
 _DEVANEY_NAMES = {
     "gamma": "gamma''",
     "gamma'": "gamma'",
@@ -54,7 +54,7 @@ class Equilibrium:
 @dataclass
 class BranchTrace:
     branch: str
-    names: dict  # chart -> branch name (both namings of the same object)
+    names: dict  # chart name -> branch name (both namings of one object)
     trajectory: Trajectory
     landmarks: dict  # subset of v0..v5
     termination: str  # hole B_a+ | hole B_b+ | equilibrium | cap
@@ -63,8 +63,8 @@ class BranchTrace:
 
 def _jacobian(problem: ProblemSpec, st: State) -> np.ndarray:
     """Central finite-difference Jacobian, relative step 1e-6 per component."""
-    rhs = field_for(problem, st.chart)
-    x = st.as_array()
+    rhs = field_for(problem)
+    x = np.array(st)
     jac = np.empty((4, 4))
     for j in range(4):
         step = 1e-6 * max(1.0, abs(x[j]))
@@ -78,8 +78,8 @@ def _jacobian(problem: ProblemSpec, st: State) -> np.ndarray:
     return jac
 
 
-def _make_equilibrium(problem, kind, label, chart, angle, v) -> Equilibrium:
-    st = State(chart, 0.0, v, angle, 0.0)
+def _make_equilibrium(problem, kind, label, angle, v) -> Equilibrium:
+    st = State(0.0, v, angle, 0.0)
     jac = _jacobian(problem, st)
     try:
         vals, vecs = np.linalg.eig(jac)
@@ -89,44 +89,36 @@ def _make_equilibrium(problem, kind, label, chart, angle, v) -> Equilibrium:
                        eigenvalues=vals, eigenvectors=vecs)
 
 
-def _candidates(problem: ProblemSpec, chart: str):
-    """(kind, label, angle, v) of every equilibrium of the chart's field, in
-    the order equilibria() lists them; nothing is linearized here."""
-    if chart not in (DEVANEY, NEWCOORDS):
-        raise DomainError("unknown chart %r" % (chart,))
+def _candidates(problem: ProblemSpec):
+    """(kind, label, angle, v) of every equilibrium of the field, in the
+    order equilibria() lists them; nothing is linearized here."""
     cps = problem.critical
     v_mid = math.sqrt(2.0 * potential(problem, cps.phi_m, "V"))
-    # the newcoords midpoint shape sits at theta = 0 for both chart kinds
-    points = [("Euler", "E", cps.phi_m if chart == DEVANEY else 0.0, v_mid)]
+    # the midpoint shape sits at theta = 0 for both chart kinds
+    points = [("Euler", "E", 0.0, v_mid)]
     if cps.count == 3:
         v_star = math.sqrt(2.0 * potential(problem, cps.phi_R, "V"))
-        if chart == DEVANEY:
-            lagrange = (("L'", cps.phi_L), ("L''", cps.phi_R))
-        else:
-            ts = dyn.theta_star(problem)
-            lagrange = (("L", ts - math.pi), ("L'", -ts), ("L''", ts))
-        points += [("Lagrange", label, angle, v_star)
-                   for label, angle in lagrange]
+        ts = dyn.theta_star(problem)
+        points += [("Lagrange", label, angle, v_star) for label, angle in
+                   (("L", ts - math.pi), ("L'", -ts), ("L''", ts))]
     return [(kind, label + sign, angle, v if sign == "+" else -v)
             for kind, label, angle, v in points for sign in "+-"]
 
 
-def equilibria(problem: ProblemSpec, chart: str = NEWCOORDS):
-    """All equilibria of the chart's field, on the energy level h = -1.
-
-    newcoords lists the principal-window representatives: Euler points at
-    theta = 0 and Lagrange points at theta in {theta*-pi, -theta*, +theta*}.
-    devaney lists the six points at the three critical shapes.
+def equilibria(problem: ProblemSpec):
+    """All equilibria of the field on the energy level h = -1, at their
+    principal-window representatives: Euler points at theta = 0 and
+    Lagrange points at theta in {theta*-pi, -theta*, +theta*}.
     """
-    return [_make_equilibrium(problem, kind, label, chart, angle, v)
-            for kind, label, angle, v in _candidates(problem, chart)]
+    return [_make_equilibrium(problem, kind, label, angle, v)
+            for kind, label, angle, v in _candidates(problem)]
 
 
-def equilibrium(problem: ProblemSpec, label: str, chart: str = NEWCOORDS):
+def equilibrium(problem: ProblemSpec, label: str):
     """The one labelled equilibrium of equilibria(), linearized alone."""
-    for kind, name, angle, v in _candidates(problem, chart):
+    for kind, name, angle, v in _candidates(problem):
         if name == label:
-            return _make_equilibrium(problem, kind, name, chart, angle, v)
+            return _make_equilibrium(problem, kind, name, angle, v)
     raise DomainError("no equilibrium labeled %r" % (label,))
 
 
@@ -234,7 +226,7 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
     }[traced_as]
     want_sign = -1.0 if traced_as.endswith("-") and traced_as != "stable-of-L'-" \
         else 1.0
-    eq = equilibrium(problem, base_label, NEWCOORDS)
+    eq = equilibrium(problem, base_label)
     vec = _manifold_tangent_vector(problem, eq, stable=backward)
     if abs(vec[3]) < 1e-8:
         raise OrientationError(
@@ -245,9 +237,9 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
         vec = -vec
     if epsilon is None:
         epsilon = default_epsilon(eq)
-    y0 = eq.state.as_array() + epsilon * vec
+    y0 = np.array(eq.state) + epsilon * vec
     y0[0] = 0.0  # stay on the collision manifold exactly
-    seed = eq.state.with_array(y0)
+    seed = State(*y0.tolist())
 
     if controls is None:
         controls = Controls(max_s=40.0)
@@ -289,7 +281,7 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
 
     end = traj.end_state
     termination = "cap"
-    rhs_end = dyn.newcoords_rhs(problem, (end.r, end.v, end.angle, end.w))
+    rhs_end = dyn.newcoords_rhs(problem, end)
     if float(np.max(np.abs(rhs_end[1:]))) < 1e-6 and abs(end.w) < 1e-4:
         termination = "equilibrium"
     elif abs(end.v) > 1.2 * abs(eq.state.v) and not stop_at_last_landmark:

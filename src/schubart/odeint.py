@@ -36,7 +36,7 @@ import math
 import numpy as np
 from scipy.integrate import DOP853 as _DOP853
 
-from .dynamics import DEVANEY, NEWCOORDS, State, devaney_rhs, newcoords_rhs
+from .dynamics import State, newcoords_rhs
 from .errors import DomainError, EvaluationError
 
 # DOP853: the 8th-order pair of Dormand and Prince with its 5th- and
@@ -143,8 +143,8 @@ class EventHit:
 @dataclass
 class Trajectory:
     """Integration output: the sample positions s (k,) and the states there
-    as the columns of y (d, k), [r, v, angle, w] in the chart of a State
-    seed; the localized events; and how the run ended
+    as the columns of y (d, k), [r, v, angle, w] for a State seed; the
+    localized events; and how the run ended
     (event-stop | time-limit | step-failure | crossing-cap); the seed, a
     State or the flat array it was given as; the field evaluations the run
     took, its accepted steps and its rejected ones (a step with a
@@ -163,7 +163,7 @@ class Trajectory:
 
     @property
     def end_state(self) -> State:
-        return self.seed.with_array(self.y[:, -1])
+        return State(*self.y[:, -1].tolist())
 
     @property
     def end_s(self) -> float:
@@ -171,7 +171,7 @@ class Trajectory:
 
     def __iter__(self):
         for t, col in zip(self.s, self.y.T):
-            yield float(t), self.seed.with_array(col)
+            yield float(t), State(*col.tolist())
 
 
 @dataclass
@@ -507,8 +507,7 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
     if watch.specs and not isinstance(seed, State):
         raise DomainError("events need a State seed; a flat seed runs"
                           " without events")
-    y0 = (seed.as_array() if isinstance(seed, State)
-          else np.array(seed, dtype=float))
+    y0 = np.array(seed, dtype=float)
     y = tuple(y0.tolist())
     d = len(y)
     step, dense = _scalar_step(d)
@@ -577,8 +576,8 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
                                    np.array([h]), g_old[None], q[..., None])
             stop_at, stop_kind, n_cross = _record(
                 watch.specs, [(t, i) for _, t, i in located],
-                lambda t: seed.with_array(
-                    _interpolate(y_start, h, q, (t - s) / h)),
+                lambda t: State(*_interpolate(
+                    y_start, h, q, (t - s) / h).tolist()),
                 hits, n_cross, ctl.max_angle_crossings)
 
         if k_sample is not None:
@@ -595,7 +594,7 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
                                       (np.array(grid) - s) / h).T.tolist()
         if stop_at is not None:
             s_out.append(stop_at)
-            y_out.append(hits[-1].state.as_array().tolist())
+            y_out.append(hits[-1].state)
             termination = stop_kind
             break
         if k_sample is None:
@@ -650,7 +649,7 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
     seeds = list(seeds)
     f = _columnwise(rhs)
     lane = np.arange(len(seeds))
-    y = np.array([st.as_array() for st in seeds]).T.reshape(4, -1)
+    y = np.array(seeds, dtype=float).T.reshape(4, -1)
     s = np.zeros(lane.size)
     f0 = f(s, y)
     if not np.all(np.isfinite(f0)):
@@ -693,12 +692,12 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
                     i = lane[j]
                     stop_at, kind, n_cross[j] = _record(
                         watch.specs, [(t, e) for _, t, e in group],
-                        lambda t: seeds[i].with_array(_interpolate(
-                            y[:, j], h[j], q[:, :, jq], (t - s[j]) / h[j])),
+                        lambda t: State(*_interpolate(
+                            y[:, j], h[j], q[:, :, jq], (t - s[j]) / h[j]
+                        ).tolist()),
                         hits[i], n_cross[j], ctl.max_angle_crossings)
                     if stop_at is not None:
-                        ends[i] = (kind, stop_at,
-                                   hits[i][-1].state.as_array())
+                        ends[i] = (kind, stop_at, hits[i][-1].state)
                         stopped[j] = True
             g_prev = np.where(accept[:, None], g_new, g_prev)
 
@@ -734,31 +733,25 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
             (steps - accepted).tolist()):
         k = 2 if s_end > 0.0 else 1
         out.append(Trajectory(np.array([0.0, s_end])[:k],
-                              np.column_stack([seed.as_array(), end])[:, :k],
+                              np.column_stack([seed, end])[:, :k],
                               lane_hits, termination, seed, *counts))
     return out
 
 
-def field_for(problem, chart: str):
+def field_for(problem):
     """The field callable (s, y) over r, v, angle, w at h = -1 for a
-    problem in the given chart, taking and returning them as the field
-    functions of dynamics do."""
-    if chart == NEWCOORDS:
-        return lambda s, y: newcoords_rhs(problem, y)
-    if chart == DEVANEY:
-        return lambda s, y: devaney_rhs(problem, y)
-    raise DomainError("unknown chart %r" % (chart,))
+    problem, taking and returning them as newcoords_rhs does."""
+    return lambda s, y: newcoords_rhs(problem, y)
 
 
 def integrate_collision_manifold(problem, seed: State, events=(),
                                  controls=None) -> Trajectory:
     """Integrate on the collision manifold r = 0.
 
-    The size equation (dr/ds = r v cos^2 in newcoords) is r times a finite
-    factor in both charts, so it is exactly 0 at r = 0 and the run stays on
-    the invariant set exactly.
+    The size equation dr/ds = r v cos^2 is r times a finite factor, so it
+    is exactly 0 at r = 0 and the run stays on the invariant set exactly.
     """
     if seed.r != 0.0:
         raise DomainError("collision-manifold seed must have r = 0")
-    return integrate(field_for(problem, seed.chart), seed, events=events,
+    return integrate(field_for(problem), seed, events=events,
                      controls=controls)

@@ -16,8 +16,8 @@ residual changes sign across the sought orbit:
     Z5(i,j)       Z seed, prescribed crossings, then a brake (v = 0) off
                   every line; the residual is w at the brake.
 
-The experimental families PP and Z2 reuse the same machinery; their
-results are reported but nothing about them is asserted.
+The experimental family PP reuses the same machinery; its results are
+reported but nothing about them is asserted.
 
 A found fundamental segment is reconstructed to a full period with the
 reversing reflections sigma_line (about a line) and R1 (about a brake):
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import dynamics as dyn
-from .dynamics import NEWCOORDS, State
+from .dynamics import State
 from .errors import AmbiguousBracketError, DomainError, OrbitNotFoundError
 from .odeint import (_EVENT_TOL, Controls, EventSpec, Trajectory, field_for,
                      integrate, integrate_block)
@@ -42,7 +42,7 @@ from .problems import ProblemSpec
 LOCUS_S = "S(-pi/2)"
 LOCUS_Z = "Z"
 
-FAMILY_NAMES = ("B", "LessSymB", "ZB", "Z1", "Z5", "PP", "Z2")
+FAMILY_NAMES = ("B", "LessSymB", "ZB", "Z1", "Z5", "PP")
 
 RESIDUAL_TOL = 1e-8
 R_ESCAPE = 1e3
@@ -55,7 +55,7 @@ class FamilySpec:
     """A family name with its indices.
 
     B(k) and Z1(k) use i = k >= 0; LessSymB, ZB, Z5 and the experimental
-    PP need i >= 1 and j >= 1; the experimental Z2 takes no indices.
+    PP need i >= 1 and j >= 1.
     """
 
     family: str
@@ -68,9 +68,6 @@ class FamilySpec:
         if self.family in ("B", "Z1"):
             if self.i is None or self.i < 0 or self.j is not None:
                 raise DomainError("%s takes one index k >= 0" % (self.family,))
-        elif self.family == "Z2":
-            if self.i is not None or self.j is not None:
-                raise DomainError("Z2 takes no indices")
         else:
             if self.i is None or self.j is None or self.i < 1 or self.j < 1:
                 raise DomainError(
@@ -79,8 +76,6 @@ class FamilySpec:
     def __str__(self):
         if self.family in ("B", "Z1"):
             return "%s(%d)" % (self.family, self.i)
-        if self.family == "Z2":
-            return "Z2"
         return "%s(%d,%d)" % (self.family, self.i, self.j)
 
 
@@ -136,14 +131,13 @@ def seed_state(problem: ProblemSpec, locus: str, param: float) -> State:
             raise DomainError("S locus needs r > 0, got %r" % (param,))
         wc, _ = dyn.curly_w(problem, -_HALF_PI)
         c = dyn.chart_eval(problem, -_HALF_PI)[2]
-        return State(NEWCOORDS, float(param), 0.0, -_HALF_PI,
-                     math.sqrt(2.0 * wc / c))
+        return State(float(param), 0.0, -_HALF_PI, math.sqrt(2.0 * wc / c))
     if locus == LOCUS_Z:
         if math.cos(param) ** 2 < 1e-18:
             raise DomainError(
                 "Z locus is unbounded at odd multiples of pi/2")
         r = float(dyn.v_of_theta(problem, param))
-        return State(NEWCOORDS, r, 0.0, float(param), 0.0)
+        return State(r, 0.0, float(param), 0.0)
     raise DomainError("unknown locus %r" % (locus,))
 
 
@@ -191,13 +185,8 @@ def _recipe_for(spec: FamilySpec) -> _Recipe:
     if f == "Z5":
         return _Recipe(LOCUS_Z, (-1,) * i + (0,) + (1,) * j, "brake", 0,
                        "retrace")
-    if f == "PP":
-        return _Recipe(LOCUS_S, (-1,) * (i - 1) + (0,) * j, "line", 1,
-                       "mirror")
-    # Z2: the planar search suggested by the sign pattern of the last two
-    # branch landmarks; an orthogonal hit on theta = +pi/2 after one
-    # central-line crossing
-    return _Recipe(LOCUS_S, (0,), "line", 1, "mirror")
+    # PP
+    return _Recipe(LOCUS_S, (-1,) * (i - 1) + (0,) * j, "line", 1, "mirror")
 
 
 def prescribed_signature(spec: FamilySpec) -> tuple:
@@ -238,7 +227,7 @@ def _fly(problem, seeds, recipe: _Recipe, controls: Controls):
     if recipe.terminal == "brake":
         events.append(EventSpec.v_zero())
     events.append(EventSpec.r_exceeds(R_ESCAPE))
-    rhs = field_for(problem, NEWCOORDS)
+    rhs = field_for(problem)
     if isinstance(seeds, State):
         return integrate(rhs, seeds, events, controls)
     return integrate_block(rhs, seeds, events, controls)
@@ -282,7 +271,7 @@ def _floor(problem, recipe: _Recipe, state: State) -> float:
     """The noise floor of a matched shot's residual (v at a line hit, w at
     a brake), read at the located terminal event `state`: the event's s is
     known to _EVENT_TOL, so the residual to _EVENT_TOL |d residual / ds|."""
-    dy = dyn.newcoords_rhs(problem, (state.r, state.v, state.angle, state.w))
+    dy = dyn.newcoords_rhs(problem, state)
     return _EVENT_TOL * abs(dy[1 if recipe.terminal == "line" else 3])
 
 
@@ -468,7 +457,7 @@ def _reconstruct_and_wrap(problem, spec, recipe, rec, bracket,
         flight=(problem, recipe, Controls(
             rtol=ctl.rtol, atol=ctl.atol, max_s=tau, sample_ds=tau / 512.0)),
         bracket=bracket, residual_floor=rec.floor, root_shots=shots)
-    if spec.family in ("PP", "Z2"):
+    if spec.family == "PP":
         # reported, never asserted: an orthogonal central-line crossing
         # means the segment is half of a B-family orbit; the only notes
         # that need the segment flown here
@@ -581,7 +570,7 @@ def verify_periodicity(orbit: PeriodicOrbit) -> dict:
     period = orbit.full_period_s
     ctl = Controls(rtol=ctl.rtol, atol=ctl.atol, max_s=period,
                    sample_ds=period / 1024.0)
-    traj = integrate(field_for(problem, NEWCOORDS), orbit.seed, (), ctl)
+    traj = integrate(field_for(problem), orbit.seed, (), ctl)
     end, seed = traj.end_state, orbit.seed
     dth = abs(end.angle - seed.angle)
     dth = abs(dth - 2.0 * math.pi * round(dth / (2.0 * math.pi)))

@@ -20,7 +20,7 @@ import schubart.manifolds as mf
 import schubart.odeint as oi
 import schubart.orbits as ob
 import schubart.problems as pr
-from schubart.dynamics import NEWCOORDS, State
+from schubart.dynamics import State
 from schubart.errors import OrbitNotFoundError
 from schubart.odeint import Controls
 
@@ -234,13 +234,13 @@ def _on_shell(problem, rng, count):
         w = dyn.solve_w(problem, r, v, theta,
                         sign=1 if rng.uniform() < 0.5 else -1)
         if w is not None:
-            out.append(State(NEWCOORDS, r, v, theta, w))
+            out.append(State(r, v, theta, w))
     return out
 
 
 def _suite_energy_and_w_bound(problem, states):
     bad_e = bad_w = 0
-    rhs = oi.field_for(problem, NEWCOORDS)
+    rhs = oi.field_for(problem)
     for st in states:
         traj = oi.integrate(rhs, st, controls=Controls(max_s=1.0,
                                                        sample_ds=0.1))
@@ -260,15 +260,14 @@ def _suite_energy_and_w_bound(problem, states):
 
 def _suite_reversibility(problem, states):
     bad = 0
-    rhs = oi.field_for(problem, NEWCOORDS)
+    rhs = oi.field_for(problem)
     ctl = Controls(max_s=0.7)
     for st in states:
         x = st
         for _ in range(2):
             end = oi.integrate(rhs, x, controls=ctl).end_state
             x = dyn.apply_symmetry("R1", end)[0]
-        if not np.allclose(x.as_array(), st.as_array(),
-                           rtol=1e-7, atol=1e-7):
+        if not np.allclose(x, st, rtol=1e-7, atol=1e-7):
             bad += 1
     return bad
 
@@ -284,7 +283,7 @@ def _suite_gradient_like(problem, rng, count):
         if w is None:
             continue
         done += 1
-        seed = State(NEWCOORDS, 0.0, v, theta, w)
+        seed = State(0.0, v, theta, w)
         traj = oi.integrate_collision_manifold(
             problem, seed, controls=Controls(max_s=3.0, sample_ds=0.05,
                                              rtol=1e-12, atol=1e-14))

@@ -389,6 +389,22 @@ def test_orbit_refuses_an_out_its_trajectory_csv_overwrites(
     assert capsys.readouterr().err.startswith("error: --out")
 
 
+def test_orbit_refuses_z2_which_is_pp_1_1(capsys):
+    # Z2 was PP(1,1) under a second name: the family is refused, and PP(1,1)
+    # finds the seed that Z2 found on the default window
+    code, text = run(["orbit", "--problem", "pyramidal", "--n", "2",
+                      "--family", "Z2"])
+    assert code == 64 and text == ""
+    assert "invalid choice: 'Z2'" in capsys.readouterr().err
+    code, report = run_json(["orbit", "--problem", "pyramidal", "--n", "2",
+                             "--family", "PP", "--i", "1", "--j", "1"])
+    res = report["results"]
+    assert code == 0 and res["family"] == "PP(1,1)"
+    assert res["seed_parameter"] == 0.045956004533335551
+    assert res["segment"] == "half"
+    assert res["signature"] == ["euler(0)", "partial(1)"]
+
+
 def test_orbit_csv_format_writes_only_the_trajectory_to_out(tmp_path):
     # under --format csv the trajectory goes to --out whatever its suffix,
     # and no report or second file is written

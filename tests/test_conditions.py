@@ -273,6 +273,19 @@ def test_report_planar(pla3):
     assert rep.entries["N1"]["evidence"] == []
 
 
+def test_report_evaluates_the_N1_grid_once(pyr2, monkeypatch):
+    # N3 reads N1's status: the report hands N3 its N1 entry, and N3 alone
+    # computes N1 itself; both give the same N3 entry
+    calls = []
+    check_n1 = cond._check_N1
+    monkeypatch.setattr(cond, "_check_N1",
+                        lambda p: calls.append(p) or check_n1(p))
+    rep = cond.condition_report(pyr2)
+    assert len(calls) == 1
+    assert cond.check_condition(pyr2, "N3") == rep.entries["N3"]
+    assert len(calls) == 2
+
+
 def test_custom_beta_flips_N3prime(pyr2):
     # a generous beta accepts the deep pyr2 endpoint
     got = cond.check_condition(pyr2, "N3prime", beta=-2.0)

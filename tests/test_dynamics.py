@@ -8,7 +8,7 @@ import pytest
 
 from schubart import dynamics as dyn
 from schubart import problems as pr
-from schubart.dynamics import DEVANEY, NEWCOORDS, State
+from schubart.dynamics import State
 from schubart.errors import DomainError, TotalCollisionError
 from schubart.odeint import _COLUMNWISE_BELOW, _columnwise
 
@@ -28,7 +28,7 @@ V_STAR = {
 }
 
 
-def _on_shell_states(p, rng, count=100, chart=NEWCOORDS):
+def _on_shell_states(p, rng, count=100):
     """Random states satisfying the energy relation at h = -1."""
     out = []
     while len(out) < count:
@@ -38,7 +38,7 @@ def _on_shell_states(p, rng, count=100, chart=NEWCOORDS):
         w = dyn.solve_w(p, r, v, theta, sign=1 if rng.uniform() < 0.5 else -1)
         if w is None:
             continue
-        out.append(State(chart, r, v, theta, w))
+        out.append(State(r, v, theta, w))
     return out
 
 
@@ -146,10 +146,10 @@ def test_newcoords_field_tangent_to_energy_level(all_problems, rng):
     h = 1e-7
     for p in all_problems:
         for st in _on_shell_states(p, rng, count=25):
-            y = st.as_array()
+            y = np.array(st)
             dy = np.array(dyn.newcoords_rhs(p, y.tolist()))
-            rp = dyn.energy_residual(p, st.with_array(y + h * dy))
-            rm = dyn.energy_residual(p, st.with_array(y - h * dy))
+            rp = dyn.energy_residual(p, State(*(y + h * dy).tolist()))
+            rm = dyn.energy_residual(p, State(*(y - h * dy).tolist()))
             assert abs((rp - rm) / (2.0 * h)) < 1e-6
 
 
@@ -160,7 +160,7 @@ def test_symmetry_involutions(pyr2, rng):
             img, rev = dyn.apply_symmetry(op, st)
             assert rev is True
             back, _ = dyn.apply_symmetry(op, img)
-            assert np.allclose(back.as_array(), st.as_array())
+            assert np.allclose(back, st)
         img, rev = dyn.apply_symmetry("T1", st)
         assert rev is False
         assert img.angle == pytest.approx(st.angle + math.pi)
@@ -175,10 +175,10 @@ def test_symmetries_commute_with_field(all_problems, rng):
     }
     for p in all_problems:
         for st in _on_shell_states(p, rng, count=10):
-            fx = np.array(dyn.newcoords_rhs(p, st.as_array().tolist()))
+            fx = np.array(dyn.newcoords_rhs(p, st))
             for op in ("R1", "R2", "T1"):
                 img, rev = dyn.apply_symmetry(op, st)
-                fi = np.array(dyn.newcoords_rhs(p, img.as_array().tolist()))
+                fi = np.array(dyn.newcoords_rhs(p, img))
                 want = (-1.0 if rev else 1.0) * jac[op] @ fx
                 assert np.max(np.abs(fi - want)) < 1e-10 * max(
                     1.0, float(np.max(np.abs(fx))))
@@ -187,11 +187,11 @@ def test_symmetries_commute_with_field(all_problems, rng):
 def test_sigma_line_is_flow_symmetry_on_half_pi_grid(pyr2, rng):
     dsig = np.diag([1.0, -1.0, -1.0, 1.0])
     for st in _on_shell_states(pyr2, rng, count=10):
-        fx = np.array(dyn.newcoords_rhs(pyr2, st.as_array().tolist()))
+        fx = np.array(dyn.newcoords_rhs(pyr2, st))
         for k in (-1, 0, 1, 2):
             img, rev = dyn.sigma_line(k * math.pi / 2.0, st)
             assert rev is True
-            fi = np.array(dyn.newcoords_rhs(pyr2, img.as_array().tolist()))
+            fi = np.array(dyn.newcoords_rhs(pyr2, img))
             assert np.max(np.abs(fi + dsig @ fx)) < 1e-10 * max(
                 1.0, float(np.max(np.abs(fx))))
 
@@ -200,7 +200,7 @@ def test_symmetries_map_column_blocks_like_states():
     # a (4, N) block maps column by column, bit for bit, as its States do
     # (own rng: the session stream is left as it was)
     y = np.random.default_rng(11).uniform(-2.0, 2.0, (4, 6))
-    states = [State(NEWCOORDS, *col) for col in y.T]
+    states = [State(*col) for col in y.T]
     maps = [lambda x, op=op: dyn.apply_symmetry(op, x)
             for op in ("R1", "R2", "T1")]
     maps += [lambda x, k=k: dyn.sigma_line(k * math.pi / 2.0, x)
@@ -208,7 +208,7 @@ def test_symmetries_map_column_blocks_like_states():
     for image in maps:
         block, rev = image(y)
         assert rev is image(states[0])[1]
-        want = np.array([image(st)[0].as_array() for st in states]).T
+        want = np.array([image(st)[0] for st in states]).T
         assert np.array_equal(block, want)
 
 
@@ -216,34 +216,23 @@ def test_deck_transform_preserves_field(pyr2, spa3, rng):
     ddeck = np.diag([1.0, 1.0, -1.0, -1.0])
     for p in (pyr2, spa3):
         for st in _on_shell_states(p, rng, count=10):
-            fx = np.array(dyn.newcoords_rhs(p, st.as_array().tolist()))
+            fx = np.array(dyn.newcoords_rhs(p, st))
             img, rev = dyn.deck_transform(st)
             assert rev is False
-            fi = np.array(dyn.newcoords_rhs(p, img.as_array().tolist()))
+            fi = np.array(dyn.newcoords_rhs(p, img))
             assert np.max(np.abs(fi - ddeck @ fx)) < 1e-10 * max(
                 1.0, float(np.max(np.abs(fx))))
 
 
 def test_apply_symmetry_rejects_unknown(pyr2):
-    st = State(NEWCOORDS, 1.0, 0.0, 0.1, 0.5)
+    st = State(1.0, 0.0, 0.1, 0.5)
     with pytest.raises(DomainError):
         dyn.apply_symmetry("R9", st)
 
 
-def test_symmetries_reject_a_devaney_state():
-    # the symmetries act in the newcoords chart: a devaney State, whose
-    # angle is phi and not theta, must not be mapped as if it were
-    st = State(DEVANEY, 1.0, 0.0, 0.1, 0.5)
-    for op in ("R1", "R2", "T1"):
-        with pytest.raises(DomainError, match="devaney-chart state"):
-            dyn.apply_symmetry(op, st)
-    with pytest.raises(DomainError, match="devaney-chart state"):
-        dyn.sigma_line(0.0, st)
-
-
 def test_classify_region(pyr2):
     ts = dyn.theta_star(pyr2)
-    mk = lambda th, w: State(NEWCOORDS, 1.0, 0.0, th, w)
+    mk = lambda th, w: State(1.0, 0.0, th, w)
     assert dyn.classify_region(pyr2, mk(ts - math.pi + 0.1, 0.5)) == "R_I"
     assert dyn.classify_region(pyr2, mk(ts - math.pi + 0.1, -0.5)) == "Q_I"
     assert dyn.classify_region(pyr2, mk(-1.0, 0.5)) == "R_II"
@@ -258,70 +247,25 @@ def test_configuration_roundtrip_newcoords(all_problems, rng):
         for st in _on_shell_states(p, rng, count=40):
             q1, q2, qd1, qd2 = dyn.to_configuration(p, st)
             back = dyn.from_configuration(p, q1, q2, qd1, qd2)
-            assert np.max(np.abs(back.as_array() - st.as_array())) < 1e-10
-
-
-def test_configuration_roundtrip_devaney(pyr2, rng):
-    # same physical point expressed in the devaney chart
-    for _ in range(40):
-        phi = rng.uniform(-1.2, 1.2)
-        r = rng.uniform(0.05, 0.5)
-        v = rng.uniform(-0.5, 0.5)
-        w = rng.uniform(-0.8, 0.8)
-        st = State(DEVANEY, r, v, phi, w)
-        q1, q2, qd1, qd2 = dyn.to_configuration(pyr2, st)
-        back = dyn.from_configuration(pyr2, q1, q2, qd1, qd2, chart=DEVANEY)
-        assert np.max(np.abs(back.as_array() - st.as_array())) < 1e-10
-
-
-def test_charts_agree_through_configuration(pyr2, rng):
-    # newcoords -> configuration -> devaney lands on the same shape ray
-    for st in _on_shell_states(pyr2, rng, count=20):
-        q1, q2, qd1, qd2 = dyn.to_configuration(pyr2, st)
-        dev = dyn.from_configuration(pyr2, q1, q2, qd1, qd2, chart=DEVANEY)
-        assert dev.r == pytest.approx(st.r, rel=1e-12)
-        assert dev.v == pytest.approx(st.v, rel=1e-10, abs=1e-12)
-        assert dev.angle == pytest.approx(
-            dyn.phi_of_theta(pyr2, st.angle), abs=1e-12)
-        # devaney chart satisfies its own energy relation
-        assert abs(dyn.energy_residual(pyr2, dev)) < 1e-10
-
-
-def test_from_configuration_refuses_an_unknown_chart(pyr2):
-    with pytest.raises(DomainError, match="unknown chart 'bogus'"):
-        dyn.from_configuration(pyr2, 1.0, 0.2, 0.1, 0.3, chart="bogus")
+            assert np.max(np.abs(np.subtract(back, st))) < 1e-10
 
 
 def test_from_configuration_returns_python_floats(all_problems):
     for p in all_problems:
-        for chart in (NEWCOORDS, DEVANEY):
-            st = dyn.from_configuration(p, 1.0, 0.2, 0.1, 0.3, chart=chart)
-            assert st.chart == chart
-            assert [type(x) for x in (st.r, st.v, st.angle, st.w)] \
-                == [float] * 4
+        st = dyn.from_configuration(p, 1.0, 0.2, 0.1, 0.3)
+        assert type(st) is State and [type(x) for x in st] == [float] * 4
 
 
 def test_total_collision_guard(pyr2):
     with pytest.raises(TotalCollisionError):
-        dyn.to_configuration(pyr2, State(NEWCOORDS, 0.0, 0.0, 0.1, 0.5))
+        dyn.to_configuration(pyr2, State(0.0, 0.0, 0.1, 0.5))
     with pytest.raises(TotalCollisionError):
         dyn.from_configuration(pyr2, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_devaney_field_zero_at_equilibria(pyr2):
-    # v = +- sqrt(2 V(phi_c)), w = 0 at each critical shape
-    cps = pr.critical_points(pyr2)
-    for phi in (cps.phi_L, cps.phi_m, cps.phi_R):
-        v = math.sqrt(2.0 * pr.potential(pyr2, phi, "V"))
-        for sign in (1.0, -1.0):
-            st = State(DEVANEY, 0.0, sign * v, phi, 0.0)
-            dy = dyn.devaney_rhs(pyr2, st.as_array().tolist())
-            assert np.max(np.abs(dy)) < 1e-9
-
-
 def _off_shell_states(rng, count):
     """Random newcoords states with no energy relation imposed."""
-    return [State(NEWCOORDS, rng.uniform(0.0, 0.3), rng.uniform(-2.0, 2.0),
+    return [State(rng.uniform(0.0, 0.3), rng.uniform(-2.0, 2.0),
                   rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0))
             for _ in range(count)]
 
@@ -333,15 +277,15 @@ def test_energy_gradient_matches_finite_differences(all_problems):
         states = (_on_shell_states(p, rng, count=20)
                   + _off_shell_states(rng, count=20))
         for st in states:
-            y = st.as_array()
+            y = np.array(st)
             res, grad = dyn.energy_gradient(p, y.tolist())
             assert res == dyn.energy_residual(p, st)
             fd = np.empty(4)
             for j in range(4):
                 step = np.zeros(4)
                 step[j] = h
-                fd[j] = (dyn.energy_residual(p, st.with_array(y + step))
-                         - dyn.energy_residual(p, st.with_array(y - step))
+                fd[j] = (dyn.energy_residual(p, State(*(y + step).tolist()))
+                         - dyn.energy_residual(p, State(*(y - step).tolist()))
                          ) / (2.0 * h)
             assert (np.linalg.norm(np.array(grad) - fd)
                     <= 1e-7 * np.linalg.norm(fd))
@@ -350,8 +294,7 @@ def test_energy_gradient_matches_finite_differences(all_problems):
 def test_newcoords_field_broadcasts_over_columns(all_problems):
     rng = np.random.default_rng(5)
     for p in all_problems:
-        block = np.array([st.as_array()
-                          for st in _off_shell_states(rng, count=64)]).T
+        block = np.array(_off_shell_states(rng, count=64)).T
         got = np.array(dyn.newcoords_rhs(p, block))
         want = np.array([dyn.newcoords_rhs(p, col.tolist())
                          for col in block.T]).T
@@ -379,7 +322,7 @@ def test_damped_reverse_field_fuses_field_and_energy(all_problems,
         states = (_on_shell_states(p, rng, count=20)
                   + _off_shell_states(rng, count=20))
         for st in states:
-            y = st.as_array().tolist()
+            y = st
             assert np.array_equal(dyn.damped_reverse_rhs(p, y, 20.0),
                                   composed(p, y, 20.0))
     calls = []
@@ -387,43 +330,26 @@ def test_damped_reverse_field_fuses_field_and_energy(all_problems,
     terms = p.chart_terms
     monkeypatch.setattr(p, "chart_terms",
                         lambda theta: calls.append(1) or terms(theta))
-    dyn.damped_reverse_rhs(p, states[0].as_array().tolist(), 20.0)
+    dyn.damped_reverse_rhs(p, states[0], 20.0)
     assert len(calls) == 1
 
 
-def _devaney_states(p, rng, count):
-    """Random devaney states, on the energy shell (w from the energy
-    relation w^2 = 2 f (1 + (f / W)(r H - v^2 / 2))) and off it."""
-    out = []
-    while len(out) < 2 * count:
-        phi = rng.uniform(p.phi_a + 0.05, p.phi_b - 0.05)
-        r, v = rng.uniform(0.005, 0.3), rng.uniform(-0.5, 0.5)
-        f, wq = pr.potential(p, phi, "f"), pr.potential(p, phi, "W")
-        arg = 2.0 * f * (1.0 + (f / wq) * (dyn.H * r - 0.5 * v * v))
-        if arg > 0.0:
-            out.append(State(DEVANEY, r, v, phi, math.sqrt(arg)))
-            out.append(State(DEVANEY, r, v, phi, rng.uniform(-2.0, 2.0)))
-    return out
-
-
 def test_tuple_evaluations_are_floats_equal_to_flat_calls(all_problems):
-    # a tuple gives a tuple of Python floats, the bits of the call on the
-    # same four floats as a list (the form a block column is passed in)
+    # a State or a tuple gives a tuple of Python floats, the bits of the
+    # call on the same four floats as a list (the form a block column is
+    # passed in)
     rng = np.random.default_rng(20)
     for p in all_problems:
         states = (_on_shell_states(p, rng, count=20)
                   + _off_shell_states(rng, count=20))
-        pairs = [(lambda y: dyn.newcoords_rhs(p, y), states),
-                 (lambda y: dyn.damped_reverse_rhs(p, y, 20.0), states),
-                 (lambda y: dyn.devaney_rhs(p, y),
-                  _devaney_states(p, rng, count=10))]
-        for field, chart_states in pairs:
-            for st in chart_states:
-                y = st.as_array()
-                got = field(tuple(y.tolist()))
+        for field in (lambda y: dyn.newcoords_rhs(p, y),
+                      lambda y: dyn.damped_reverse_rhs(p, y, 20.0)):
+            for st in states:
+                y = np.array(st).tolist()
+                got = field(tuple(y))
                 assert type(got) is tuple
                 assert [type(c) for c in got] == [float] * 4
-                assert got == field(y.tolist())
+                assert got == field(y) == field(st)
 
 
 def test_field_is_lane_invariant(all_problems):
@@ -433,8 +359,7 @@ def test_field_is_lane_invariant(all_problems):
     rng = np.random.default_rng(15)
     for p in all_problems + [pr.spatial(9), pr.planar(17)]:
         for count in (1, 2, 3, 7, 8, 9, 400):
-            block = np.array([st.as_array()
-                              for st in _off_shell_states(rng, count)]).T
+            block = np.array(_off_shell_states(rng, count)).T
             field = np.array(dyn.newcoords_rhs(p, block))
             res, grad = dyn.energy_gradient(p, block)
             grad = np.array(grad)
@@ -447,6 +372,21 @@ def test_field_is_lane_invariant(all_problems):
         rhs = _columnwise(lambda s, y: dyn.newcoords_rhs(p, y))
         assert np.array_equal(rhs(np.zeros(below.shape[1]), below),
                               dyn.newcoords_rhs(p, below))
+
+
+def test_non_finite_angle_gives_nan_components(pyr2, pla10):
+    # math.sin(inf) raises ValueError; the fields send a non-finite angle to
+    # numpy instead, so every component comes back nan and the integrator
+    # rejects the step rather than stopping on an exception
+    for p in (pyr2, pla10):
+        for theta in (math.inf, -math.inf, math.nan):
+            y = (0.1, 0.2, theta, 0.3)
+            with np.errstate(invalid="ignore"):
+                res, grad = dyn.energy_gradient(p, y)
+                outs = (dyn.newcoords_rhs(p, y),
+                        dyn.damped_reverse_rhs(p, y, 2.0), (res,) + grad)
+            for out in outs:
+                assert np.isnan(out).all(), (p, theta, out)
 
 
 def test_flat_chart_terms_are_python_floats(all_problems, monkeypatch):
@@ -482,26 +422,22 @@ def test_float_interaction_sums_run_no_numpy(all_problems, monkeypatch):
     for p in problems:
         w, wp = p.quantities(math.cos(0.3), math.sin(0.3), math)
         assert type(w) is float and type(wp) is float
-        for dy in (dyn.newcoords_rhs(p, y), dyn.damped_reverse_rhs(p, y, 2.0),
-                   dyn.devaney_rhs(p, y)):
+        for dy in (dyn.newcoords_rhs(p, y), dyn.damped_reverse_rhs(p, y, 2.0)):
             assert [type(t) for t in dy] == [float] * 4
 
 
 def test_no_field_evaluation_reads_the_kind(all_problems, monkeypatch):
     # each problem binds its potential, chart and configuration scale when
     # it is built, so an evaluation has no kind and no chart to decide again
-    def outputs(p, ys, devs):
+    def outputs(p, ys):
         out = []
-        for y, dev in zip(ys, devs):
-            st = State(NEWCOORDS, *y)
+        for y in ys:
+            st = State(*y)
             out += [dyn.newcoords_rhs(p, y), dyn.damped_reverse_rhs(p, y, 2.0),
-                    dyn.energy_gradient(p, y), dyn.devaney_rhs(p, dev),
-                    dyn.solve_w(p, *y[:3]), dyn.curly_w(p, y[2]),
-                    dyn.v_of_theta(p, y[2]), dyn.chart_eval(p, y[2]),
-                    dyn.energy_residual(p, st),
-                    dyn.energy_residual(p, State(DEVANEY, *dev)),
-                    dyn.to_configuration(p, st),
-                    dyn.to_configuration(p, State(DEVANEY, *dev))]
+                    dyn.energy_gradient(p, y), dyn.solve_w(p, *y[:3]),
+                    dyn.curly_w(p, y[2]), dyn.v_of_theta(p, y[2]),
+                    dyn.chart_eval(p, y[2]), dyn.energy_residual(p, st),
+                    dyn.to_configuration(p, st)]
         block = np.array(ys).T
         out += [[row.tolist() for row in dyn.newcoords_rhs(p, block)],
                 [row.tolist() for row in dyn.energy_gradient(p, block)[1]]]
@@ -514,14 +450,10 @@ def test_no_field_evaluation_reads_the_kind(all_problems, monkeypatch):
     ys = rng.uniform([0.1, -2.0, -3.0, -2.0], [2.0, 2.0, 3.0, 2.0],
                      size=(20, 4)).tolist()
     for p in all_problems:
-        # devaney shape angles inside the problem's domain, read before the
-        # chart is hidden
-        devs = [(y[0], y[1], 0.5 * y[2] if p.chart == pr.HALF_CIRCLE
-                 else 0.1 + 0.45 * abs(y[2]), y[3]) for y in ys]
-        want = outputs(p, ys, devs)
+        want = outputs(p, ys)
         monkeypatch.setattr(p, "kind", "unknown")
         monkeypatch.setattr(p, "chart", "unknown")
-        assert outputs(p, ys, devs) == want, p
+        assert outputs(p, ys) == want, p
 
 
 def test_flat_field_call_makes_five_python_calls(pyr2):

@@ -9,7 +9,6 @@ import pytest
 from schubart import dynamics as dyn
 from schubart import manifolds as mf
 from schubart import problems as pr
-from schubart.dynamics import DEVANEY, NEWCOORDS, State
 from schubart.errors import DomainError
 from schubart.odeint import Controls
 
@@ -69,20 +68,8 @@ def test_equilibria_speeds(all_problems):
 def test_equilibria_are_field_zeros(all_problems):
     for p in all_problems:
         for eq in mf.equilibria(p):
-            dy = dyn.newcoords_rhs(p, eq.state.as_array().tolist())
+            dy = dyn.newcoords_rhs(p, eq.state)
             assert np.max(np.abs(dy)) < 1e-9
-
-
-def test_equilibria_devaney(pyr2):
-    eqs = mf.equilibria(pyr2, chart=DEVANEY)
-    labels = sorted(e.label for e in eqs)
-    assert labels == sorted(["E+", "E-", "L'+", "L'-", "L''+", "L''-"])
-    by_label = {e.label: e for e in eqs}
-    # midpoint shape speed: sqrt(2 * 1.25)
-    assert by_label["E+"].state.v == pytest.approx(math.sqrt(2.5), rel=1e-12)
-    for eq in eqs:
-        dy = dyn.devaney_rhs(pyr2, eq.state.as_array().tolist())
-        assert np.max(np.abs(dy)) < 1e-9
 
 
 def test_lagrange_minus_spectrum(pyr2):
@@ -101,15 +88,14 @@ def test_equilibrium_lookup_matches_the_list(all_problems, monkeypatch):
     monkeypatch.setattr(mf, "_jacobian",
                         lambda *a: calls.append(a) or jacobian(*a))
     for p in all_problems:
-        for chart in (NEWCOORDS, DEVANEY):
-            for eq in mf.equilibria(p, chart):
-                del calls[:]
-                one = mf.equilibrium(p, eq.label, chart)
-                assert len(calls) == 1
-                assert (one.kind, one.label) == (eq.kind, eq.label)
-                assert one.state == eq.state
-                assert np.array_equal(one.eigenvalues, eq.eigenvalues)
-                assert np.array_equal(one.eigenvectors, eq.eigenvectors)
+        for eq in mf.equilibria(p):
+            del calls[:]
+            one = mf.equilibrium(p, eq.label)
+            assert len(calls) == 1
+            assert (one.kind, one.label) == (eq.kind, eq.label)
+            assert one.state == eq.state
+            assert np.array_equal(one.eigenvalues, eq.eigenvalues)
+            assert np.array_equal(one.eigenvectors, eq.eigenvectors)
 
 
 def test_equilibrium_lookup_unknown_label(pyr2):
@@ -156,8 +142,7 @@ def test_branch_traces_share_landmarks_with_cached_sweep(pyr2):
     tr = mf.trace_branch(pyr2, "gamma", stop_at_last_landmark=True)
     assert tr.branch == "gamma"
     assert "v1" in tr.landmarks and "v2" in tr.landmarks
-    assert tr.names[NEWCOORDS] == "gamma"
-    assert tr.names[DEVANEY] == "gamma''"
+    assert tr.names == {"newcoords": "gamma", "devaney": "gamma''"}
 
 
 def test_branch_pairing_under_deck_map(pyr2):

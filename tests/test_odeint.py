@@ -8,7 +8,7 @@ import pytest
 
 from schubart import dynamics as dyn
 from schubart import odeint as oi
-from schubart.dynamics import NEWCOORDS, DEVANEY, State
+from schubart.dynamics import State
 from schubart.errors import DomainError, EvaluationError
 from schubart.odeint import Controls, EventSpec
 
@@ -24,7 +24,7 @@ def _drift_rhs(s, y):
 
 
 def test_accuracy_tracks_tolerance():
-    seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
+    seed = State(1.0, 0.0, 0.0, 0.0)
     errs = []
     for rtol in (1e-6, 1e-9, 1e-12):
         traj = oi.integrate(_circle_rhs, seed,
@@ -39,7 +39,7 @@ def test_accuracy_tracks_tolerance():
 
 
 def test_dense_sampling_grid():
-    seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
+    seed = State(1.0, 0.0, 0.0, 0.0)
     traj = oi.integrate(_circle_rhs, seed, controls=Controls(
         rtol=1e-10, atol=1e-14, max_s=2.0 * math.pi, sample_ds=0.01))
     s, y = traj.s, traj.y
@@ -50,7 +50,7 @@ def test_dense_sampling_grid():
     assert np.max(np.abs(np.diff(s)[:-1] - 0.01)) < 1e-12
     # interpolant accuracy: the samples lie on the exact circle
     assert np.max(np.hypot(y[0] - np.cos(s), y[1] - np.sin(s))) < 1e-9
-    assert np.array_equal(traj.end_state.as_array(), y[:, -1])
+    assert np.array_equal(traj.end_state, y[:, -1])
 
 
 def test_flat_seed_samples_on_an_exact_grid():
@@ -109,7 +109,7 @@ def test_dop853_tableau_is_consistent():
 
 
 def test_interpolant_matches_the_step_ends(pyr2):
-    rhs = oi.field_for(pyr2, NEWCOORDS)
+    rhs = oi.field_for(pyr2)
     y = np.array([0.2, 0.1, -0.4, dyn.solve_w(pyr2, 0.2, 0.1, -0.4)])
     s, h = 0.5, 0.05
     k, ok = oi._stages(rhs, s, y, h, rhs(s, y))
@@ -134,7 +134,7 @@ def test_generated_step_matches_scipy_rk_step(pyr2, pla10):
     atol, rtol = 1e-12, 1e-11
     for p, (r, v, theta), h in ((pyr2, (0.2, 0.1, -0.4), 0.05),
                                 (pla10, (0.05, -0.3, 1.0), 0.01)):
-        field = oi.field_for(p, NEWCOORDS)
+        field = oi.field_for(p)
         rhs = lambda s, y: np.array(field(s, y.tolist()))
         s, y = 0.5, np.array([r, v, theta, dyn.solve_w(p, r, v, theta)])
         f = rhs(s, y)
@@ -174,13 +174,13 @@ def test_generated_step_matches_scipy_rk_step(pyr2, pla10):
 
 def test_matches_scipy_dop853_on_the_circle():
     from scipy.integrate import solve_ivp
-    seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
+    seed = State(1.0, 0.0, 0.0, 0.0)
     end = 20.0
     traj = oi.integrate(_circle_rhs, seed, controls=Controls(
         rtol=1e-10, atol=1e-14, max_s=end))
-    ref = solve_ivp(_circle_rhs, (0.0, end), seed.as_array(),
+    ref = solve_ivp(_circle_rhs, (0.0, end), np.array(seed),
                     method="DOP853", rtol=1e-10, atol=1e-14)
-    assert np.max(np.abs(traj.end_state.as_array() - ref.y[:, -1])) < 1e-9
+    assert np.max(np.abs(traj.end_state - ref.y[:, -1])) < 1e-9
     # the same 8th-order pair: scipy's I controller settles at a larger
     # error per step than the PI controller here, so it takes fewer steps,
     # but not the several-fold difference of a lower-order pair
@@ -189,7 +189,7 @@ def test_matches_scipy_dop853_on_the_circle():
 
 
 def test_event_localization_exact():
-    seed = State(NEWCOORDS, 0.0, 0.0, -1.0, 0.0)
+    seed = State(0.0, 0.0, -1.0, 0.0)
     traj = oi.integrate(_drift_rhs, seed,
                         events=[EventSpec.angle(0.25)],
                         controls=Controls(max_s=3.0))
@@ -200,7 +200,7 @@ def test_event_localization_exact():
 
 
 def test_event_direction_filter():
-    seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
+    seed = State(1.0, 0.0, 0.0, 0.0)
     # v = sin(s): crosses zero downward at s = pi, upward at 2 pi
     for direction, at in ((-1, math.pi), (1, 2.0 * math.pi)):
         traj = oi.integrate(_circle_rhs, seed,
@@ -211,7 +211,7 @@ def test_event_direction_filter():
 
 
 def test_stop_action_truncates():
-    seed = State(NEWCOORDS, 0.0, 0.0, -1.0, 0.0)
+    seed = State(0.0, 0.0, -1.0, 0.0)
     traj = oi.integrate(_drift_rhs, seed,
                         events=[EventSpec.angle(0.0, action="stop")],
                         controls=Controls(max_s=10.0))
@@ -221,7 +221,7 @@ def test_stop_action_truncates():
 
 
 def test_simultaneous_events_ordered_by_spec_index():
-    seed = State(NEWCOORDS, 0.0, 0.0, -1.0, 0.0)
+    seed = State(0.0, 0.0, -1.0, 0.0)
     evs = [EventSpec.angle(0.5), EventSpec.angle(0.5)]
     traj = oi.integrate(_drift_rhs, seed, events=evs,
                         controls=Controls(max_s=3.0))
@@ -304,7 +304,7 @@ def test_locate_takes_few_newton_steps_on_a_transversal_crossing(
         return out
 
     monkeypatch.setattr(oi._Watch, "locate", counted)
-    seed = State(NEWCOORDS, 1.0, 0.0, 0.0, 0.0)
+    seed = State(1.0, 0.0, 0.0, 0.0)
     for rtol in (1e-6, 1e-9, 1e-11):
         traj = oi.integrate(_circle_rhs, seed, [EventSpec.v_zero()],
                             Controls(rtol=rtol, atol=0.1 * rtol, max_s=20.0))
@@ -332,15 +332,15 @@ def test_locate_converges_inside_a_near_tangent_bracket(monkeypatch):
 
 
 def test_nan_seed_raises():
-    bad = State(NEWCOORDS, float("nan"), 0.0, 0.0, 0.0)
+    bad = State(float("nan"), 0.0, 0.0, 0.0)
     with pytest.raises(EvaluationError):
         oi.integrate(_circle_rhs, bad)
 
 
 def test_bit_determinism(pyr2):
-    rhs = oi.field_for(pyr2, NEWCOORDS)
+    rhs = oi.field_for(pyr2)
     w0 = dyn.solve_w(pyr2, 0.2, 0.1, -0.4)
-    seed = State(NEWCOORDS, 0.2, 0.1, -0.4, w0)
+    seed = State(0.2, 0.1, -0.4, w0)
     runs = []
     for _ in range(2):
         traj = oi.integrate(rhs, seed, events=[EventSpec.angle(0.3)],
@@ -353,9 +353,9 @@ def test_bit_determinism(pyr2):
 
 def test_energy_drift_newcoords(all_problems, rng):
     for p in all_problems:
-        rhs = oi.field_for(p, NEWCOORDS)
+        rhs = oi.field_for(p)
         w0 = dyn.solve_w(p, 0.1, 0.0, -0.35)
-        seed = State(NEWCOORDS, 0.1, 0.0, -0.35, w0)
+        seed = State(0.1, 0.0, -0.35, w0)
         traj = oi.integrate(rhs, seed,
                             controls=Controls(rtol=1e-12, atol=1e-14,
                                               max_s=10.0, sample_ds=0.25))
@@ -368,31 +368,13 @@ def test_energy_drift_newcoords(all_problems, rng):
         assert drift < 1e-10
 
 
-def test_energy_drift_devaney(pyr2):
-    rhs = oi.field_for(pyr2, DEVANEY)
-    # on-shell devaney seed: w^2 = 2 f (1 + (f/W)(r h - v^2/2))
-    phi, r, v = -0.3, 0.2, 0.1
-    from schubart.problems import potential
-    f = potential(pyr2, phi, "f")
-    wq = potential(pyr2, phi, "W")
-    w = math.sqrt(2.0 * f * (1.0 + (f / wq) * (-r - 0.5 * v * v)))
-    seed = State(DEVANEY, r, v, phi, w)
-    assert abs(dyn.energy_residual(pyr2, seed)) < 1e-14
-    traj = oi.integrate(rhs, seed, controls=Controls(max_s=3.0, sample_ds=0.1))
-    # the devaney residual divides by f(phi): ill-conditioned near the arms,
-    # so check it on the interior samples only
-    drift = max(abs(dyn.energy_residual(pyr2, st))
-                for _, st in traj if abs(st.angle) < 1.2)
-    assert drift < 1e-9
-
-
 def test_homothetic_orbit_stays_on_ray(all_problems):
     # brake release at the midpoint critical shape: theta and w stay zero
     for p in all_problems:
         ts = 0.0
         r0 = dyn.v_of_theta(p, ts)
-        rhs = oi.field_for(p, NEWCOORDS)
-        seed = State(NEWCOORDS, r0, 0.0, ts, 0.0)
+        rhs = oi.field_for(p)
+        seed = State(r0, 0.0, ts, 0.0)
         traj = oi.integrate(rhs, seed,
                             controls=Controls(max_s=4.0, sample_ds=0.1))
         for _, st in traj:
@@ -411,7 +393,7 @@ def test_collision_manifold_flow(pyr2, spa3, pla3):
         w0 = math.sqrt(2.0 * wc / c) * 0.7
         csq = math.cos(-1.0) ** 2
         v0 = -math.sqrt((2.0 * wc - w0 * w0 * c) / csq)
-        seed = State(NEWCOORDS, 0.0, v0, -1.0, w0)
+        seed = State(0.0, v0, -1.0, w0)
         traj = oi.integrate_collision_manifold(
             p, seed, controls=Controls(max_s=6.0, sample_ds=0.2))
         for _, st in traj:
@@ -424,14 +406,14 @@ def test_collision_manifold_rejects_positive_r(pyr2):
     from schubart.errors import DomainError
     with pytest.raises(DomainError):
         oi.integrate_collision_manifold(
-            pyr2, State(NEWCOORDS, 0.5, 0.0, -1.0, 0.5))
+            pyr2, State(0.5, 0.0, -1.0, 0.5))
 
 
 def test_r_exceeds_stop(pla10):
     # this seed runs into a binary-cluster funnel and r grows without bound
-    rhs = oi.field_for(pla10, NEWCOORDS)
+    rhs = oi.field_for(pla10)
     w0 = dyn.solve_w(pla10, 0.1, 0.0, -0.35)
-    seed = State(NEWCOORDS, 0.1, 0.0, -0.35, w0)
+    seed = State(0.1, 0.0, -0.35, w0)
     traj = oi.integrate(rhs, seed, events=[EventSpec.r_exceeds(5.0)],
                         controls=Controls(max_s=100.0))
     assert traj.termination == "event-stop"
@@ -463,7 +445,7 @@ _LANE_SEEDS = {
 
 
 def _lane_seeds(copies):
-    return [State(NEWCOORDS, r, v, th + 0.01 * c, w)
+    return [State(r, v, th + 0.01 * c, w)
             for c in range(copies) for r, v, th, w in _LANE_SEEDS]
 
 
@@ -476,14 +458,14 @@ def _assert_block_matches_integrate(seeds):
         assert got.termination == want.termination
         assert np.array_equal(got.s, [0.0, got.end_s])
         assert got.y.shape == (4, 2)
-        assert np.array_equal(got.y[:, 0], seed.as_array())
+        assert np.array_equal(got.y[:, 0], seed)
         assert [h.kind for h in got.events] == [h.kind for h in want.events]
         for a, b in zip(got.events, want.events):
             assert a.spec is b.spec
             assert abs(a.s - b.s) < 1e-9
         assert abs(got.end_s - want.end_s) < 1e-9
-        assert np.max(np.abs(got.end_state.as_array()
-                             - want.end_state.as_array())) < 1e-9
+        assert np.max(np.abs(np.subtract(got.end_state,
+                                         want.end_state))) < 1e-9
     return block
 
 
@@ -524,7 +506,7 @@ def test_dense_coeffs_of_a_lane_subset_match_the_whole_block():
     # products sum a column in an order that depends on the column count,
     # so the subset is bit for bit its own contiguous run and agrees with
     # the whole block's columns to rounding
-    y = np.array([st.as_array() for st in _lane_seeds(3)[:9]]).T
+    y = np.array(_lane_seeds(3)[:9]).T
     s, h = np.linspace(0.0, 0.8, 9), np.linspace(0.05, 0.2, 9)
     k, ok = oi._stages(_lanes_rhs, s, y, h, _lanes_rhs(s, y))
     assert y.shape == (4, 9) and ok.all()
@@ -593,7 +575,7 @@ def test_step_counts_match_a_counting_field_on_a_pinned_shot(pyr2):
         EventSpec.v_zero(), EventSpec.w_zero()]
     for ctl in (Controls(max_s=30.0, max_angle_crossings=6),
                 Controls(max_s=30.0, sample_ds=0.5)):
-        f, calls = _counting(oi.field_for(pyr2, NEWCOORDS))
+        f, calls = _counting(oi.field_for(pyr2))
         traj = oi.integrate(f, seed, events, ctl)
         assert traj.nfev == calls[0]
         assert traj.n_accept > 100 and traj.n_reject > 0
@@ -619,7 +601,7 @@ def test_a_non_finite_stage_retries_at_a_quarter_step(monkeypatch):
 
     monkeypatch.setattr(oi, "_scalar_step", watched)
     f, calls = _counting(_lanes_rhs)
-    seed = State(NEWCOORDS, 1.0, -0.5, 0.1, 0.01)
+    seed = State(1.0, -0.5, 0.1, 0.01)
     traj = oi.integrate(f, seed, controls=Controls(max_s=10.0))
     assert traj.termination == "step-failure"
     failed = [i for i, (_, bad) in enumerate(attempts) if bad]

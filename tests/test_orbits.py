@@ -10,7 +10,7 @@ import schubart.dynamics as dyn
 import schubart.manifolds as mf
 import schubart.orbits as ob
 import schubart.problems as pr
-from schubart.dynamics import NEWCOORDS, State
+from schubart.dynamics import State
 from schubart.errors import AmbiguousBracketError, DomainError, OrbitNotFoundError
 from schubart.odeint import Controls, EventSpec, field_for, integrate
 
@@ -52,10 +52,11 @@ def test_family_spec_validation():
     ob.FamilySpec("B", 0)
     ob.FamilySpec("Z1", 3)
     ob.FamilySpec("Z5", 1, 1)
-    ob.FamilySpec("Z2")
+    ob.FamilySpec("PP", 1, 1)
+    # Z2 was PP(1,1) under a second name
     for bad in [("B", -1, None), ("B", None, None), ("B", 1, 1),
                 ("ZB", 0, 1), ("Z5", 1, 0), ("LessSymB", 1, None),
-                ("Z2", 1, None), ("Q", 1, None)]:
+                ("Z2", None, None), ("Q", 1, None)]:
         with pytest.raises(DomainError):
             ob.FamilySpec(bad[0], bad[1], bad[2])
 
@@ -63,7 +64,7 @@ def test_family_spec_validation():
 def test_family_spec_str():
     assert str(ob.FamilySpec("B", 2)) == "B(2)"
     assert str(ob.FamilySpec("LessSymB", 2, 1)) == "LessSymB(2,1)"
-    assert str(ob.FamilySpec("Z2")) == "Z2"
+    assert str(ob.FamilySpec("PP", 1, 1)) == "PP(1,1)"
 
 
 def _assert_no_line_skipped(lines):
@@ -114,7 +115,7 @@ def test_seed_Z_at_theta_star_is_homothetic_brake(pyr2):
     ts = dyn.theta_star(pyr2)
     st = ob.seed_state(pyr2, ob.LOCUS_Z, ts)
     # no shape motion from a critical shape: theta and w stay put
-    rhs = dyn.newcoords_rhs(pyr2, st.as_array().tolist())
+    rhs = dyn.newcoords_rhs(pyr2, st)
     assert abs(rhs[2]) < 1e-12 and abs(rhs[3]) < 1e-12
 
 
@@ -172,7 +173,7 @@ def test_energy_drift_is_the_largest_sample_residual(b0, pyr2):
     # the drift taken over the sample array at once equals the largest
     # scalar energy residual of the same run
     period = b0.full_period_s
-    traj = integrate(field_for(pyr2, NEWCOORDS), b0.seed, (), Controls(
+    traj = integrate(field_for(pyr2), b0.seed, (), Controls(
         max_s=period, sample_ds=period / 1024.0))
     want = max(abs(dyn.energy_residual(pyr2, st)) for _, st in traj)
     got = ob.verify_periodicity(b0)["energy_drift"]
@@ -247,7 +248,7 @@ def test_b0_line_events_per_period(pyr2, b0):
     # which sits exactly at the endpoint, still registers)
     ctl = Controls(max_s=b0.full_period_s * (1.0 + 1e-6))
     events = [EventSpec.angle(m * math.pi / 2.0) for m in range(-2, 5)]
-    traj = integrate(field_for(pyr2, NEWCOORDS), b0.seed, events, ctl)
+    traj = integrate(field_for(pyr2), b0.seed, events, ctl)
     hits = [h for h in traj.events if h.kind == "angle-crossing"]
     assert len(hits) == 4
     ms = [int(round(h.state.angle / (math.pi / 2.0))) for h in hits]
@@ -460,7 +461,7 @@ def test_shoot_escape_classification(pla10):
     w = dyn.solve_w(pla10, 0.1, 0.0, -0.35)
     # full lines (-9, 9): the watched window is the lines -12..12
     recipe = ob._Recipe(ob.LOCUS_S, (-9,), "line", 9, "mirror")
-    traj = ob._fly(pla10, State(NEWCOORDS, 0.1, 0.0, -0.35, w), recipe,
+    traj = ob._fly(pla10, State(0.1, 0.0, -0.35, w), recipe,
                    Controls(max_s=ob.SHOT_MAX_S, max_angle_crossings=600))
     assert ob._fate(traj) == "escape"
     assert len([h for h in traj.events
