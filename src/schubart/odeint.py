@@ -25,7 +25,10 @@ events and termination, and records only where each lane started and
 ended; its stages are matmuls with the stage store.  Both take the same
 controller and event-location helpers and return the same Trajectory.
 The two steps sum the stages in different orders, so a scalar run and
-its block lane agree to rounding, not bit for bit.
+its block lane agree to rounding, not bit for bit.  The block's per-step
+numpy overhead pays off only on wide blocks: below _SCALAR_BELOW (11)
+seeds `integrate_block` flies each seed as its own `integrate` run, so
+the lanes of a small block are exactly their scalar runs.
 """
 
 from dataclasses import dataclass
@@ -84,6 +87,15 @@ _EVENT_TOL = 1e-13
 # (2-vCPU Xeon, Python 3.11, numpy 2.4).  A flat call gives the bits of a
 # block column, so the switch changes the cost of a step, not its values
 _COLUMNWISE_BELOW = 8
+
+# below this many seeds integrate_block flies each seed as its own integrate
+# run.  The time of one integrate run per seed over the block's time, for
+# the same orbit scan on pyramidal n=2, spatial n=3 and planar n=10:
+# 0.55-0.86 at 9 seeds, 0.63-0.99 at 10 and 0.63-1.03 at 11.  Planar n=10
+# crosses first, between 10 and 11; spatial n=3 crosses by 14 and
+# pyramidal n=2 at about 16 (2-vCPU Xeon, Python 3.11, numpy 2.4).  A lane
+# then is exactly its integrate run
+_SCALAR_BELOW = 11
 
 # the component of [r, v, angle, w] each event kind watches
 _COMPONENT = {"angle-crossing": 2, "v-zero": 1, "w-zero": 3, "r-exceeds": 0}
@@ -639,14 +651,22 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
     its four rows, and returns as a tuple of rows (see _columnwise).
     Each lane runs the step, controller, budget and event rules of
     `integrate` on its own step size and retires on its own termination.
+    Fewer than _SCALAR_BELOW seeds fly as one `integrate` run each
+    instead, which costs less there, so each lane of such a call is
+    exactly its seed's scalar run; rhs then also takes one flat state.
     Returns one Trajectory per seed, in order, holding its events and
     termination; its samples are the seed and the end state only.
     """
     ctl = controls or Controls()
     if ctl.sample_ds:
         raise DomainError("integrate_block records no dense samples")
-    watch = _Watch(events)
     seeds = list(seeds)
+    if len(seeds) < _SCALAR_BELOW:
+        runs = [integrate(rhs, State(*seed), events, ctl) for seed in seeds]
+        return [_lane(seed, run.end_s, run.y[:, -1], run.events,
+                      run.termination, run.nfev, run.n_accept, run.n_reject)
+                for seed, run in zip(seeds, runs)]
+    watch = _Watch(events)
     f = _columnwise(rhs)
     lane = np.arange(len(seeds))
     y = np.array(seeds, dtype=float).T.reshape(4, -1)
@@ -726,16 +746,21 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
                 lane, s, h, err_prev, n_cross, g_prev))
             y, f0 = y[:, keep], f0[:, keep]
 
-    out = []
     nfev = 2 + 12 * steps + 3 * dense  # as in integrate
-    for seed, lane_hits, (termination, s_end, end), *counts in zip(
-            seeds, hits, ends, nfev.tolist(), accepted.tolist(),
-            (steps - accepted).tolist()):
-        k = 2 if s_end > 0.0 else 1
-        out.append(Trajectory(np.array([0.0, s_end])[:k],
-                              np.column_stack([seed, end])[:, :k],
-                              lane_hits, termination, seed, *counts))
-    return out
+    return [_lane(seed, s_end, end, lane_hits, termination, *counts)
+            for seed, lane_hits, (termination, s_end, end), *counts in zip(
+                seeds, hits, ends, nfev.tolist(), accepted.tolist(),
+                (steps - accepted).tolist())]
+
+
+def _lane(seed, s_end, end, events, termination, *counts):
+    """integrate_block's Trajectory of one seed: its samples are the seed
+    and the end state at s_end, or the seed alone for a run that ends at
+    s = 0."""
+    k = 2 if s_end > 0.0 else 1
+    return Trajectory(np.array([0.0, s_end])[:k],
+                      np.column_stack([seed, end])[:, :k], events,
+                      termination, seed, *counts)
 
 
 def field_for(problem):

@@ -216,11 +216,11 @@ def _full_lines(recipe: _Recipe) -> tuple:
 
 
 def _fly(problem, seeds, recipe: _Recipe, controls: Controls):
-    """Integrate one shot from a seed State, or a lockstep block of shots
-    from a list of seeds, watching what _classify reads: every line within
-    three of the recipe's full lines and of theta = 0, the v zeros when the
-    recipe ends in a brake, and escape.  Returns the Trajectory, or the
-    list of them."""
+    """Integrate one shot from a seed State, or the shots from a list of
+    seeds through integrate_block, watching what _classify reads: every
+    line within three of the recipe's full lines and of theta = 0, the v
+    zeros when the recipe ends in a brake, and escape.  Returns the
+    Trajectory, or the list of them."""
     ms = _full_lines(recipe) + (0,)
     events = [EventSpec.angle(m * _HALF_PI)
               for m in range(min(ms) - 3, max(ms) + 4)]
@@ -333,16 +333,14 @@ def _shot(problem, recipe: _Recipe, param: float) -> _ShotRecord:
     return rec
 
 
-def _row(rec: _ShotRecord) -> tuple:
-    """A scan-table row: (param, classification, lines, residual)."""
-    return (rec.param, rec.classification, rec.lines, rec.residual)
-
-
 def _scan(problem, recipe: _Recipe, params) -> list:
-    """The scan-table rows of the seeds at params, flown as one block."""
+    """The scan-table rows (param, classification, lines, residual) of the
+    seeds at params, flown through integrate_block: one lockstep block
+    from _SCALAR_BELOW seeds up, one scalar shot per seed below that."""
     seeds = [seed_state(problem, recipe.locus, p) for p in params]
     trajs = _fly(problem, seeds, recipe, _shot_controls(recipe))
-    return [_row(_classify(recipe, p, t)) for p, t in zip(params, trajs)]
+    rows = [_classify(recipe, p, t) for p, t in zip(params, trajs)]
+    return [(r.param, r.classification, r.lines, r.residual) for r in rows]
 
 
 # -- search --------------------------------------------------------------------
@@ -437,8 +435,8 @@ def _root_in(problem, recipe, a, b):
     try:
         return _refine(problem, recipe, a, b)
     except AmbiguousBracketError:
-        mids = [_row(_shot(problem, recipe, float(p)))
-                for p in _grid(recipe, a[0], b[0], 3)[1:-1]]
+        mids = _scan(problem, recipe,
+                     [float(p) for p in _grid(recipe, a[0], b[0], 3)[1:-1]])
         sub = _brackets([a] + mids + [b])
         if not sub:
             raise
@@ -477,12 +475,13 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     bracket by Brent's method down to the residual's noise floor (see
     _refine).
 
-    The scan flies every seed in one lockstep block; root refinement flies
-    single shots, and so does the orbit's sampled fundamental segment, on
-    first read of PeriodicOrbit.fundamental or .reconstructed.  controls
-    sets rtol and atol of every integration and max_s of the shots
-    (default: rtol 1e-11, atol 1e-12, max_s SHOT_MAX_S); the segment runs
-    to the found terminal's s.
+    The scan flies its seeds in one lockstep block from _SCALAR_BELOW (11)
+    seeds up, and below that as one scalar shot each, the same shots root
+    refinement flies; the orbit's sampled fundamental segment is one more
+    scalar run, flown on first read of PeriodicOrbit.fundamental or
+    .reconstructed.  controls sets rtol and atol of every integration and
+    max_s of the shots (default: rtol 1e-11, atol 1e-12, max_s
+    SHOT_MAX_S); the segment runs to the found terminal's s.
 
     Returns the orbit of the first bracket.  Raises DomainError for an
     empty or unbounded search window, a non-positive S-locus size or fewer

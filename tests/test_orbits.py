@@ -12,7 +12,8 @@ import schubart.orbits as ob
 import schubart.problems as pr
 from schubart.dynamics import State
 from schubart.errors import AmbiguousBracketError, DomainError, OrbitNotFoundError
-from schubart.odeint import Controls, EventSpec, field_for, integrate
+from schubart.odeint import (_SCALAR_BELOW, Controls, EventSpec, field_for,
+                             integrate)
 
 # converged seed parameters from an independent shooting implementation
 # (scipy solve_ivp + brentq at rtol 1e-12)
@@ -366,19 +367,20 @@ def test_Z1_0_not_found_for_pyr2(pyr2):
 
 
 def _misclassify(monkeypatch, faulty):
-    """Route ob._shot through a wrapper that reports a pattern mismatch
-    wherever faulty(param) holds; returns the list of shot parameters."""
-    shot, params = ob._shot, []
+    """Route ob._classify, which classifies the scan's shots and the single
+    ones, through a wrapper that reports a pattern mismatch wherever
+    faulty(param) holds; returns the list of classified parameters."""
+    classify, params = ob._classify, []
 
-    def wrapper(problem, recipe, param):
+    def wrapper(recipe, param, traj):
         params.append(param)
-        rec = shot(problem, recipe, param)
+        rec = classify(recipe, param, traj)
         if faulty(param):
             return replace(rec, classification="pattern-mismatch",
                            residual=None)
         return rec
 
-    monkeypatch.setattr(ob, "_shot", wrapper)
+    monkeypatch.setattr(ob, "_classify", wrapper)
     return params
 
 
@@ -402,7 +404,8 @@ def test_ambiguous_bracket_is_rescanned_locally(pyr2, monkeypatch):
     orb = ob.find_orbit(pyr2, spec, search)
     assert len(bad) == 1
     assert abs(orb.seed_parameter - root) < 1e-8
-    after_scan = params
+    assert params[:len(grid)] == grid
+    after_scan = params[len(grid):]
     assert all(lo <= p <= hi for p in after_scan)
     assert any(abs(p - math.sqrt(lo * hi)) < 1e-12 for p in after_scan)
 
@@ -414,9 +417,12 @@ def test_ambiguous_bracket_is_rescanned_locally(pyr2, monkeypatch):
 
 
 def test_block_scan_matches_scalar_shots(request, pyr2):
-    # the lockstep block against one scalar shot per seed: vectorized sin
-    # and cos are not bit-identical to the scalar ones, so residuals may
-    # differ in the last digits, but nothing else may
+    # the scan against one scalar shot per seed.  Below the crossover the
+    # scan flies those very shots, so its rows are theirs exactly; a
+    # lockstep block sums its stages in another order and takes vectorized
+    # sin and cos, so its residuals may differ in the last digits, but
+    # nothing else may
+    assert 9 < _SCALAR_BELOW <= 60  # both routes run
     windows = [(which, spec, lo, hi, 9) for which, spec, lo, hi, _ in _TABLE]
     windows.append(("pyr", ob.FamilySpec("B", 0), 1e-3, 1e2, 60))
     for which, spec, lo, hi, n in windows:
@@ -428,6 +434,10 @@ def test_block_scan_matches_scalar_shots(request, pyr2):
         assert len(rows) == len(params)
         for row, param in zip(rows, params):
             want = ob._shot(problem, recipe, param)
+            if len(params) < _SCALAR_BELOW:
+                assert row == (param, want.classification, want.lines,
+                               want.residual), spec
+                continue
             assert row[:3] == (param, want.classification, want.lines), spec
             if want.residual is None:
                 assert row[3] is None

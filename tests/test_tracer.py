@@ -8,6 +8,7 @@ import types
 
 import schubart.cli as cli
 from schubart import dynamics as dyn
+from schubart.odeint import _SCALAR_BELOW
 
 _TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,12 +41,14 @@ def test_tracer_names_resolve_and_count_the_field(capsys):
 
 
 def test_tracer_counts_the_orbit_search_repeatably(capsys, monkeypatch):
-    # the scan flies its seeds through odeint.integrate_block, which no span
-    # wraps: its field calls must still reach the traced field name, and so
-    # must every other evaluation of the field, the Brent shots' among them
+    # a scan of at least odeint._SCALAR_BELOW seeds flies them as one
+    # lockstep block in odeint.integrate_block, which no span wraps: its
+    # field calls must still reach the traced field name, and so must every
+    # other evaluation of the field, the Brent shots' among them
     tr = _load_tracer()
     argv = ["orbit", "--family", "B", "--k", "0", "--param-lo", "0.4",
-            "--param-hi", "0.7", "--grid-points", "9", "--workers", "1"]
+            "--param-hi", "0.7", "--grid-points", "40", "--workers", "1"]
+    assert 40 >= _SCALAR_BELOW
     evaluations = []
     field = dyn._field
     monkeypatch.setattr(dyn, "_field",
@@ -73,5 +76,6 @@ def test_tracer_counts_the_orbit_search_repeatably(capsys, monkeypatch):
         # them as scan or root shots by their seed order)
         shots = [s for s in integ if s.attrs["stage"] in ("scan", "root")]
         assert shots and tr._fev(shots) > 0
+        assert len(shots) < 40  # none of them a seed of the scan
         passes.append({name: metrics[name] for name in tr.COUNTS})
     assert passes[0] == passes[1]
