@@ -311,20 +311,25 @@ def _angle_mod_gap(theta: float, target: float) -> float:
     return d - 2.0 * math.pi if d > math.pi else d
 
 
-def landmark_values(problem: ProblemSpec, epsilon: float = None) -> dict:
-    """All available landmarks v0..v5 from the three defining traces.
-
-    The default-epsilon values are traced once per problem and kept on it.
-    """
-    if epsilon is None and hasattr(problem, "_landmarks"):
-        return dict(problem._landmarks)
+def trace_landmarks(problem: ProblemSpec, epsilon: float = None) -> dict:
+    """All available landmarks v0..v5, traced on the three defining
+    branches."""
     out = {}
     for branch in ("gamma", "gamma'", "stable-of-L'-"):
         out.update(trace_branch(problem, branch, epsilon=epsilon,
                                 stop_at_last_landmark=True).landmarks)
-    if epsilon is None:
-        problem._landmarks = dict(out)
     return out
+
+
+def landmark_values(problem: ProblemSpec, epsilon: float = None) -> dict:
+    """All available landmarks v0..v5 from the three defining traces.
+
+    The default-epsilon values are traced once per problem, as its cached
+    `landmarks`.
+    """
+    if epsilon is None:
+        return dict(problem.landmarks)
+    return trace_landmarks(problem, epsilon)
 
 
 def check_N4(problem: ProblemSpec) -> dict:

@@ -16,14 +16,23 @@ samples as the columns of a (4, k) array ((d, k) for a flat seed of
 length d).  Its step is straight-line code on Python floats, generated
 from the tableau for each state length d on first use: one expression
 per stage and component over the tableau's nonzero coefficients, summed
-left to right, with no numpy between the field calls, which are most of
-a step's cost.  rhs gets the state as a tuple of d floats and may return
-any length-d sequence.
+left to right.  The rest of its loop is on Python floats too: its start
+(_first_step), its event tests (_crossings), each event's location
+(_locate, one pair at a time), and its event states and samples (_point,
+one _interpolate per component).  So no numpy runs between the field
+calls, which are most of a step's cost.  rhs gets the state as a tuple of
+d floats and may return any length-d sequence.
 `integrate_block` runs a family of seeds in lockstep as the columns of a
 (4, N) block, each lane with its own step size, controller memory,
 events and termination, and records only where each lane started and
-ended; its stages are matmuls with the stage store.  Both take the same
-controller and event-location helpers and return the same Trajectory.
+ended; its stages are matmuls with the stage store.  It starts with
+_initial_step, and tests and locates events on arrays with _Watch, all
+pairs of a step at once.  Both paths take the controller (_shrink,
+_grow, _underflow), _event_poly, _interpolate and _record, and return
+the same Trajectory.  Each float helper repeats its array form's
+operations in the same order, so a scalar run's start (on states of
+fewer than 8 components, where numpy also sums left to right), event
+tests, locations, states and samples have the bits of the array forms.
 The two steps sum the stages in different orders, so a scalar run and
 its block lane agree to rounding, not bit for bit.  The block's per-step
 numpy overhead pays off only on wide blocks: below _SCALAR_BELOW (11)
@@ -217,7 +226,7 @@ def _rms_norm(x, scale):
 
 def _initial_step(f, s0, y0, f0, rtol, atol, max_s):
     """Starting step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
-    per lane for a (4, N) block."""
+    per lane of a (4, N) block."""
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0, scale)
     d1 = _rms_norm(f0, scale)
@@ -229,6 +238,32 @@ def _initial_step(f, s0, y0, f0, rtol, atol, max_s):
                       (0.01 / d) ** 0.125)
     h = np.minimum(np.minimum(100.0 * h0, h1), max_s)
     return np.where(np.isfinite(f1).all(axis=0), h, np.minimum(h0, max_s))
+
+
+def _rms(x, scale):
+    """_rms_norm of one flat state on floats: the squares summed left to
+    right, which is numpy's order below 8 components."""
+    acc = 0.0
+    for xi, si in zip(x, scale):
+        t = xi / si
+        acc += t * t
+    return math.sqrt(acc / len(x))
+
+
+def _first_step(rhs, y0, f0, rtol, atol, max_s):
+    """_initial_step of a run from s = 0 at the flat state y0 on floats,
+    with Python's pow: the same operations in the same order, so the same
+    bits.  A nan h0 comes first in each min, where it wins as it does in
+    numpy's."""
+    scale = [atol + rtol * abs(c) for c in y0]
+    d0, d1 = _rms(y0, scale), _rms(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    f1 = rhs(h0, tuple(c + h0 * fc for c, fc in zip(y0, f0)))
+    if not all(map(math.isfinite, f1)):
+        return float(min(h0, max_s))
+    d = max(d1, _rms([a - b for a, b in zip(f1, f0)], scale) / h0)
+    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** 0.125
+    return float(min(min(100.0 * h0, h1), max_s))
 
 
 def _combine(weights, k):
@@ -288,9 +323,10 @@ def _grow(err, err_prev, maximum=np.maximum, minimum=np.minimum):
     return minimum(10.0, maximum(0.2, factor))
 
 
-def _underflow(h, s):
-    """Whether a retried step has shrunk below the resolution of s."""
-    return h < 1e-14 * np.maximum(1.0, np.abs(s))
+def _underflow(h, s, maximum=np.maximum):
+    """Whether a retried step has shrunk below the resolution of s; per
+    lane, or a Python float with maximum=max."""
+    return h < 1e-14 * maximum(1.0, abs(s))
 
 
 def _dense_coeffs(f, s, y, h, k):
@@ -403,8 +439,62 @@ def _event_poly(g0, h, q, x):
     return g0 + h * x * acc, h * (acc + x * dacc)
 
 
+def _point(y0, h, cols, x):
+    """The interpolant of a scalar run's step at the step fraction x, one
+    _interpolate per component on floats; cols holds each component's 7
+    coefficients."""
+    return [_interpolate(a, h, c, x) for a, c in zip(y0, cols)]
+
+
+def _crossings(direction, g0, g1):
+    """The indices of the events whose values g0, g1 (lists of floats)
+    change sign across a scalar step: exactly the rule of _Watch.crossed."""
+    if not any([a * b <= 0.0 for a, b in zip(g0, g1)]):
+        return []
+    return [i for i, (a, b, sense) in enumerate(zip(g0, g1, direction))
+            if ((a < 0.0 and b > 0.0) or (a > 0.0 and b < 0.0)
+                or (a != 0.0 and b == 0.0))
+            and (sense == 0 or (b - a) * sense > 0.0)]
+
+
+def _locate(s0, h, g0, q):
+    """The s of one event's sign change on a scalar step from s0 of size
+    h: g0 is its value at the step start and q its component's 7
+    interpolant coefficients.  This is _Watch.locate's iteration on floats,
+    with its secant start, bracket updates, close/keep/bisect choices and
+    stop rule in the same order, so it returns the same bits.  Where numpy
+    divides by g' = 0 the step is inf, which leaves the bracket as numpy's
+    inf or nan does, and bisects."""
+    lo, hi = 0.0, 1.0
+    g1 = g0 + h * q[0]
+    x = g0 / (g0 - g1) if g0 != g1 else 0.5
+    if not 0.0 < x < 1.0:
+        x = 0.5
+    last = 1.0
+    while True:
+        g, dg = _event_poly(g0, h, q, x)
+        if g0 * g > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = 0.0 if g == 0.0 else g / dg if dg else math.inf
+        newton = x - step
+        close = abs(step) * h <= _EVENT_TOL
+        if close:
+            x_new = min(max(newton, lo), hi)
+        elif lo < newton < hi and abs(step) <= 0.5 * last:
+            x_new = newton
+        else:
+            x_new = 0.5 * (lo + hi)
+        last = abs(x_new - x)
+        x = x_new
+        if close or not (hi - lo) * h > _EVENT_TOL:
+            return s0 + h * x
+
+
 class _Watch:
-    """The event functions of a list of EventSpec, evaluated together."""
+    """The event functions of a list of EventSpec, evaluated together over
+    the lanes of a block."""
 
     def __init__(self, events):
         self.specs = list(events)
@@ -414,8 +504,7 @@ class _Watch:
         self.direction = np.array([sp.direction for sp in self.specs])
 
     def values(self, y):
-        """Event values at a flat state, a sequence, (E,), or (N, E) for a
-        block."""
+        """Event values (N, E) at a (4, N) block."""
         return np.asarray(y)[self.component].T - self.level
 
     def crossed(self, g0, g1):
@@ -505,27 +594,33 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
     (DomainError if any are given).
     rhs gets the state as a tuple of d floats and returns any length-d
     sequence.  Events are localized on the dense interpolant of each
-    accepted step; a stop event truncates.  With sample_ds set, the samples
-    are the seed, the interpolant at every k sample_ds (k = 1, 2, ...)
-    strictly before the run's end, and the end state; without it, the seed
-    and every accepted step's end state.  Termination is "time-limit" when
-    max_s (or the step budget) is reached, "step-failure" when the step
-    size underflows, "crossing-cap" when max_angle_crossings angle events
-    have fired, "event-stop" otherwise.
+    accepted step, one (event, step) pair at a time and in order of s,
+    then of the event's index; a stop event truncates.  With sample_ds
+    set, the samples are the seed, the interpolant at every k sample_ds
+    (k = 1, 2, ...) strictly before the run's end, and the end state;
+    without it, the seed and every accepted step's end state.  Termination
+    is "time-limit" when max_s (or the step budget) is reached,
+    "step-failure" when the step size underflows, "crossing-cap" when
+    max_angle_crossings angle events have fired, "event-stop" otherwise.
+    Outside its seed and its result, the run makes no numpy call of its
+    own: its steps, event tests, locations, event states and samples are
+    on Python floats.
     """
     ctl = controls or Controls()
     atol, rtol = ctl.atol, ctl.rtol
-    watch = _Watch(events)
-    if watch.specs and not isinstance(seed, State):
+    specs = list(events)
+    if specs and not isinstance(seed, State):
         raise DomainError("events need a State seed; a flat seed runs"
                           " without events")
-    y0 = np.array(seed, dtype=float)
-    y = tuple(y0.tolist())
+    # each event's (component, level) and direction, read once
+    watched = [sp._watched() for sp in specs]
+    direction = [sp.direction for sp in specs]
+    y = tuple(map(float, seed))
     d = len(y)
     step, dense = _scalar_step(d)
     s = 0.0
     f0 = rhs(s, y)
-    if not np.all(np.isfinite(f0)):
+    if not all(map(math.isfinite, f0)):
         raise EvaluationError("non-finite field at the seed state")
 
     # the sample positions, and the states there as rows
@@ -534,13 +629,11 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
     # the index k of the next grid point k sample_ds
     k_sample = 1 if ctl.sample_ds else None
 
-    h = float(_initial_step(
-        lambda t, z: np.asarray(rhs(float(t), tuple(z.tolist())), dtype=float),
-        s, y0, np.asarray(f0, dtype=float), rtol, atol, ctl.max_s))
+    h = _first_step(rhs, y, f0, rtol, atol, ctl.max_s)
     err_prev = 1e-4
     termination = "time-limit"
     n_cross = 0
-    g_prev = watch.values(y)
+    g_prev = [y[c] - level for c, level in watched]
 
     steps = n_accept = n_dense = 0
     while s < ctl.max_s:
@@ -556,14 +649,14 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
             # a non-finite stage: retry with a smaller step; persistent
             # failure means the run hit a non-regularized singularity
             h *= 0.25
-            if _underflow(h, s):
+            if _underflow(h, s, max):
                 termination = "step-failure"
                 break
             continue
         k, y_new, err = taken
         if err > 1.0:
             h *= _shrink(err, max)
-            if _underflow(h, s):
+            if _underflow(h, s, max):
                 termination = "step-failure"
                 break
             continue
@@ -574,36 +667,33 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
         # grid points lie strictly before the step's end (and max_s), so
         # the run's last column is a step's own end state
         reach = min(s_new, ctl.max_s)
-        stop_at = crossed = None
-        if watch.specs:
-            g_old, g_prev = g_prev, watch.values(y_new)
-            crossed = watch.crossed(g_old, g_prev)
-        if crossed is not None or (k_sample is not None
-                                   and k_sample * ctl.sample_ds < reach):
-            q = np.array(dense(rhs, s, y, h, k))
-            y_start = np.array(y)
+        stop_at = None
+        crossed = []
+        if specs:
+            g_old, g_prev = g_prev, [y_new[c] - level for c, level in watched]
+            crossed = _crossings(direction, g_old, g_prev)
+        if crossed or (k_sample is not None
+                       and k_sample * ctl.sample_ds < reach):
+            # the 7 interpolant coefficients of each component
+            cols = tuple(zip(*dense(rhs, s, y, h, k)))
             n_dense += 1
-        if crossed is not None:
-            located = watch.locate(crossed[None], np.array([s]),
-                                   np.array([h]), g_old[None], q[..., None])
+        if crossed:
+            located = sorted((_locate(s, h, g_old[i], cols[watched[i][0]]), i)
+                             for i in crossed)
             stop_at, stop_kind, n_cross = _record(
-                watch.specs, [(t, i) for _, t, i in located],
-                lambda t: State(*_interpolate(
-                    y_start, h, q, (t - s) / h).tolist()),
+                specs, located,
+                lambda t: State(*_point(y, h, cols, (t - s) / h)),
                 hits, n_cross, ctl.max_angle_crossings)
 
         if k_sample is not None:
             # the grid points of this step, short of a stop
             if stop_at is not None:
                 reach = min(reach, stop_at)
-            grid = []
             while k_sample * ctl.sample_ds < reach:
-                grid.append(k_sample * ctl.sample_ds)
+                t = k_sample * ctl.sample_ds
+                s_out.append(t)
+                y_out.append(_point(y, h, cols, (t - s) / h))
                 k_sample += 1
-            if grid:
-                s_out += grid
-                y_out += _interpolate(y_start[:, None], h, q[..., None],
-                                      (np.array(grid) - s) / h).T.tolist()
         if stop_at is not None:
             s_out.append(stop_at)
             y_out.append(hits[-1].state)

@@ -133,6 +133,13 @@ class ProblemSpec:
         """The critical points of V on the default grid, searched once."""
         return critical_points(self)
 
+    @cached_property
+    def landmarks(self) -> dict:
+        """The landmarks v0..v5 at the default trace epsilons, traced once
+        (manifolds.trace_landmarks)."""
+        from .manifolds import trace_landmarks  # manifolds imports this
+        return trace_landmarks(self)
+
     def __reduce__(self):
         # the bound closures cannot be pickled: rebuild them
         return ProblemSpec, (self.kind, self.n, self.mu)

@@ -121,6 +121,27 @@ def test_landmarks_pyr2_tight(pyr2):
     assert marks["v3"] == pytest.approx(-1.2366046403204345, abs=1e-10)
 
 
+def test_default_landmarks_traced_once_per_problem(monkeypatch):
+    # the default-epsilon landmarks are the problem's cached `landmarks`:
+    # three branch traces once, a copy on every read; another epsilon
+    # traces again and leaves the cache alone
+    traced = []
+    trace = mf.trace_branch
+
+    def counted(p, branch, **kw):
+        traced.append(branch)
+        return trace(p, branch, **kw)
+
+    monkeypatch.setattr(mf, "trace_branch", counted)
+    p = pr.pyramidal(3)
+    first = mf.landmark_values(p)
+    first["v0"] = 0.0
+    assert mf.landmark_values(p) == p.landmarks != first
+    assert len(traced) == 3
+    mf.landmark_values(p, epsilon=1e-6)
+    assert len(traced) == 6 and mf.landmark_values(p) == p.landmarks
+
+
 def test_landmark_epsilon_robustness(pyr2):
     base = mf.landmark_values(pyr2)
     alt = mf.landmark_values(pyr2, epsilon=1e-6)

@@ -1,13 +1,16 @@
 """Adaptive integrator: accuracy, event localization, controls, and the
 problem fields it is used with."""
 
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from schubart import dynamics as dyn
 from schubart import odeint as oi
+from schubart import problems as pr
 from schubart.dynamics import State
 from schubart.errors import DomainError, EvaluationError
 from schubart.odeint import Controls, EventSpec
@@ -231,20 +234,26 @@ def test_simultaneous_events_ordered_by_spec_index():
     assert traj.events[1].spec is evs[1]
 
 
+def _random_pairs(h):
+    """A v-zero and a w-zero pair on each lane of step sizes h:
+    (watch, crossed, g0, q) for _Watch.locate.  Each event polynomial g0 +
+    h x (q0 + ...) in the step fraction x falls through zero near x = 1/2."""
+    rng = np.random.default_rng(11)
+    n = len(h)
+    watch = oi._Watch([EventSpec.v_zero(), EventSpec.w_zero()])
+    g0 = rng.uniform(0.1, 1.0, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+    q = 0.05 * rng.standard_normal((7, 4, n))
+    q[0] = -2.0
+    q[:, watch.component] *= (g0 / h[:, None]).T
+    return watch, np.ones((n, 2), dtype=bool), g0, q
+
+
 def test_locate_gives_each_pair_its_own_halvings():
     # pairs with step sizes five decades apart, located together, give bit
     # for bit what each gives located alone
-    rng = np.random.default_rng(11)
-    watch = oi._Watch([EventSpec.v_zero(), EventSpec.w_zero()])
     h = np.array([2.7, 0.013, 0.4, 1e-5])
     s0 = np.array([0.0, 3.1, 17.25, 40.0])
-    g0 = rng.uniform(0.1, 1.0, (4, 2)) * rng.choice([-1.0, 1.0], (4, 2))
-    # each event polynomial g0 + h x (q0 + ...) in the step fraction x
-    # falls through zero near x = 1/2
-    q = 0.05 * rng.standard_normal((7, 4, 4))
-    q[0] = -2.0
-    q[:, watch.component] *= (g0 / h[:, None]).T
-    crossed = np.ones((4, 2), dtype=bool)
+    watch, crossed, g0, q = _random_pairs(h)
     together = watch.locate(crossed, s0, h, g0, q)
     alone = []
     for j in range(4):
@@ -294,16 +303,17 @@ def test_locate_finds_an_interior_root_to_rounding():
 def test_locate_takes_few_newton_steps_on_a_transversal_crossing(
         monkeypatch):
     # v = sin(s) crosses zero at every multiple of pi, one step at a time
+    # of a scalar run, which locates each crossing in one _locate call
     calls = _counting_event_poly(monkeypatch)
-    locate, per_call = oi._Watch.locate, []
+    locate, per_call = oi._locate, []
 
-    def counted(self, *args):
+    def counted(*args):
         calls[0] = 0
-        out = locate(self, *args)
+        out = locate(*args)
         per_call.append(calls[0])
         return out
 
-    monkeypatch.setattr(oi._Watch, "locate", counted)
+    monkeypatch.setattr(oi, "_locate", counted)
     seed = State(1.0, 0.0, 0.0, 0.0)
     for rtol in (1e-6, 1e-9, 1e-11):
         traj = oi.integrate(_circle_rhs, seed, [EventSpec.v_zero()],
@@ -329,6 +339,200 @@ def test_locate_converges_inside_a_near_tangent_bracket(monkeypatch):
         # the cube flattens g to rounding within about 1e-5 of the root
         assert abs((s - 5.0) / h - r) <= 1e-4
         assert calls[0] <= 100
+
+
+# -- the scalar run on floats --------------------------------------------------
+
+
+def test_float_locate_gives_the_bits_of_the_array_locate():
+    # _locate on one pair of floats returns the s of _Watch.locate bit for
+    # bit: on the random pairs above, on 200 more with h over five decades,
+    # and on near-tangent cubics, where Newton stalls and bisects
+    for h, s0 in ((np.array([2.7, 0.013, 0.4, 1e-5]),
+                   np.array([0.0, 3.1, 17.25, 40.0])),
+                  (10.0 ** np.linspace(-5.0, 0.5, 200),
+                   np.linspace(0.0, 90.0, 200))):
+        watch, crossed, g0, q = _random_pairs(h)
+        want = watch.locate(crossed, s0, h, g0, q)
+        got = [(j, oi._locate(s0[j].item(), h[j].item(), g0[j, e].item(),
+                              tuple(q[:, watch.component[e], j].tolist())), e)
+               for j, e in zip(*np.nonzero(crossed))]
+        assert len(got) == 2 * len(h)
+        assert sorted(got) == want
+    # the cubic of test_locate_converges_inside_a_near_tangent_bracket, then
+    # 400 cubics c (x - r)^3 of random r, c and h, all in one array call
+    rng = np.random.default_rng(6)
+    n = 403
+    r, c, h = (rng.uniform(0.05, 0.95, n), rng.uniform(0.5, 3.0, n)
+               * rng.choice([-1.0, 1.0], n), 10.0 ** rng.uniform(-5, 1.5, n))
+    r[:3], c[:3], h[:3] = 0.37, 2.0, (1e-5, 0.7, 30.0)
+    s0 = np.full(n, 5.0)
+    q = np.zeros((7, 4, n))
+    q[:3, 1] = (np.array([3 * r * r - 3 * r + 1, 3 * r - 1, -np.ones(n)])
+                * c / h)
+    g0 = (-c * r ** 3)[:, None]
+    want = oi._Watch([EventSpec.v_zero()]).locate(
+        np.ones((n, 1), dtype=bool), s0, h, g0, q)
+    assert [(j, oi._locate(5.0, h[j].item(), g0[j, 0].item(),
+                           tuple(q[:, 1, j].tolist())), 0)
+            for j in range(n)] == want
+
+
+def test_float_crossings_follow_the_array_rule():
+    # sign changes, landings on zero and both directions, on random values
+    # with many zeros: _crossings marks exactly what _Watch.crossed does
+    rng = np.random.default_rng(3)
+    specs = [EventSpec.v_zero(direction=d) for d in (-1, 0, 1)] * 3
+    watch = oi._Watch(specs)
+    direction = [sp.direction for sp in specs]
+    for _ in range(2000):
+        g0, g1 = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], (2, len(specs)))
+        marked = watch.crossed(g0, g1)
+        want = [] if marked is None else np.flatnonzero(marked).tolist()
+        assert oi._crossings(direction, g0.tolist(), g1.tolist()) == want
+
+
+def test_float_states_and_samples_equal_the_array_interpolant():
+    # an event state (one fraction) and a row of samples (a grid of
+    # fractions) equal the array _interpolate's, component by component
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        y0, q = rng.standard_normal(4), rng.standard_normal((7, 4))
+        h = 10.0 ** rng.uniform(-5.0, 1.0)
+        xs = rng.uniform(0.0, 1.0, 5)
+        cols = tuple(zip(*q.tolist()))
+        rows = oi._interpolate(y0[:, None], h, q[..., None], xs).T.tolist()
+        for x, row in zip(xs.tolist(), rows):
+            got = oi._point(tuple(y0.tolist()), h, cols, x)
+            assert got == row
+            assert got == oi._interpolate(y0, h, q, x).tolist()
+
+
+def test_float_first_step_equals_the_array_initial_step(pyr2, pla10):
+    # the start of a scalar run on floats, against the array start: the
+    # problem fields, a flat field of each length, a field whose trial
+    # evaluation is not finite, a field at rest and a clipping max_s
+    def flat(s, y):
+        return [y[-1], *(-c for c in y[:-1])]
+
+    def blows_up(s, y):
+        return (1.0, 0.0, 0.0, 0.0) if s == 0.0 else (math.nan,) * 4
+
+    def at_rest(s, y):
+        return (0.0,) * len(y)
+
+    rng = np.random.default_rng(4)
+    cases = []
+    for p in (pyr2, pla10):
+        while len(cases) < 50 * (1 + (p is pla10)):
+            r, v = rng.uniform(0.05, 2.0), rng.normal()
+            th = rng.uniform(-1.5, 1.5)
+            w = dyn.solve_w(p, r, v, th)
+            if w is not None:  # on the energy level
+                cases.append((oi.field_for(p), (r, v, th, w)))
+    for d in (1, 2, 4, 7):
+        cases += [(flat, tuple(rng.standard_normal(d).tolist()))
+                  for _ in range(20)]
+    cases += [(blows_up, (1.0, 0.0, 0.0, 0.0)), (at_rest, (0.5, 1.0))]
+    for rhs, y in cases:
+        f0 = rhs(0.0, y)
+        for rtol, atol, max_s in ((1e-11, 1e-12, 1e3), (1e-6, 1e-9, 1e-7)):
+            want = oi._initial_step(
+                lambda t, z: np.asarray(rhs(float(t), tuple(z.tolist()))),
+                0.0, np.array(y), np.asarray(f0, dtype=float), rtol, atol,
+                max_s)
+            assert oi._first_step(rhs, y, f0, rtol, atol, max_s) == want
+
+
+def _pinned_shots():
+    """A pyramidal n=2 B(0) shot at its root, a Z5(1,1) shot at its root
+    and an escaping planar n=10 B(0) shot, each watching the lines, the v
+    and w zeros and escape: once with events only, once also sampled and
+    capped at six crossings."""
+    from schubart import orbits as ob
+    out = []
+    for p, locus, param in ((pr.pyramidal(2), ob.LOCUS_S, 0.5555225360034305),
+                            (pr.pyramidal(2), ob.LOCUS_Z, -2.6111895596606516),
+                            (pr.planar(10), ob.LOCUS_S, 19.0)):
+        seed = ob.seed_state(p, locus, param)
+        events = ([EventSpec.angle(m * math.pi / 2.0) for m in range(-3, 4)]
+                  + [EventSpec.v_zero(), EventSpec.w_zero(direction=1),
+                     EventSpec.r_exceeds(ob.R_ESCAPE)])
+        for ctl in (Controls(max_s=40.0),
+                    Controls(max_s=40.0, sample_ds=0.05,
+                             max_angle_crossings=6)):
+            out.append(oi.integrate(oi.field_for(p), seed, events, ctl))
+    return out
+
+
+def test_pinned_shots_keep_their_events_and_samples():
+    # the events, terminations, counts and samples of six scalar runs,
+    # hashed over their float64 bits; the digest was taken when the run's
+    # event tests, locations and samples moved from numpy arrays onto
+    # Python floats, on the array code
+    trajs = _pinned_shots()
+    assert [t.termination for t in trajs] == [
+        "time-limit", "time-limit", "time-limit", "crossing-cap",
+        "event-stop", "event-stop"]
+    digest = hashlib.sha256()
+    for t in trajs:
+        digest.update(t.termination.encode())
+        digest.update(np.array([t.nfev, t.n_accept, t.n_reject,
+                                len(t.s)]).tobytes())
+        digest.update(np.asarray(t.s, dtype=float).tobytes())
+        digest.update(np.ascontiguousarray(t.y, dtype=float).tobytes())
+        for e in t.events:
+            digest.update(e.kind.encode())
+            digest.update(np.array([e.spec.level, e.s, *e.state]).tobytes())
+    assert digest.hexdigest() == (
+        "90fd8ed7d9a4c454cc80140cf5488ba1096c2adccf58858913201d4462ff05a6")
+
+
+def _numpy_calls(run):
+    """The calls into numpy that run() makes as the profiler sees them: C
+    functions and methods of numpy objects, and Python functions of numpy's
+    modules."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            module = (getattr(arg, "__module__", None)
+                      or type(getattr(arg, "__self__", None)).__module__)
+        elif event == "call":
+            module = frame.f_globals.get("__name__")
+        else:
+            return
+        if module and module.split(".")[0] == "numpy":
+            count[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
+def test_scalar_steps_call_no_numpy(pyr2):
+    # an evented, sampled scalar run calls numpy for its seed and its
+    # result only: ten times the steps, with their rejections, event
+    # locations and samples, make the same number of calls
+    from schubart import orbits as ob
+    seed = ob.seed_state(pyr2, ob.LOCUS_S, 1.1)
+    events = [EventSpec.angle(m * math.pi / 2.0) for m in range(-3, 4)] + [
+        EventSpec.v_zero(), EventSpec.w_zero()]
+    rhs = oi.field_for(pyr2)
+    oi.integrate(rhs, seed, events, Controls(max_s=1.0))  # compiles the step
+    counts, runs = [], []
+    for max_s in (5.0, 50.0):
+        ctl = Controls(max_s=max_s, sample_ds=0.5)
+        counts.append(_numpy_calls(
+            lambda: runs.append(oi.integrate(rhs, seed, events, ctl))))
+    short, long = runs
+    assert long.n_accept > 5 * short.n_accept and long.n_reject > 0
+    assert len(long.events) > 5 * len(short.events) > 0
+    assert len(long.s) > 5 * len(short.s)
+    assert counts[0] == counts[1]
 
 
 def test_nan_seed_raises():
