@@ -26,23 +26,24 @@ d floats and may return any length-d sequence.
 (4, N) block, each lane with its own step size, controller memory,
 events and termination, and records only where each lane started and
 ended; its stages are matmuls with the stage store.  It starts with
-_initial_step, and tests and locates events on arrays with _Watch, all
-pairs of a step at once.  Both paths take the controller (_shrink,
-_grow, _underflow), _event_poly, _interpolate and _record, and return
-the same Trajectory.  Each float helper repeats its array form's
-operations in the same order, so a scalar run's start (on states of
-fewer than 8 components, where numpy also sums left to right), event
-tests, locations, states and samples have the bits of the array forms.
-The two steps sum the stages in different orders, so a scalar run and
-its block lane agree to rounding, not bit for bit.  The block's per-step
-numpy overhead pays off only on wide blocks: below _SCALAR_BELOW (11)
-seeds `integrate_block` flies each seed as its own `integrate` run, so
-the lanes of a small block are exactly their scalar runs.
+_initial_step and tests for sign changes on arrays with _Watch; each
+crossed lane's events are then located and recorded by the scalar run's
+float code (_events: _locate and _point), one lane at a time.  Both paths
+take the controller (_shrink, _grow, _underflow), _event_poly,
+_interpolate and _events, and return the same Trajectory.  Each float
+helper repeats its array form's operations in the same order, so a scalar
+run's start (on states of fewer than 8 components, where numpy also sums
+left to right), event tests, states and samples have the bits of the
+array forms.  The two steps sum the stages in different orders, so a
+scalar run and its block lane agree to rounding, not bit for bit.  The
+block's per-step numpy overhead pays off only on wide blocks: below
+_SCALAR_BELOW (11) seeds `integrate_block` flies each seed as its own
+`integrate` run, so the lanes of a small block are exactly their scalar
+runs.
 """
 
 from dataclasses import dataclass
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -458,13 +459,18 @@ def _crossings(direction, g0, g1):
 
 
 def _locate(s0, h, g0, q):
-    """The s of one event's sign change on a scalar step from s0 of size
-    h: g0 is its value at the step start and q its component's 7
-    interpolant coefficients.  This is _Watch.locate's iteration on floats,
-    with its secant start, bracket updates, close/keep/bisect choices and
-    stop rule in the same order, so it returns the same bits.  Where numpy
-    divides by g' = 0 the step is inf, which leaves the bracket as numpy's
-    inf or nan does, and bisects."""
+    """The s of one event's sign change on a step from s0 of size h: g0 is
+    its value at the step start and q its component's 7 interpolant
+    coefficients.
+
+    A safeguarded Newton iteration on the degree-8 event polynomial in the
+    step fraction x (rtsafe, Press et al., Numerical Recipes, 9.4), from
+    the secant point of the polynomial's end values.  Every iterate narrows
+    the sign bracket [lo, hi] (g has the sign of g0 at lo and not at hi); a
+    bisection step replaces a Newton step that leaves the bracket, has g' =
+    0 (an inf step), or is not under half the previous step.  It stops once
+    its Newton correction, or its bracket, times h is at most _EVENT_TOL,
+    so the s is within _EVENT_TOL of the interpolant's root."""
     lo, hi = 0.0, 1.0
     g1 = g0 + h * q[0]
     x = g0 / (g0 - g1) if g0 != g1 else 0.5
@@ -498,9 +504,9 @@ class _Watch:
 
     def __init__(self, events):
         self.specs = list(events)
-        watched = [sp._watched() for sp in self.specs]
-        self.component = np.array([c for c, _ in watched], dtype=int)
-        self.level = np.array([lv for _, lv in watched], dtype=float)
+        self.watched = [sp._watched() for sp in self.specs]
+        self.component = np.array([c for c, _ in self.watched], dtype=int)
+        self.level = np.array([lv for _, lv in self.watched], dtype=float)
         self.direction = np.array([sp.direction for sp in self.specs])
 
     def values(self, y):
@@ -517,66 +523,21 @@ class _Watch:
         change &= (self.direction == 0) | ((g1 - g0) * self.direction > 0.0)
         return change if change.any() else None
 
-    def locate(self, crossed, s0, h, g0, q):
-        """Locate every (lane, event) sign change marked in crossed (N, E)
-        on its lane's interpolant, all pairs at once.  Lanes are the first
-        axis of s0, h (N,) and g0 (N, E), the event values at the step
-        start, and the last of q (7, 4, N).
 
-        Each pair runs a safeguarded Newton iteration on its degree-8
-        event polynomial in the step fraction x (rtsafe, Press et al.,
-        Numerical Recipes, 9.4), from the secant point of the polynomial's
-        end values.  Every iterate narrows the pair's sign bracket; a
-        bisection step replaces a Newton step that leaves the bracket,
-        has g' = 0, or is not under half the previous step.  A pair stops
-        once its Newton correction, or its bracket, times h is at most
-        _EVENT_TOL, so its s is within _EVENT_TOL of the interpolant's
-        root.  Every operation is elementwise over the pairs, so a pair's
-        result does not depend on the other pairs.
-        Returns (lane, s, event index) triples ordered by lane, s, index."""
-        lane, idx = np.nonzero(crossed)
-        s0, h, g0 = s0[lane], h[lane], g0[lane, idx]
-        q = q[:, self.component[idx], lane]
-        # the sign bracket [lo, hi] in the step fraction: g has the sign of
-        # g0 at lo and not at hi.  The start is the secant point of g0 and
-        # g1, the interpolant's own value at x = 1
-        lo, hi = np.zeros(lane.size), np.ones(lane.size)
-        g1 = g0 + h * q[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = g0 / (g0 - g1)
-        x = np.where((x > 0.0) & (x < 1.0), x, 0.5)
-        last = np.ones(lane.size)  # the previous step; the bracket at first
-        live = np.ones(lane.size, dtype=bool)
-        while live.any():
-            g, dg = _event_poly(g0, h, q, x)
-            side = g0 * g > 0.0
-            lo = np.where(live & side, x, lo)
-            hi = np.where(live & ~side, x, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(g == 0.0, 0.0, g / dg)
-            newton = x - step
-            # a Newton correction within the tolerance locates the pair (its
-            # point kept in the bracket); otherwise Newton steps inside the
-            # bracket while it converges, and bisection does the rest
-            close = np.abs(step) * h <= _EVENT_TOL
-            keep = (newton > lo) & (newton < hi) & (np.abs(step) <= 0.5 * last)
-            x_new = np.where(close, np.minimum(np.maximum(newton, lo), hi),
-                             np.where(keep, newton, 0.5 * (lo + hi)))
-            last = np.where(live, np.abs(x_new - x), last)
-            x = np.where(live, x_new, x)
-            live &= ~close & ((hi - lo) * h > _EVENT_TOL)
-        s_ev = s0 + h * x
-        return [(int(lane[i]), float(s_ev[i]), int(idx[i]))
-                for i in np.lexsort((idx, s_ev, lane))]
-
-
-def _record(specs, located, state_at, hits, n_cross, cap):
-    """Append one lane's located (s, event index) hits of a step in order
-    up to a stop event or the cap-th angle crossing.  Returns the stop s
-    (None to go on), the termination it means, and the crossing count."""
-    for s_ev, idx in located:
-        spec = specs[idx]
-        hits.append(EventHit(s_ev, spec, state_at(s_ev)))
+def _events(specs, watched, crossed, s, h, y, g0, cols, hits, n_cross, cap):
+    """Locate and record the events of one accepted step from s of size h
+    at the flat state y: crossed holds the indices of the events that
+    change sign across it, g0 every event's value at its start and cols
+    each component's 7 interpolant coefficients.  Each event is its own
+    _locate; the hits are appended in order of s, then of index, each with
+    its state from _point, up to a stop event or the cap-th angle crossing.
+    Returns the stop s (None to go on), the termination it means, and the
+    crossing count."""
+    for s_ev, i in sorted((_locate(s, h, g0[i], cols[watched[i][0]]), i)
+                          for i in crossed):
+        spec = specs[i]
+        hits.append(EventHit(s_ev, spec,
+                             State(*_point(y, h, cols, (s_ev - s) / h))))
         if spec.action == "stop":
             return s_ev, "event-stop", n_cross
         if cap is not None and spec.kind == "angle-crossing":
@@ -678,12 +639,9 @@ def integrate(rhs, seed, events=(), controls=None) -> Trajectory:
             cols = tuple(zip(*dense(rhs, s, y, h, k)))
             n_dense += 1
         if crossed:
-            located = sorted((_locate(s, h, g_old[i], cols[watched[i][0]]), i)
-                             for i in crossed)
-            stop_at, stop_kind, n_cross = _record(
-                specs, located,
-                lambda t: State(*_point(y, h, cols, (t - s) / h)),
-                hits, n_cross, ctl.max_angle_crossings)
+            stop_at, stop_kind, n_cross = _events(
+                specs, watched, crossed, s, h, y, g_old, cols, hits, n_cross,
+                ctl.max_angle_crossings)
 
         if k_sample is not None:
             # the grid points of this step, short of a stop
@@ -795,17 +753,15 @@ def integrate_block(rhs, seeds, events=(), controls=None) -> list:
             if len(sub):
                 q = _dense_coeffs(f, s[sub], y[:, sub], h[sub], k[..., sub])
                 dense[lane[sub]] += 1
-                located = watch.locate(crossed[sub], s[sub], h[sub],
-                                       g_prev[sub], q)
-                for jq, group in itertools.groupby(located, lambda t: t[0]):
-                    j = sub[jq]
+                # each lane's events on floats, as integrate locates them
+                for jq, j in enumerate(sub.tolist()):
                     i = lane[j]
-                    stop_at, kind, n_cross[j] = _record(
-                        watch.specs, [(t, e) for _, t, e in group],
-                        lambda t: State(*_interpolate(
-                            y[:, j], h[j], q[:, :, jq], (t - s[j]) / h[j]
-                        ).tolist()),
-                        hits[i], n_cross[j], ctl.max_angle_crossings)
+                    stop_at, kind, n_cross[j] = _events(
+                        watch.specs, watch.watched,
+                        np.flatnonzero(crossed[j]).tolist(), s[j].item(),
+                        h[j].item(), y[:, j].tolist(), g_prev[j].tolist(),
+                        q[:, :, jq].T.tolist(), hits[i], n_cross[j],
+                        ctl.max_angle_crossings)
                     if stop_at is not None:
                         ends[i] = (kind, stop_at, hits[i][-1].state)
                         stopped[j] = True

@@ -28,6 +28,7 @@ mirror or retrace once.
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 import math
+import numbers
 
 import numpy as np
 from scipy.optimize import brentq
@@ -65,6 +66,10 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
             raise DomainError("unknown family %r" % (self.family,))
+        for index in (self.i, self.j):
+            if index is not None and not isinstance(index, numbers.Integral):
+                raise DomainError("family indices are integers, got %r"
+                                  % (index,))
         if self.family in ("B", "Z1"):
             if self.i is None or self.i < 0 or self.j is not None:
                 raise DomainError("%s takes one index k >= 0" % (self.family,))
@@ -233,7 +238,7 @@ def _fly(problem, seeds, recipe: _Recipe, controls: Controls):
     return integrate_block(rhs, seeds, events, controls)
 
 
-def _crossings(traj: Trajectory) -> list:
+def _line_hits(traj: Trajectory) -> list:
     """(s, m) of every line crossing of a shot."""
     return [(h.s, _line_of(h.state.angle))
             for h in traj.events if h.kind == "angle-crossing"]
@@ -279,7 +284,7 @@ def _classify(recipe: _Recipe, param: float, traj: Trajectory) -> _ShotRecord:
     """Classify a shot from the seed at param against the recipe's
     crossing pattern and terminal, with its residual when it matches."""
     full = _full_lines(recipe)
-    cross = _crossings(traj)
+    cross = _line_hits(traj)
     fate = _fate(traj)
     ms = tuple(m for _, m in cross)
     rec = _ShotRecord(param=param, classification=fate or "no-terminal",

@@ -20,6 +20,7 @@ The three problems:
 from dataclasses import dataclass, field
 from functools import cached_property
 import math
+import numbers
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,9 +43,15 @@ _KIND_ALIASES = {
 }
 
 
+def _is_integer(n) -> bool:
+    """Whether n is a finite number with an integer value (an int, or a
+    float such as 3.0)."""
+    return isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n
+
+
 def csc_sum(n: int) -> float:
     """S_n = sum_{k=1}^{n-1} csc(pi k / n), the polygon interaction sum."""
-    if n < 2 or int(n) != n:
+    if not (_is_integer(n) and n >= 2):
         raise DomainError("csc_sum requires an integer n >= 2, got %r" % (n,))
     n = int(n)
     return float(sum(1.0 / math.sin(math.pi * k / n) for k in range(1, n)))
@@ -97,8 +104,8 @@ class ProblemSpec:
         self.kind = _KIND_ALIASES.get(self.kind, self.kind)
         if self.kind not in (PYRAMIDAL, SPATIAL, PLANAR):
             raise DomainError("unknown problem kind %r" % (self.kind,))
-        if int(self.n) != self.n:
-            raise DomainError("n must be an integer")
+        if not _is_integer(self.n):
+            raise DomainError("n must be an integer, got %r" % (self.n,))
         self.n = int(self.n)
         min_n = 3 if self.kind == PLANAR else 2
         if self.n < min_n:
@@ -412,10 +419,11 @@ def phi_R_closed_form(n: int, mu: float = 1.0) -> float:
     S_n < 4n; past that the off-axis pair has merged into the axis point
     and a DomainError is raised.
     """
-    if n < 2:
-        raise DomainError("pyramidal problem needs n >= 2")
-    if not mu > 0.0:
-        raise DomainError("mu must be positive")
+    if not (_is_integer(n) and n >= 2):
+        raise DomainError("pyramidal problem needs an integer n >= 2, got %r"
+                          % (n,))
+    if not 0.0 < mu < math.inf:
+        raise DomainError("mu must be positive and finite, got %r" % (mu,))
     sn = csc_sum(n)
     radicand = (4.0 * n / sn) ** (2.0 / 3.0) - 1.0
     if radicand <= 0.0:

@@ -235,33 +235,19 @@ def test_simultaneous_events_ordered_by_spec_index():
 
 
 def _random_pairs(h):
-    """A v-zero and a w-zero pair on each lane of step sizes h:
-    (watch, crossed, g0, q) for _Watch.locate.  Each event polynomial g0 +
-    h x (q0 + ...) in the step fraction x falls through zero near x = 1/2."""
+    """A v-zero and a w-zero pair on each step of sizes h: (component, g0,
+    q), the watched components [v, w], the event values g0 (N, 2) at the
+    step starts and the interpolant coefficients q (7, 4, N).  Each event
+    polynomial g0 + h x (q0 + ...) in the step fraction x falls through
+    zero near x = 1/2."""
     rng = np.random.default_rng(11)
     n = len(h)
-    watch = oi._Watch([EventSpec.v_zero(), EventSpec.w_zero()])
+    component = [1, 3]
     g0 = rng.uniform(0.1, 1.0, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
     q = 0.05 * rng.standard_normal((7, 4, n))
     q[0] = -2.0
-    q[:, watch.component] *= (g0 / h[:, None]).T
-    return watch, np.ones((n, 2), dtype=bool), g0, q
-
-
-def test_locate_gives_each_pair_its_own_halvings():
-    # pairs with step sizes five decades apart, located together, give bit
-    # for bit what each gives located alone
-    h = np.array([2.7, 0.013, 0.4, 1e-5])
-    s0 = np.array([0.0, 3.1, 17.25, 40.0])
-    watch, crossed, g0, q = _random_pairs(h)
-    together = watch.locate(crossed, s0, h, g0, q)
-    alone = []
-    for j in range(4):
-        got = watch.locate(crossed[j:j + 1], s0[j:j + 1], h[j:j + 1],
-                           g0[j:j + 1], q[..., j:j + 1])
-        alone += [(j, t, e) for _, t, e in got]
-    assert len(together) == 8
-    assert together == alone
+    q[:, component] *= (g0 / h[:, None]).T
+    return component, g0, q
 
 
 def _counting_event_poly(monkeypatch):
@@ -278,13 +264,8 @@ def _counting_event_poly(monkeypatch):
 
 
 def _one_pair(g0, q, h, s0=0.0):
-    """locate on a single v-zero pair: g0 and the v row of q (7,)."""
-    watch = oi._Watch([EventSpec.v_zero()])
-    qq = np.zeros((7, 4, 1))
-    qq[:, 1, 0] = q
-    (_, s, _), = watch.locate(np.ones((1, 1), dtype=bool), np.array([s0]),
-                              np.array([h]), np.array([[g0]]), qq)
-    return s
+    """_locate on a single pair: g0 and its component's 7 coefficients."""
+    return oi._locate(s0, h, g0, tuple(q.tolist()))
 
 
 def test_locate_finds_an_interior_root_to_rounding():
@@ -345,37 +326,38 @@ def test_locate_converges_inside_a_near_tangent_bracket(monkeypatch):
 
 
 def test_float_locate_gives_the_bits_of_the_array_locate():
-    # _locate on one pair of floats returns the s of _Watch.locate bit for
-    # bit: on the random pairs above, on 200 more with h over five decades,
-    # and on near-tangent cubics, where Newton stalls and bisects
+    # _locate on one pair of floats returns the s of the vectorized
+    # iteration that located every pair of a block's step at once: on the
+    # random pairs above, on 200 more with h over five decades, and on
+    # near-tangent cubics, where Newton stalls and bisects.  The digest is
+    # of the array form's (lane, s, event index) triples, sorted
+    digest = hashlib.sha256()
     for h, s0 in ((np.array([2.7, 0.013, 0.4, 1e-5]),
                    np.array([0.0, 3.1, 17.25, 40.0])),
                   (10.0 ** np.linspace(-5.0, 0.5, 200),
                    np.linspace(0.0, 90.0, 200))):
-        watch, crossed, g0, q = _random_pairs(h)
-        want = watch.locate(crossed, s0, h, g0, q)
-        got = [(j, oi._locate(s0[j].item(), h[j].item(), g0[j, e].item(),
-                              tuple(q[:, watch.component[e], j].tolist())), e)
-               for j, e in zip(*np.nonzero(crossed))]
+        component, g0, q = _random_pairs(h)
+        got = sorted((j, oi._locate(s0[j].item(), h[j].item(),
+                                    g0[j, e].item(),
+                                    tuple(q[:, c, j].tolist())), e)
+                     for j in range(len(h)) for e, c in enumerate(component))
         assert len(got) == 2 * len(h)
-        assert sorted(got) == want
+        digest.update(np.array(got).tobytes())
     # the cubic of test_locate_converges_inside_a_near_tangent_bracket, then
-    # 400 cubics c (x - r)^3 of random r, c and h, all in one array call
+    # 400 cubics c (x - r)^3 of random r, c and h
     rng = np.random.default_rng(6)
     n = 403
     r, c, h = (rng.uniform(0.05, 0.95, n), rng.uniform(0.5, 3.0, n)
                * rng.choice([-1.0, 1.0], n), 10.0 ** rng.uniform(-5, 1.5, n))
     r[:3], c[:3], h[:3] = 0.37, 2.0, (1e-5, 0.7, 30.0)
-    s0 = np.full(n, 5.0)
-    q = np.zeros((7, 4, n))
-    q[:3, 1] = (np.array([3 * r * r - 3 * r + 1, 3 * r - 1, -np.ones(n)])
-                * c / h)
-    g0 = (-c * r ** 3)[:, None]
-    want = oi._Watch([EventSpec.v_zero()]).locate(
-        np.ones((n, 1), dtype=bool), s0, h, g0, q)
-    assert [(j, oi._locate(5.0, h[j].item(), g0[j, 0].item(),
-                           tuple(q[:, 1, j].tolist())), 0)
-            for j in range(n)] == want
+    q = np.zeros((7, n))
+    q[:3] = np.array([3 * r * r - 3 * r + 1, 3 * r - 1, -np.ones(n)]) * c / h
+    g0 = -c * r ** 3
+    digest.update(np.array([(j, oi._locate(5.0, h[j].item(), g0[j].item(),
+                                           tuple(q[:, j].tolist())), 0)
+                            for j in range(n)]).tobytes())
+    assert digest.hexdigest() == (
+        "441da830fe3c6ac835f42243c8ba2a07d8c01e6c452b976aa266b4bc03f5a1a9")
 
 
 def test_float_crossings_follow_the_array_rule():
@@ -444,25 +426,48 @@ def test_float_first_step_equals_the_array_initial_step(pyr2, pla10):
             assert oi._first_step(rhs, y, f0, rtol, atol, max_s) == want
 
 
+def _pinned_events():
+    """The lines, the v and w zeros and escape, as the pinned runs watch
+    them."""
+    from schubart import orbits as ob
+    return ([EventSpec.angle(m * math.pi / 2.0) for m in range(-3, 4)]
+            + [EventSpec.v_zero(), EventSpec.w_zero(direction=1),
+               EventSpec.r_exceeds(ob.R_ESCAPE)])
+
+
 def _pinned_shots():
     """A pyramidal n=2 B(0) shot at its root, a Z5(1,1) shot at its root
-    and an escaping planar n=10 B(0) shot, each watching the lines, the v
-    and w zeros and escape: once with events only, once also sampled and
-    capped at six crossings."""
+    and an escaping planar n=10 B(0) shot, each watching _pinned_events:
+    once with events only, once also sampled and capped at six
+    crossings."""
     from schubart import orbits as ob
     out = []
     for p, locus, param in ((pr.pyramidal(2), ob.LOCUS_S, 0.5555225360034305),
                             (pr.pyramidal(2), ob.LOCUS_Z, -2.6111895596606516),
                             (pr.planar(10), ob.LOCUS_S, 19.0)):
         seed = ob.seed_state(p, locus, param)
-        events = ([EventSpec.angle(m * math.pi / 2.0) for m in range(-3, 4)]
-                  + [EventSpec.v_zero(), EventSpec.w_zero(direction=1),
-                     EventSpec.r_exceeds(ob.R_ESCAPE)])
         for ctl in (Controls(max_s=40.0),
                     Controls(max_s=40.0, sample_ds=0.05,
                              max_angle_crossings=6)):
-            out.append(oi.integrate(oi.field_for(p), seed, events, ctl))
+            out.append(oi.integrate(oi.field_for(p), seed, _pinned_events(),
+                                    ctl))
     return out
+
+
+def _digest(trajs):
+    """SHA-256 over the float64 bits of each run's termination, counts,
+    samples and events (kind, level, s, state)."""
+    digest = hashlib.sha256()
+    for t in trajs:
+        digest.update(t.termination.encode())
+        digest.update(np.array([t.nfev, t.n_accept, t.n_reject,
+                                len(t.s)]).tobytes())
+        digest.update(np.asarray(t.s, dtype=float).tobytes())
+        digest.update(np.ascontiguousarray(t.y, dtype=float).tobytes())
+        for e in t.events:
+            digest.update(e.kind.encode())
+            digest.update(np.array([e.spec.level, e.s, *e.state]).tobytes())
+    return digest.hexdigest()
 
 
 def test_pinned_shots_keep_their_events_and_samples():
@@ -474,18 +479,38 @@ def test_pinned_shots_keep_their_events_and_samples():
     assert [t.termination for t in trajs] == [
         "time-limit", "time-limit", "time-limit", "crossing-cap",
         "event-stop", "event-stop"]
-    digest = hashlib.sha256()
-    for t in trajs:
-        digest.update(t.termination.encode())
-        digest.update(np.array([t.nfev, t.n_accept, t.n_reject,
-                                len(t.s)]).tobytes())
-        digest.update(np.asarray(t.s, dtype=float).tobytes())
-        digest.update(np.ascontiguousarray(t.y, dtype=float).tobytes())
-        for e in t.events:
-            digest.update(e.kind.encode())
-            digest.update(np.array([e.spec.level, e.s, *e.state]).tobytes())
-    assert digest.hexdigest() == (
+    assert _digest(trajs) == (
         "90fd8ed7d9a4c454cc80140cf5488ba1096c2adccf58858913201d4462ff05a6")
+
+
+def _pinned_blocks():
+    """24-seed lockstep blocks about the seeds of _pinned_shots, each
+    watching _pinned_events and capped at six crossings: pyramidal n=2
+    B(0) to s = 20 and Z5(1,1) to s = 40, whose lanes end at the cap or the
+    time limit, and planar n=10 B(0) to s = 6."""
+    from schubart import orbits as ob
+    out = []
+    for p, locus, params, max_s in (
+            (pr.pyramidal(2), ob.LOCUS_S, np.geomspace(0.3, 1.0, 24), 20.0),
+            (pr.pyramidal(2), ob.LOCUS_Z, np.linspace(-2.9, -2.3, 24), 40.0),
+            (pr.planar(10), ob.LOCUS_S, np.geomspace(5.0, 40.0, 24), 6.0)):
+        seeds = [ob.seed_state(p, locus, x) for x in params.tolist()]
+        assert len(seeds) >= oi._SCALAR_BELOW
+        out += oi.integrate_block(oi.field_for(p), seeds, _pinned_events(),
+                                  Controls(max_s=max_s, max_angle_crossings=6))
+    return out
+
+
+def test_pinned_blocks_keep_their_events():
+    # each lane's events, termination, end column and counts, hashed over
+    # their float64 bits; the digest was taken when the block located its
+    # events with a vectorized iteration over all pairs of a step, before
+    # it took the scalar run's float code
+    lanes = _pinned_blocks()
+    assert sum(t.termination == "crossing-cap" for t in lanes) == 15
+    assert sum(t.termination == "time-limit" for t in lanes) == 57
+    assert _digest(lanes) == (
+        "4d7956c36b346791cadc78ae258c5983c5051cc832eabf22c90f4c61af0959ae")
 
 
 def _numpy_calls(run):
@@ -681,6 +706,36 @@ def test_block_lanes_match_integrate_per_termination():
     # the w-zero record fires on every lane but the one that spins
     assert [[h.kind for h in t.events].count("w-zero")
             for t in block[:4]] == [0, 1, 1, 1]
+
+
+def _oscillators_rhs(s, y):
+    # (r, v) and (angle, w) each rotate: v and w fall through zero once
+    # every pi.  Takes a flat state or a (4, N) block
+    r, v, th, w = y
+    return np.array([-v, r, w, -th])
+
+
+def test_block_locates_each_event_with_the_scalar_locate(monkeypatch):
+    # a block's crossed lanes locate their events one pair at a time with
+    # _locate, as integrate does: with no stop and no cap, every located
+    # event is recorded, so the calls equal the events over all lanes
+    calls = [0]
+    locate = oi._locate
+
+    def counted(*args):
+        calls[0] += 1
+        return locate(*args)
+
+    monkeypatch.setattr(oi, "_locate", counted)
+    seeds = [State(math.cos(a), math.sin(a), math.sin(2.0 * a),
+                   math.cos(3.0 * a)) for a in np.linspace(0.1, 3.0, 12)]
+    assert len(seeds) >= oi._SCALAR_BELOW
+    block = oi.integrate_block(_oscillators_rhs, seeds,
+                               [EventSpec.v_zero(), EventSpec.w_zero()],
+                               Controls(max_s=10.0))
+    assert [t.termination for t in block] == ["time-limit"] * len(seeds)
+    assert all(len(t.events) >= 6 for t in block)
+    assert calls[0] == sum(len(t.events) for t in block)
 
 
 def test_stages_flag_the_lanes_with_a_non_finite_stage():

@@ -54,10 +54,13 @@ def test_family_spec_validation():
     ob.FamilySpec("Z1", 3)
     ob.FamilySpec("Z5", 1, 1)
     ob.FamilySpec("PP", 1, 1)
-    # Z2 was PP(1,1) under a second name
+    # Z2 was PP(1,1) under a second name; B(0.5) printed as B(0), and its
+    # recipe raised TypeError
     for bad in [("B", -1, None), ("B", None, None), ("B", 1, 1),
                 ("ZB", 0, 1), ("Z5", 1, 0), ("LessSymB", 1, None),
-                ("Z2", None, None), ("Q", 1, None)]:
+                ("Z2", None, None), ("Q", 1, None), ("B", 0.5, None),
+                ("Z1", 1.0, None), ("Z5", 1.5, 1), ("LessSymB", 2, 1.0),
+                ("PP", "1", 1), ("B", math.nan, None)]:
         with pytest.raises(DomainError):
             ob.FamilySpec(bad[0], bad[1], bad[2])
 
@@ -476,7 +479,7 @@ def test_shoot_escape_classification(pla10):
     assert ob._fate(traj) == "escape"
     assert len([h for h in traj.events
                 if h.kind in ("angle-crossing", "v-zero")]) > 100
-    _assert_no_line_skipped([m for _, m in ob._crossings(traj)])
+    _assert_no_line_skipped([m for _, m in ob._line_hits(traj)])
 
 
 @pytest.mark.parametrize("spec,param", [

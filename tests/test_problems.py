@@ -32,9 +32,12 @@ def test_csc_sum_matches_reference():
 
 
 def test_csc_sum_rejects_bad_n():
-    for n in (0, 1, -3):
-        with pytest.raises(DomainError):
-            pr.csc_sum(n)
+    # a nan or infinite n reached int() and raised ValueError or
+    # OverflowError
+    for n in (0, 1, -3, 2.5, math.nan, math.inf, -math.inf):
+        for call in (pr.csc_sum, pr.phi_R_closed_form):
+            with pytest.raises(DomainError):
+                call(n)
 
 
 def test_csc_sum_asymptotic_relative_error():
@@ -56,6 +59,9 @@ def test_constructor_validation():
         pr.spatial(1)
     with pytest.raises(DomainError):
         pr.planar(2)  # planar ring needs n >= 3
+    for bad in (2.5, math.nan, math.inf, "2"):
+        with pytest.raises(DomainError):
+            pr.ProblemSpec("pyramidal", bad)
 
 
 def test_derived_fields_are_not_constructor_arguments():
@@ -267,6 +273,10 @@ def test_phi_R_closed_form_mu_variants():
         0.659058035826409, abs=1e-12)
     got = pr.critical_points(pr.pyramidal(2, mu=0.5)).phi_R
     assert abs(pr.phi_R_closed_form(2, mu=0.5) - got) < 1e-8
+    # an infinite mu gave nan, though a pyramidal problem refuses it
+    for mu in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            pr.phi_R_closed_form(2, mu)
 
 
 def test_pyramidal_critical_transition_at_472():

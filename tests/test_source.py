@@ -32,10 +32,15 @@ def test_every_imported_name_is_used(path):
 
 
 def test_every_private_module_name_is_read():
-    # a module-level _name that no source file reads is dead code: a
-    # helper left behind when its last caller went
-    defined, read = {}, set()
+    # a module-level _name that its own module never reads, and that no
+    # other module imports from it, is dead code: a helper left behind when
+    # its last caller went.  Each module is checked on its own, so a read of
+    # a like-named helper in another module hides nothing.  An import is
+    # `from .module import _name`, or `from . import module as m` and a
+    # read of `m._name`
+    defined, read = {}, set()  # keyed by (module, name)
     for path in SOURCES:
+        module = path.stem
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -49,12 +54,22 @@ def test_every_private_module_name_is_read():
                 names = []
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
-                    defined[name] = "%s:%d" % (path.name, node.lineno)
+                    defined[module, name] = "%s:%d" % (path.name, node.lineno)
+        modules = {}  # local name -> package module, from `from . import`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        read.add((node.module, alias.name))
+                    else:
+                        modules[alias.asname or alias.name] = alias.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    unread = {name: where for name, where in defined.items()
-              if name not in read}
+                read.add((module, node.id))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add((modules[node.value.id], node.attr))
+    unread = {"%s.%s" % key: where for key, where in defined.items()
+              if key not in read}
     assert not unread, "never read in src/: %s" % (unread,)
