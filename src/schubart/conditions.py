@@ -237,6 +237,8 @@ def v2_certificate(problem: ProblemSpec, beta_hat: float = None) -> dict:
     """
     if beta_hat is None:
         beta_hat = DEFAULT_BETA
+    if not math.isfinite(beta_hat):
+        raise DomainError("beta_hat must be finite, got %r" % (beta_hat,))
     if beta_hat * beta_hat > 2.0:
         raise BoundTooWeakError(
             "integrand turns negative near phi = 0: beta_hat^2 = %r > 2"

@@ -49,8 +49,9 @@ class EvaluationError(SchubartError):
 class OrbitNotFoundError(SchubartError):
     """No seed-parameter bracket matched the requested family signature.
 
-    Carries the scan table (list of (parameter, signature summary, terminal
-    residual) rows) for diagnosis.
+    Carries the scan table for diagnosis: a list of (param, classification,
+    lines, residual) rows, one per seed, with lines the crossed line
+    indices m (theta = m pi/2) and residual None unless the shot matched.
     """
 
     def __init__(self, message: str, scan=None):

@@ -196,7 +196,8 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
                  stop_at_last_landmark: bool = False) -> BranchTrace:
     """Trace one invariant-manifold branch on the collision manifold.
 
-    The seed sits at the base equilibrium offset by epsilon along the unit
+    The seed sits at the base equilibrium offset by epsilon (finite and
+    positive; default_epsilon when None) along the unit
     eigenvector tangent to the manifold, oriented so the w-component carries
     the branch's sign.  Unstable branches run forward, the stable branch of
     L'_- runs backward.  Crossings of theta in {-pi/2, 0, pi/2} are recorded
@@ -217,6 +218,9 @@ def trace_branch(problem: ProblemSpec, branch: str, epsilon: float = None,
     """
     if branch not in BRANCH_IDS:
         raise DomainError("unknown branch %r" % (branch,))
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise DomainError("epsilon must be finite and > 0, got %r"
+                          % (epsilon,))
     traced_as = "gamma" if branch == "gamma''" else branch
     backward = traced_as == "stable-of-L'-"
     base_label = {

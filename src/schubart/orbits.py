@@ -112,7 +112,8 @@ class PeriodicOrbit:
     def fundamental(self) -> Trajectory:
         """The fundamental segment from the seed, sampled at 1/512 of it."""
         problem, recipe, controls = self.flight
-        return _fly(problem, self.seed, recipe, controls)
+        return integrate(field_for(problem), self.seed, _watch(recipe),
+                         controls)
 
     @cached_property
     def reconstructed(self) -> Trajectory:
@@ -131,6 +132,8 @@ def line_kind(m: int) -> str:
 
 def seed_state(problem: ProblemSpec, locus: str, param: float) -> State:
     """A brake seed: on S(-pi/2) param is the size r, on Z the angle."""
+    if not math.isfinite(param):
+        raise DomainError("seed parameter must be finite, got %r" % (param,))
     if locus == LOCUS_S:
         if not param > 0.0:
             raise DomainError("S locus needs r > 0, got %r" % (param,))
@@ -220,22 +223,17 @@ def _full_lines(recipe: _Recipe) -> tuple:
     return recipe.lines
 
 
-def _fly(problem, seeds, recipe: _Recipe, controls: Controls):
-    """Integrate one shot from a seed State, or the shots from a list of
-    seeds through integrate_block, watching what _classify reads: every
-    line within three of the recipe's full lines and of theta = 0, the v
-    zeros when the recipe ends in a brake, and escape.  Returns the
-    Trajectory, or the list of them."""
+def _watch(recipe: _Recipe) -> list:
+    """The events a shot of the recipe watches, those _classify reads:
+    every line within three of the recipe's full lines and of theta = 0,
+    the v zeros when the recipe ends in a brake, and escape."""
     ms = _full_lines(recipe) + (0,)
     events = [EventSpec.angle(m * _HALF_PI)
               for m in range(min(ms) - 3, max(ms) + 4)]
     if recipe.terminal == "brake":
         events.append(EventSpec.v_zero())
     events.append(EventSpec.r_exceeds(R_ESCAPE))
-    rhs = field_for(problem)
-    if isinstance(seeds, State):
-        return integrate(rhs, seeds, events, controls)
-    return integrate_block(rhs, seeds, events, controls)
+    return events
 
 
 def _line_hits(traj: Trajectory) -> list:
@@ -262,7 +260,7 @@ class _ShotRecord:
     residual: float
     terminal_s: float
     terminal_state: State = None  # where the residual is read, when matched
-    floor: float = None  # the residual's noise floor, set by _shot
+    floor: float = None  # the residual's noise floor, set by _refine
 
 
 def _shot_controls(recipe: _Recipe) -> Controls:
@@ -327,25 +325,14 @@ def _classify(recipe: _Recipe, param: float, traj: Trajectory) -> _ShotRecord:
     return rec
 
 
-def _shot(problem, recipe: _Recipe, param: float) -> _ShotRecord:
-    """A single classified shot, with its residual's noise floor when it
-    matches; the scan's rows never need the floor."""
-    seed = seed_state(problem, recipe.locus, param)
-    rec = _classify(recipe, param,
-                    _fly(problem, seed, recipe, _shot_controls(recipe)))
-    if rec.classification == "matched":
-        rec.floor = _floor(problem, recipe, rec.terminal_state)
-    return rec
-
-
 def _scan(problem, recipe: _Recipe, params) -> list:
-    """The scan-table rows (param, classification, lines, residual) of the
-    seeds at params, flown through integrate_block: one lockstep block
-    from _SCALAR_BELOW seeds up, one scalar shot per seed below that."""
+    """The classified shots (_ShotRecord) of the seeds at params, flown
+    through integrate_block: one lockstep block from _SCALAR_BELOW seeds
+    up, one scalar shot per seed below that."""
     seeds = [seed_state(problem, recipe.locus, p) for p in params]
-    trajs = _fly(problem, seeds, recipe, _shot_controls(recipe))
-    rows = [_classify(recipe, p, t) for p, t in zip(params, trajs)]
-    return [(r.param, r.classification, r.lines, r.residual) for r in rows]
+    trajs = integrate_block(field_for(problem), seeds, _watch(recipe),
+                            _shot_controls(recipe))
+    return [_classify(recipe, p, t) for p, t in zip(params, trajs)]
 
 
 # -- search --------------------------------------------------------------------
@@ -373,7 +360,8 @@ def _grid(recipe, lo, hi, n):
 def _brackets(rows) -> list:
     """Neighbouring matched scan rows whose residuals differ in sign."""
     return [(a, b) for a, b in zip(rows, rows[1:])
-            if a[1] == b[1] == "matched" and a[3] * b[3] < 0.0]
+            if a.classification == b.classification == "matched"
+            and a.residual * b.residual < 0.0]
 
 
 class _AtFloor(Exception):
@@ -399,17 +387,18 @@ def _refine(problem, recipe, a, b):
     AmbiguousBracketError if a shot inside stops matching or none comes
     within RESIDUAL_TOL.
     """
-    seen = {a[0]: a[3], b[0]: b[3]}
+    seen = {a.param: a.residual, b.param: b.residual}
     shots = []
 
     def residual(param):
         if param in seen:
             return seen[param]
-        rec = _shot(problem, recipe, param)
+        rec, = _scan(problem, recipe, [param])
         if rec.classification != "matched":
             raise AmbiguousBracketError(
                 "signature %r at parameter %.17g inside the bracket"
                 % (rec.classification, param))
+        rec.floor = _floor(problem, recipe, rec.terminal_state)
         shots.append(rec)
         seen[param] = rec.residual
         if abs(rec.residual) <= rec.floor:
@@ -417,14 +406,14 @@ def _refine(problem, recipe, a, b):
         return rec.residual
 
     try:
-        brentq(residual, a[0], b[0], xtol=1e-15, disp=False)
+        brentq(residual, a.param, b.param, xtol=1e-15, disp=False)
         root = min(shots, key=lambda rec: abs(rec.residual), default=None)
     except _AtFloor:
         root = shots[-1]
     if root is None or abs(root.residual) > RESIDUAL_TOL:
         raise AmbiguousBracketError(
             "bracket [%r, %r] exhausted: no shot's residual within %g"
-            % (a[0], b[0], RESIDUAL_TOL))
+            % (a.param, b.param, RESIDUAL_TOL))
     other = min((p for p, f in seen.items()
                  if p != root.param and f * root.residual <= 0.0),
                 key=lambda p: abs(p - root.param))
@@ -441,7 +430,7 @@ def _root_in(problem, recipe, a, b):
         return _refine(problem, recipe, a, b)
     except AmbiguousBracketError:
         mids = _scan(problem, recipe,
-                     [float(p) for p in _grid(recipe, a[0], b[0], 3)[1:-1]])
+                     _grid(recipe, a.param, b.param, 3)[1:-1].tolist())
         sub = _brackets([a] + mids + [b])
         if not sub:
             raise
@@ -480,49 +469,57 @@ def find_orbit(problem: ProblemSpec, family: FamilySpec, search: dict = None,
     bracket by Brent's method down to the residual's noise floor (see
     _refine).
 
-    The scan flies its seeds in one lockstep block from _SCALAR_BELOW (11)
-    seeds up, and below that as one scalar shot each, the same shots root
-    refinement flies; the orbit's sampled fundamental segment is one more
-    scalar run, flown on first read of PeriodicOrbit.fundamental or
-    .reconstructed.  controls sets rtol and atol of every integration and
-    max_s of the shots (default: rtol 1e-11, atol 1e-12, max_s
-    SHOT_MAX_S); the segment runs to the found terminal's s.
+    Every shot is a _scan: the scan flies its seeds in one lockstep block
+    from _SCALAR_BELOW (11) seeds up, one scalar shot each below that, and
+    each Brent shot is a one-seed scan; the orbit's sampled fundamental
+    segment is one more scalar run, flown on first read of
+    PeriodicOrbit.fundamental or .reconstructed.  search may set param_lo,
+    param_hi and grid_points.  controls sets rtol and atol of every
+    integration and max_s of the shots (default: rtol 1e-11, atol 1e-12,
+    max_s SHOT_MAX_S); the segment runs to the found terminal's s.
 
     Returns the orbit of the first bracket.  Raises DomainError for an
-    empty or unbounded search window, a non-positive S-locus size or fewer
-    than two grid points, OrbitNotFoundError (carrying the scan table) when
-    no bracket matches, and its subclass AmbiguousBracketError (carrying
-    the scan table too) when the bracket gives no root even after one
-    local re-scan.
+    unknown search key, an empty or unbounded search window, a
+    non-positive S-locus size or a grid_points that is not an integer of
+    at least 2, OrbitNotFoundError (carrying the scan table) when no
+    bracket matches, and its subclass AmbiguousBracketError (carrying the
+    scan table too) when the bracket gives no root even after one local
+    re-scan.
     """
     recipe = _recipe_for(family)
     if controls is not None:
         recipe = replace(recipe, controls=controls)
     cfg = dict(_default_search(problem, recipe))
-    if search:
-        cfg.update(search)
-    lo, hi, n = cfg["param_lo"], cfg["param_hi"], int(cfg["grid_points"])
+    unknown = sorted(set(search or ()) - set(cfg))
+    if unknown:
+        raise DomainError("unknown search keys %s (known: %s)"
+                          % (", ".join(map(repr, unknown)),
+                             ", ".join(sorted(cfg))))
+    cfg.update(search or ())
+    lo, hi, n = cfg["param_lo"], cfg["param_hi"], cfg["grid_points"]
     if (not -math.inf < lo < hi < math.inf
             or (recipe.locus == LOCUS_S and not lo > 0.0)):
         raise DomainError("search window [%r, %r] needs finite param_lo <"
                           " param_hi (and param_lo > 0 on %s)"
                           % (lo, hi, LOCUS_S))
-    if n < 2:
-        raise DomainError("search window needs at least 2 grid points to"
-                          " bracket a root, got %d" % (n,))
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or n < 2):
+        raise DomainError("search window needs an integer of at least 2"
+                          " grid points to bracket a root, got %r" % (n,))
     params = [float(p) for p in _grid(recipe, lo, hi, n)]
     rows = _scan(problem, recipe, params)
+    table = [(r.param, r.classification, r.lines, r.residual) for r in rows]
 
     brackets = _brackets(rows)
     if not brackets:
         raise OrbitNotFoundError(
             "no %s bracket for %s in [%g, %g] over %d seeds"
-            % (family, problem.kind, lo, hi, len(params)), scan=rows)
+            % (family, problem.kind, lo, hi, len(params)), scan=table)
 
     try:
         root = _root_in(problem, recipe, *brackets[0])
     except AmbiguousBracketError as err:
-        err.scan = rows
+        err.scan = table
         raise
     return _reconstruct_and_wrap(problem, family, recipe, *root)
 

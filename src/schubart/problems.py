@@ -65,8 +65,9 @@ def csc_sum_asymptotic(n: int) -> float:
     with gamma the Euler-Mascheroni constant.  Relative error below 1e-6
     already for n around 47.
     """
-    if n < 2:
-        raise DomainError("csc_sum_asymptotic requires n >= 2, got %r" % (n,))
+    if not (_is_integer(n) and n >= 2):
+        raise DomainError("csc_sum_asymptotic requires an integer n >= 2,"
+                          " got %r" % (n,))
     n = float(n)
     pi = math.pi
     return (

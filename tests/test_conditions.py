@@ -214,6 +214,11 @@ def test_v2_certificate_monotone_in_beta(pyr2):
 def test_v2_certificate_too_weak(pyr2):
     with pytest.raises(BoundTooWeakError):
         cond.v2_certificate(pyr2, -1.5)
+    # nan gave an all-nan certificate that failed, with a quadrature
+    # warning
+    for beta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            cond.v2_certificate(pyr2, beta)
 
 
 def test_spatial_envelope_values():

@@ -195,6 +195,14 @@ def test_branch_terminations_pyr2(pyr2):
 def test_trace_rejects_unknown_branch(pyr2):
     with pytest.raises(DomainError):
         mf.trace_branch(pyr2, "gamma!!")
+    # a negative epsilon seeded on the other side and gave no landmarks, 0
+    # seeded on the equilibrium itself, and nan raised EvaluationError
+    for eps in (-1e-7, 0.0, math.nan, math.inf):
+        for call in (lambda: mf.trace_branch(pyr2, "gamma", epsilon=eps),
+                     lambda: mf.trace_landmarks(pyr2, eps),
+                     lambda: mf.landmark_values(pyr2, eps)):
+            with pytest.raises(DomainError):
+                call()
 
 
 def test_trace_stays_on_collision_manifold(pyr2):

@@ -8,6 +8,7 @@ import pytest
 
 import schubart.dynamics as dyn
 import schubart.manifolds as mf
+import schubart.odeint as oi
 import schubart.orbits as ob
 import schubart.problems as pr
 from schubart.dynamics import State
@@ -130,6 +131,12 @@ def test_seed_domain_errors(pyr2):
         ob.seed_state(pyr2, ob.LOCUS_Z, -math.pi / 2.0)
     with pytest.raises(DomainError):
         ob.seed_state(pyr2, "ZVC", 1.0)
+    # a nan Z angle gave r = nan and an infinite one a bare "math domain
+    # error"; an infinite S size gave r = inf
+    for locus in (ob.LOCUS_S, ob.LOCUS_Z):
+        for param in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                ob.seed_state(pyr2, locus, param)
 
 
 # -- found orbits against frozen roots --------------------------------------
@@ -212,8 +219,8 @@ def test_orthogonal_hit_simultaneity(b0):
 
 
 def test_signature_reproduced_at_root(pyr2, b0):
-    rec = ob._shot(pyr2, ob._recipe_for(ob.FamilySpec("B", 0)),
-                   b0.seed_parameter)
+    rec, = ob._scan(pyr2, ob._recipe_for(ob.FamilySpec("B", 0)),
+                    [b0.seed_parameter])
     assert rec.lines == (0,)
     _assert_no_line_skipped(rec.lines)
     assert isinstance(rec.terminal_state, State)
@@ -263,7 +270,7 @@ def test_b0_line_events_per_period(pyr2, b0):
 def test_monotone_residual_across_final_bracket(pyr2, b0):
     recipe = ob._recipe_for(ob.FamilySpec("B", 0))
     root = b0.seed_parameter
-    vals = [ob._shot(pyr2, recipe, root + d).residual
+    vals = [ob._scan(pyr2, recipe, [root + d])[0].residual
             for d in np.linspace(-5e-7, 5e-7, 5)]
     assert all(v is not None for v in vals)
     diffs = np.diff(vals)
@@ -275,13 +282,17 @@ def test_monotone_residual_across_final_bracket(pyr2, b0):
                          ids=lambda v: str(v))
 def test_brent_stops_at_the_first_shot_within_its_floor(pyr2, monkeypatch,
                                                         spec, lo, hi):
-    shot, recs = ob._shot, []
+    # the Brent shots are the one-seed scans (these brackets need no
+    # local re-scan); _refine sets each one's floor after the scan
+    scan, recs = ob._scan, []
 
-    def recorded(problem, recipe, param):
-        recs.append(shot(problem, recipe, param))
-        return recs[-1]
+    def recorded(problem, recipe, params):
+        rows = scan(problem, recipe, params)
+        if len(params) == 1:
+            recs.extend(rows)
+        return rows
 
-    monkeypatch.setattr(ob, "_shot", recorded)
+    monkeypatch.setattr(ob, "_scan", recorded)
     orb = ob.find_orbit(pyr2, spec,
                         {"param_lo": lo, "param_hi": hi, "grid_points": 9})
     within = [abs(rec.residual) <= rec.floor for rec in recs]
@@ -303,6 +314,8 @@ def test_fundamental_segment_is_flown_on_first_read(pyr2, monkeypatch):
         sample_ds.append(controls.sample_ds)
         return integrate(rhs, seed, events, controls)
 
+    # the shots fly as integrate_block's scalar runs, the segment in orbits
+    monkeypatch.setattr(oi, "integrate", recorded)
     monkeypatch.setattr(ob, "integrate", recorded)
     orb = ob.find_orbit(pyr2, ob.FamilySpec("B", 0),
                         {"param_lo": 0.4, "param_hi": 0.7, "grid_points": 9})
@@ -315,6 +328,30 @@ def test_fundamental_segment_is_flown_on_first_read(pyr2, monkeypatch):
     # flown once: the reconstruction and later reads reuse it
     assert orb.reconstructed.end_s > orb.fundamental.end_s
     assert len(sample_ds) == n + 1
+
+
+def test_every_shot_of_a_search_flies_through_integrate_block(pyr2,
+                                                            monkeypatch):
+    # the scan as one call, each Brent shot as a one-seed call; the
+    # fundamental segment, an integrate run on first read, is not read
+    integrate_calls, block_seeds = [], []
+    block = ob.integrate_block
+
+    def counted(rhs, seed, events=(), controls=None):
+        integrate_calls.append(seed)
+        return integrate(rhs, seed, events, controls)
+
+    def counted_block(rhs, seeds, events=(), controls=None):
+        block_seeds.append(len(seeds))
+        return block(rhs, seeds, events, controls)
+
+    monkeypatch.setattr(ob, "integrate", counted)
+    monkeypatch.setattr(ob, "integrate_block", counted_block)
+    orb = ob.find_orbit(pyr2, ob.FamilySpec("B", 0),
+                        {"param_lo": 0.4, "param_hi": 0.7, "grid_points": 9})
+    assert integrate_calls == []
+    assert orb.root_shots > 0
+    assert block_seeds == [9] + [1] * orb.root_shots
 
 
 @pytest.mark.parametrize("key,spec,lo,hi", [
@@ -332,7 +369,7 @@ def test_fundamental_samples_lie_on_an_exact_grid(pyr2, key, spec, lo, hi):
 def test_lazy_segment_equals_an_eager_flight(pyr2, b0):
     recipe = ob._recipe_for(b0.family)
     tau = b0.full_period_s / 4.0
-    eager = ob._fly(pyr2, b0.seed, recipe, Controls(
+    eager = integrate(field_for(pyr2), b0.seed, ob._watch(recipe), Controls(
         rtol=1e-11, atol=1e-12, max_s=tau, sample_ds=tau / 512.0))
     fund = b0.fundamental
     assert np.array_equal(fund.s, eager.s)
@@ -355,6 +392,19 @@ def test_perturbed_seed_breaks_closure(pyr2, b0):
 
 
 # -- scan behavior -----------------------------------------------------------
+
+
+def test_find_orbit_search_validation(pyr2):
+    # a misspelt key was ignored (400 seeds scanned), 9.7 grid points were
+    # cut to 9 and "9" accepted, and a nan count raised ValueError
+    spec = ob.FamilySpec("B", 0)
+    window = {"param_lo": 0.4, "param_hi": 0.7}
+    for bad in ({"grid_point": 9}, {"grid_points": 9.7},
+                {"grid_points": "9"}, {"grid_points": math.nan},
+                {"grid_points": True}, {"grid_points": None},
+                {"grid_points": 1}, {"grid_points": -3}):
+        with pytest.raises(DomainError):
+            ob.find_orbit(pyr2, spec, dict(window, **bad))
 
 
 def test_Z1_0_not_found_for_pyr2(pyr2):
@@ -420,11 +470,11 @@ def test_ambiguous_bracket_is_rescanned_locally(pyr2, monkeypatch):
 
 
 def test_block_scan_matches_scalar_shots(request, pyr2):
-    # the scan against one scalar shot per seed.  Below the crossover the
-    # scan flies those very shots, so its rows are theirs exactly; a
-    # lockstep block sums its stages in another order and takes vectorized
-    # sin and cos, so its residuals may differ in the last digits, but
-    # nothing else may
+    # the scan against one one-seed scan per seed.  Below the crossover the
+    # scan flies those very shots, so its records are theirs exactly, down
+    # to the terminal's s and state; a lockstep block sums its stages in
+    # another order and takes vectorized sin and cos, so its residuals may
+    # differ in the last digits, but nothing else may
     assert 9 < _SCALAR_BELOW <= 60  # both routes run
     windows = [(which, spec, lo, hi, 9) for which, spec, lo, hi, _ in _TABLE]
     windows.append(("pyr", ob.FamilySpec("B", 0), 1e-3, 1e2, 60))
@@ -436,23 +486,24 @@ def test_block_scan_matches_scalar_shots(request, pyr2):
         rows = ob._scan(problem, recipe, params)
         assert len(rows) == len(params)
         for row, param in zip(rows, params):
-            want = ob._shot(problem, recipe, param)
+            want, = ob._scan(problem, recipe, [param])
             if len(params) < _SCALAR_BELOW:
-                assert row == (param, want.classification, want.lines,
-                               want.residual), spec
+                assert row.param == param
+                assert row == want, spec
                 continue
-            assert row[:3] == (param, want.classification, want.lines), spec
+            assert (row.param, row.classification, row.lines) == (
+                param, want.classification, want.lines), spec
             if want.residual is None:
-                assert row[3] is None
+                assert row.residual is None
             else:
-                assert np.sign(row[3]) == np.sign(want.residual)
-                assert abs(row[3] - want.residual) <= 1e-10
+                assert np.sign(row.residual) == np.sign(want.residual)
+                assert abs(row.residual - want.residual) <= 1e-10
 
 
 def test_small_r_shots_open_out_on_the_central_line(pyr2):
     # the r -> 0 end of the S locus: the shot reaches the central line
     # still expanding (v > 0), so no orthogonal hit is possible there
-    rec = ob._shot(pyr2, ob._recipe_for(ob.FamilySpec("B", 0)), 1e-3)
+    rec, = ob._scan(pyr2, ob._recipe_for(ob.FamilySpec("B", 0)), [1e-3])
     assert rec.lines == (0,)
     _assert_no_line_skipped(rec.lines)
     assert isinstance(rec.terminal_state, State)
@@ -463,7 +514,7 @@ def test_small_r_shots_open_out_on_the_central_line(pyr2):
 def test_large_r_shots_stay_bound_near_the_arm(pyr2):
     # at this energy the far end of the S locus is a bound near-binary
     # regime: shots re-cross the seed line instead of escaping
-    rec = ob._shot(pyr2, ob._recipe_for(ob.FamilySpec("B", 0)), 95.0)
+    rec, = ob._scan(pyr2, ob._recipe_for(ob.FamilySpec("B", 0)), [95.0])
     assert rec.classification == "pattern-mismatch"
     assert rec.lines == (-1,)
 
@@ -474,8 +525,9 @@ def test_shoot_escape_classification(pla10):
     w = dyn.solve_w(pla10, 0.1, 0.0, -0.35)
     # full lines (-9, 9): the watched window is the lines -12..12
     recipe = ob._Recipe(ob.LOCUS_S, (-9,), "line", 9, "mirror")
-    traj = ob._fly(pla10, State(0.1, 0.0, -0.35, w), recipe,
-                   Controls(max_s=ob.SHOT_MAX_S, max_angle_crossings=600))
+    traj = integrate(field_for(pla10), State(0.1, 0.0, -0.35, w),
+                     ob._watch(recipe),
+                     Controls(max_s=ob.SHOT_MAX_S, max_angle_crossings=600))
     assert ob._fate(traj) == "escape"
     assert len([h for h in traj.events
                 if h.kind in ("angle-crossing", "v-zero")]) > 100
@@ -491,8 +543,8 @@ def test_shots_watch_only_what_the_classifier_reads(pyr2, spec, param):
     # both shots pass w zeros, and the B(0) one v zeros, that no
     # classification reads
     recipe = ob._recipe_for(spec)
-    traj = ob._fly(pyr2, ob.seed_state(pyr2, recipe.locus, param), recipe,
-                   ob._shot_controls(recipe))
+    traj = integrate(field_for(pyr2), ob.seed_state(pyr2, recipe.locus, param),
+                     ob._watch(recipe), ob._shot_controls(recipe))
     kinds = {h.kind for h in traj.events}
     allowed = {"angle-crossing", "r-exceeds"}
     if recipe.terminal == "brake":

@@ -33,9 +33,9 @@ def test_csc_sum_matches_reference():
 
 def test_csc_sum_rejects_bad_n():
     # a nan or infinite n reached int() and raised ValueError or
-    # OverflowError
+    # OverflowError; csc_sum_asymptotic gave nan and inf back and took 2.5
     for n in (0, 1, -3, 2.5, math.nan, math.inf, -math.inf):
-        for call in (pr.csc_sum, pr.phi_R_closed_form):
+        for call in (pr.csc_sum, pr.csc_sum_asymptotic, pr.phi_R_closed_form):
             with pytest.raises(DomainError):
                 call(n)
 
